@@ -79,6 +79,13 @@ func TestAllocBudgetStepN(t *testing.T) {
 	allocBudget(t, "machine.StepN", 0, 100, func() { m.StepN(1e-3, 8) })
 }
 
+// TestAllocBudgetFleetNodeReplay pins the machine a fleet steps — an
+// idle serving node built as the cluster builds one — at zero
+// allocations per replayed step.
+func TestAllocBudgetFleetNodeReplay(t *testing.T) {
+	allocBudget(t, "fleet node StepN", 0, 100, cluster.NodeReplayBenchLoop(NewExclusive(), 8))
+}
+
 // TestAllocBudgetGovernorSolve pins the TDP/license solve at zero: its
 // result slice aliases per-governor scratch by design.
 func TestAllocBudgetGovernorSolve(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"aum/internal/cluster"
 	"aum/internal/core"
 	"aum/internal/experiments"
 	"aum/internal/llm"
@@ -119,6 +120,21 @@ func BenchmarkMachineStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Step(1e-3)
+	}
+}
+
+// BenchmarkFleetNodeReplay measures one replayed 1 ms step of an idle
+// fleet node — a GenA machine under the exclusive baseline, built as a
+// fleet session builds it — the per-node work of a sparse barrier.
+func BenchmarkFleetNodeReplay(b *testing.B) {
+	b.ReportAllocs()
+	step := cluster.NodeReplayBenchLoop(NewExclusive(), 1)
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 

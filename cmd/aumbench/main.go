@@ -21,9 +21,10 @@
 // out across the runner pool (-workers); the determinism contract
 // (DESIGN.md §6) guarantees the tables are identical at any width.
 //
-// Every run also emits a machine-readable timing report (BENCH_results
-// schema below) to -bench-out, so CI can archive wall-clock trends next
-// to the tables. The timings are first folded into telemetry gauges
+// -bench-out writes a machine-readable timing report (BENCH_results
+// schema below), so CI can archive wall-clock trends next to the
+// tables. It is off by default, so an ad-hoc run never overwrites the
+// checked-in baseline. The timings are first folded into telemetry gauges
 // (aumbench_experiment_wall_seconds{id="..."}) and the report is built
 // from that snapshot, so the gauges and the JSON cannot disagree.
 //
@@ -78,7 +79,7 @@ func main() {
 		format    = flag.String("format", "text", "output format: text | csv")
 		workers   = flag.Int("workers", 0, "per-experiment fan-out width (0 = default); never changes results")
 		ff        = flag.Bool("ff", true, "quiescence-aware fast-forward (DESIGN.md §9); never changes results")
-		benchOut  = flag.String("bench-out", "BENCH_results.json", "timing report path ('' disables)")
+		benchOut  = flag.String("bench-out", "", "write the timing report to this path ('' disables; the checked-in baseline is -run all -quick -bench-out BENCH_results.json)")
 		tracePath = flag.String("trace", "", "write a Chrome trace_event file from one instrumented run ('' disables)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file ('' disables)")
 		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file ('' disables)")

@@ -3,8 +3,28 @@ package cluster
 import (
 	"aum/internal/colo"
 	"aum/internal/llm"
+	"aum/internal/platform"
 	"aum/internal/serve"
 )
+
+// NodeReplayBenchLoop returns a closure that advances one idle fleet
+// node k machine steps through StepN — the per-node work a sparse
+// fleet repeats at every barrier. The node is built by newSession
+// exactly as a fleet builds one: a GenA machine set up by mgr, with
+// idle prefill and decode workers and no per-machine telemetry.
+// MeasureHotPaths (perf.go) times it for the hot_paths table.
+func NodeReplayBenchLoop(mgr colo.Manager, k int) func() {
+	cfg, err := Config{Machines: []MachineSpec{{Plat: platform.GenA(), Mgr: mgr}}}.withDefaults()
+	if err != nil {
+		panic(err)
+	}
+	s, err := newSession(cfg)
+	if err != nil {
+		panic(err)
+	}
+	m := s.nodes[0].env.M
+	return func() { m.StepN(cfg.DT, k) }
+}
 
 // FailoverBenchLoop returns a closure that exercises the fleet
 // failover hot path — retry scheduling with capped jittered backoff,

@@ -20,7 +20,6 @@ import (
 	"context"
 	"math"
 
-	"aum/internal/rng"
 	"aum/internal/runner"
 	"aum/internal/telemetry"
 )
@@ -222,31 +221,32 @@ func (s *session) elideBarrier() {
 // preserved (one fused k*B add is not byte-identical), which is the
 // whole reason this loop is per-barrier rather than one span advance.
 // Nodes are independent across the span (all idle, no merges), so the
-// replay parallelizes over nodes.
+// replay parallelizes over contiguous shards of nodes.
 func (s *session) catchUp() error {
 	from, to := s.ev.deferFrom, s.bi
 	if from >= to {
 		return nil
 	}
 	cfg := s.cfg
-	_, err := runner.Map(s.ctx, len(s.nodes), s.ropt,
-		func(_ context.Context, i int, _ *rng.Stream) (struct{}, error) {
-			n := s.nodes[i]
-			for b := from; b < to; b++ {
-				if err := stepEpoch(cfg, n, float64(b)*cfg.BarrierS, s.steps); err != nil {
-					return struct{}{}, err
-				}
-				switch n.state {
-				case stateActive, stateDraining:
-					n.upS += cfg.BarrierS
-				case stateSuspect, stateDown, stateRecovering:
-					n.downtimeS += cfg.BarrierS
-				}
-				if n.state != stateStandby && !n.dead() {
-					n.activeS += cfg.BarrierS
+	err := runner.Shard(s.ctx, len(s.nodes), 0, s.ropt,
+		func(_ context.Context, lo, hi int) error {
+			for _, n := range s.nodes[lo:hi] {
+				for b := from; b < to; b++ {
+					if err := stepEpoch(cfg, n, float64(b)*cfg.BarrierS, s.steps); err != nil {
+						return err
+					}
+					switch n.state {
+					case stateActive, stateDraining:
+						n.upS += cfg.BarrierS
+					case stateSuspect, stateDown, stateRecovering:
+						n.downtimeS += cfg.BarrierS
+					}
+					if n.state != stateStandby && !n.dead() {
+						n.activeS += cfg.BarrierS
+					}
 				}
 			}
-			return struct{}{}, nil
+			return nil
 		})
 	if err == nil {
 		s.ev.deferFrom = to

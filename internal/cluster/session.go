@@ -86,18 +86,13 @@ func newSession(cfg Config) (*session, error) {
 		scen := classes[classOf[i]]
 		m := machine.New(spec.Plat)
 		// Archetype mode leaves machines bare: a per-machine telemetry
-		// scope or perfmon sampler would pin every machine to the exact
-		// per-tick path (machine.CoarseReady refuses observed machines),
-		// defeating the memoization — and at 100k machines the scopes
-		// alone dominate memory.
-		var mon *perfmon.Monitor
+		// scope would pin every machine to the exact per-tick path
+		// (machine.CoarseReady refuses observed machines), defeating the
+		// memoization — and at 100k machines the scopes alone dominate
+		// memory.
 		var scope *telemetry.Registry
-		if !cfg.Archetypes {
-			mon = perfmon.NewMonitor(256)
-			mon.Attach(m)
-			if cfg.Telemetry != nil {
-				scope = cfg.Telemetry.Child(fmt.Sprintf("m%02d", i))
-			}
+		if !cfg.Archetypes && cfg.Telemetry != nil {
+			scope = cfg.Telemetry.Child(fmt.Sprintf("m%02d", i))
 		}
 		m.SetTelemetry(scope)
 		n := &node{name: fmt.Sprintf("%s-%d", spec.Plat.Name, i), spec: spec, class: classOf[i]}
@@ -110,7 +105,7 @@ func newSession(cfg Config) (*session, error) {
 		}
 		env := &colo.Env{
 			Plat: spec.Plat, M: m, RDT: rdt.New(m),
-			Engine: serve.NewEngine(engCfg), Scen: scen, Mon: mon,
+			Engine: serve.NewEngine(engCfg), Scen: scen,
 		}
 		env.RDT.SetTelemetry(scope)
 		if cfg.BE != nil {
@@ -305,12 +300,19 @@ func (s *session) step() error {
 		s.cRouted.Add(uint64(len(arrivals)))
 	}
 
-	// Step every machine one epoch, concurrently. runner.Map's
-	// index-ordered collection makes the merge order — and hence
-	// the whole simulation — independent of the worker width.
-	if _, err := runner.Map(s.ctx, len(nodes), s.ropt,
-		func(_ context.Context, i int, _ *rng.Stream) (struct{}, error) {
-			return struct{}{}, stepEpoch(cfg, nodes[i], start, s.steps)
+	// Step every machine one epoch, concurrently, in contiguous
+	// shards. stepEpoch touches only its own node and the merge below
+	// runs in machine-index order, so the simulation is independent of
+	// the worker width; each shard stops at its first failure, so the
+	// lowest-indexed one is reported.
+	if err := runner.Shard(s.ctx, len(nodes), 0, s.ropt,
+		func(_ context.Context, lo, hi int) error {
+			for _, n := range nodes[lo:hi] {
+				if err := stepEpoch(cfg, n, start, s.steps); err != nil {
+					return err
+				}
+			}
+			return nil
 		}); err != nil {
 		return err
 	}

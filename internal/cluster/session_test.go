@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"aum/internal/colo"
 	"aum/internal/manager"
 	"aum/internal/platform"
 	"aum/internal/serve"
@@ -151,5 +154,59 @@ func TestAdmissionValidation(t *testing.T) {
 	cfg.Admission = serve.Admission{MaxBacklog: -1}
 	if _, err := cfg.withDefaults(); err != nil {
 		t.Fatalf("MaxBacklog -1 (unbounded) rejected: %v", err)
+	}
+}
+
+// failTick is an exclusive-baseline manager whose control tick always
+// fails, marking the nodes whose barrier errors must be ordered.
+type failTick struct{ manager.AllAU }
+
+func (failTick) Interval() float64 { return 0.05 }
+
+func (failTick) Tick(*colo.Env, float64) error { return errors.New("injected tick failure") }
+
+// TestStepReportsLowestFailingNode pins the error order of the sharded
+// barrier fan-out: when nodes 3, 5 and 700 of 1024 fail in the same
+// barrier (3 and 5 share a shard at every width, 700 lies in another),
+// Step reports node 3 at every worker width, in the legacy and the
+// event-driven loop alike (the latter through its deferred-span
+// catch-up).
+func TestStepReportsLowestFailingNode(t *testing.T) {
+	for _, ed := range []bool{false, true} {
+		var first string
+		for _, w := range []int{1, 2, 8} {
+			cfg := Config{HorizonS: 2, RatePerS: 1, Workers: w, EventDriven: ed}
+			cfg.Machines = make([]MachineSpec, 1024)
+			for i := range cfg.Machines {
+				cfg.Machines[i] = MachineSpec{Plat: platform.GenA(), Mgr: manager.AllAU{}}
+			}
+			for _, i := range []int{3, 5, 700} {
+				cfg.Machines[i].Mgr = failTick{}
+			}
+			s, err := NewSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for err == nil && s.Now() < cfg.HorizonS {
+				err = s.Step()
+			}
+			if err == nil {
+				// Every barrier was elided: the deferred span, and its
+				// failures, replay in Finish's catch-up.
+				_, err = s.Finish()
+			}
+			if err == nil {
+				t.Fatalf("event-driven=%v width %d: no barrier failed", ed, w)
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "GenA-3 tick: injected tick failure") {
+				t.Fatalf("event-driven=%v width %d: Step reported %q, want node GenA-3", ed, w, msg)
+			}
+			if first == "" {
+				first = msg
+			} else if msg != first {
+				t.Fatalf("event-driven=%v: width %d reported %q, width 1 reported %q", ed, w, msg, first)
+			}
+		}
 	}
 }

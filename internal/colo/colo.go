@@ -13,7 +13,6 @@ import (
 	"aum/internal/llm"
 	"aum/internal/machine"
 	"aum/internal/metrics"
-	"aum/internal/perfmon"
 	"aum/internal/platform"
 	"aum/internal/rdt"
 	"aum/internal/reqtrace"
@@ -31,7 +30,6 @@ type Env struct {
 	RDT    *rdt.Controller
 	Engine *serve.Engine
 	Scen   trace.Scenario
-	Mon    *perfmon.Monitor
 
 	PrefillID machine.TaskID
 	DecodeID  machine.TaskID
@@ -352,8 +350,6 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	m := machine.New(cfg.Plat)
-	mon := perfmon.NewMonitor(0)
-	mon.Attach(m)
 	m.SetTelemetry(cfg.Telemetry)
 	if cfg.TraceSink != nil {
 		cfg.TraceSink.SetProcessName(telemetry.PIDServe, "serving engine")
@@ -393,7 +389,6 @@ func Run(cfg Config) (Result, error) {
 		RDT:    rdt.New(m),
 		Engine: eng,
 		Scen:   cfg.Scen,
-		Mon:    mon,
 	}
 	env.RDT.SetTelemetry(cfg.Telemetry)
 	gamma := 0.0

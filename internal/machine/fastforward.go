@@ -67,6 +67,45 @@ type taskInc struct {
 	breakdown  topdown.Breakdown
 }
 
+// scaleBreakdown stores b scaled by dt into d. Every product is rounded
+// by an explicit conversion, which forbids the compiler from fusing it
+// with the later accumulation into an FMA: Step and replayStep must add
+// the identical value.
+func scaleBreakdown(d, b *topdown.Breakdown, dt float64) {
+	d.Retiring = float64(b.Retiring * dt)
+	d.BadSpec = float64(b.BadSpec * dt)
+	d.FrontendBound = float64(b.FrontendBound * dt)
+	d.BackendBound = float64(b.BackendBound * dt)
+	d.CoreBound = float64(b.CoreBound * dt)
+	d.MemBound = float64(b.MemBound * dt)
+	d.Serialize = float64(b.Serialize * dt)
+	d.Ports = float64(b.Ports * dt)
+	d.L1Bound = float64(b.L1Bound * dt)
+	d.L2Bound = float64(b.L2Bound * dt)
+	d.LLCBound = float64(b.LLCBound * dt)
+	d.DRAMBound = float64(b.DRAMBound * dt)
+	d.DRAMBandwidth = float64(b.DRAMBandwidth * dt)
+	d.DRAMLatency = float64(b.DRAMLatency * dt)
+}
+
+// addBreakdown accumulates a pre-scaled increment into d.
+func addBreakdown(d, inc *topdown.Breakdown) {
+	d.Retiring += inc.Retiring
+	d.BadSpec += inc.BadSpec
+	d.FrontendBound += inc.FrontendBound
+	d.BackendBound += inc.BackendBound
+	d.CoreBound += inc.CoreBound
+	d.MemBound += inc.MemBound
+	d.Serialize += inc.Serialize
+	d.Ports += inc.Ports
+	d.L1Bound += inc.L1Bound
+	d.L2Bound += inc.L2Bound
+	d.LLCBound += inc.LLCBound
+	d.DRAMBound += inc.DRAMBound
+	d.DRAMBandwidth += inc.DRAMBandwidth
+	d.DRAMLatency += inc.DRAMLatency
+}
+
 // stepCapture records everything a full Step produced that a replayed
 // step needs. sol.FreqGHz and cosGrants alias governor/arbiter scratch
 // buffers; they stay valid exactly until the next full Step, which also
@@ -87,9 +126,6 @@ type stepCapture struct {
 	stepped []bool
 	quiesce []Quiescer
 	inc     []taskInc
-
-	sample    Sample // prebuilt; only Now changes per replayed step
-	hasSample bool
 }
 
 // invalidateFF drops the step capture. Every machine-API mutation that
@@ -133,7 +169,7 @@ func (m *Machine) canReplay(dt float64) bool {
 }
 
 // replayStep advances one tick from the capture: identical accumulator
-// additions, identical telemetry recording, identical sampler delivery.
+// additions and identical telemetry recording.
 func (m *Machine) replayStep(dt float64) {
 	c := &m.ff
 	m.ffSteps++
@@ -161,7 +197,7 @@ func (m *Machine) replayStep(dt float64) {
 		st.AMXBusyInt += inc.amxBusyInc
 		st.AVXBusyInt += inc.avxBusyInc
 		st.EnergyJ += inc.energyInc
-		st.Breakdown.Weighted(inc.breakdown, dt)
+		addBreakdown(&st.Breakdown, &inc.breakdown)
 	}
 	m.lastWatts = c.watts
 	m.lastLinkUtil = c.linkUtil
@@ -173,11 +209,6 @@ func (m *Machine) replayStep(dt float64) {
 		// untouched during replay.
 		m.tel.record(m, c.sol, c.cosGrants, c.linkUtil, m.scratch.demands, m.scratch.regionOf)
 		m.tel.ffSteps.Inc()
-	}
-	if c.hasSample {
-		s := c.sample
-		s.Now = m.now
-		m.sampler(s)
 	}
 }
 
@@ -234,7 +265,7 @@ func (m *Machine) CoarseReady(dt float64) bool {
 	if !FastForward() || !c.valid || c.dt != dt || c.n != len(m.tasks) {
 		return false
 	}
-	if m.tel != nil || m.sampler != nil {
+	if m.tel != nil {
 		return false
 	}
 	if c.empty {
@@ -269,7 +300,7 @@ func (m *Machine) SkipQuiescent(dt float64, k int) bool {
 	if !FastForward() || !c.valid || c.dt != dt || c.n != len(m.tasks) {
 		return false
 	}
-	if m.tel != nil || m.sampler != nil {
+	if m.tel != nil {
 		return false
 	}
 	kk := float64(k)
@@ -304,7 +335,7 @@ func (m *Machine) SkipQuiescent(dt float64, k int) bool {
 			st.AMXBusyInt += kk * inc.amxBusyInc
 			st.AVXBusyInt += kk * inc.avxBusyInc
 			st.EnergyJ += kk * inc.energyInc
-			st.Breakdown.Weighted(inc.breakdown, kk*dt)
+			st.Breakdown.Weighted(inc.breakdown, kk)
 		}
 		m.lastLinkUtil = c.linkUtil
 	}
@@ -369,7 +400,7 @@ func (m *Machine) AdoptCapture(rc ReplayCapture) bool {
 	if !rc.ok || m.now != 0 || m.ffSteps != 0 || m.energyJ != 0 {
 		return false
 	}
-	if len(m.tasks) != rc.n || m.tel != nil || m.sampler != nil {
+	if len(m.tasks) != rc.n || m.tel != nil {
 		return false
 	}
 	c := &m.ff
@@ -394,8 +425,6 @@ func (m *Machine) AdoptCapture(rc ReplayCapture) bool {
 		}
 		c.quiesce = append(c.quiesce, q)
 	}
-	c.sample = Sample{}
-	c.hasSample = false
 	c.sol = power.Solution{}
 	c.cosGrants = nil
 	m.lastWatts = rc.watts

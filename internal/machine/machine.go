@@ -210,26 +210,6 @@ type COSConfig struct {
 	MBAFrac float64 // fraction of link bandwidth this class may use
 }
 
-// TaskFreq is one (task, granted frequency) pair in a Sample. Samples
-// carry these as a slice in task order rather than a map so the
-// per-step sampler path involves no hashing.
-type TaskFreq struct {
-	ID  TaskID
-	GHz float64
-}
-
-// Sample is the per-step telemetry record consumed by perfmon.
-// Tasks aliases a per-machine buffer that is overwritten by the
-// next step: samplers must copy out any values they want to keep.
-type Sample struct {
-	Now          float64
-	PackageWatts float64
-	Throttled    bool
-	Hotspot      bool
-	Tasks        []TaskFreq
-	LinkUtil     float64
-}
-
 type task struct {
 	id    TaskID
 	wl    Workload
@@ -265,7 +245,6 @@ type stepScratch struct {
 	wts       []float64 // per-COS member weights
 	cosArb    membw.Arbiter
 	taskArb   membw.Arbiter
-	taskFreq  []TaskFreq // reused Sample.Tasks backing slice
 }
 
 // Machine is one simulated socket.
@@ -288,7 +267,6 @@ type Machine struct {
 
 	lastWatts    float64
 	lastLinkUtil float64
-	sampler      func(Sample)
 	tel          *machTelemetry
 
 	scratch stepScratch
@@ -345,12 +323,6 @@ func (m *Machine) LastWatts() float64 { return m.lastWatts }
 
 // LastLinkUtil returns the memory-link utilization of the last step.
 func (m *Machine) LastLinkUtil() float64 { return m.lastLinkUtil }
-
-// OnSample registers a telemetry callback invoked after every step.
-func (m *Machine) OnSample(fn func(Sample)) {
-	m.invalidateFF()
-	m.sampler = fn
-}
 
 // AddTask places a workload on the machine.
 func (m *Machine) AddTask(wl Workload, p Placement) (TaskID, error) {
@@ -801,7 +773,7 @@ func (m *Machine) Step(dt float64) {
 		inc.avxBusyInc = u.AVXBusy * dt
 		inc.energyInc = float64(eff[i]) *
 			m.gov.CoreWatts(demands[i].Class, u.Util, env.GHz) * dt
-		inc.breakdown = u.Breakdown
+		scaleBreakdown(&inc.breakdown, &u.Breakdown, dt)
 		st := &t.stats
 		st.TimeS += dt
 		st.Work += inc.work
@@ -814,7 +786,7 @@ func (m *Machine) Step(dt float64) {
 		st.AMXBusyInt += inc.amxBusyInc
 		st.AVXBusyInt += inc.avxBusyInc
 		st.EnergyJ += inc.energyInc
-		st.Breakdown.Weighted(u.Breakdown, dt)
+		addBreakdown(&st.Breakdown, &inc.breakdown)
 	}
 
 	m.lastWatts = sol.PackageWatts
@@ -831,32 +803,9 @@ func (m *Machine) Step(dt float64) {
 	ffc.energyInc = sol.PackageWatts * dt
 	ffc.sol = sol
 	ffc.cosGrants = cosGrants
-	ffc.hasSample = false
 
 	if m.tel != nil {
 		m.tel.record(m, sol, cosGrants, linkUtil, demands, regionOf)
-	}
-
-	if m.sampler != nil {
-		sc.taskFreq = sc.taskFreq[:0]
-		for i, t := range m.tasks {
-			if regionOf[i] >= 0 {
-				sc.taskFreq = append(sc.taskFreq, TaskFreq{ID: t.id, GHz: sol.FreqGHz[regionOf[i]]})
-			}
-		}
-		s := Sample{
-			Now:          m.now,
-			PackageWatts: sol.PackageWatts,
-			Throttled:    sol.Throttled,
-			Hotspot:      sol.Hotspot,
-			LinkUtil:     linkUtil,
-			Tasks:        sc.taskFreq,
-		}
-		// The slice backing stays untouched while steps replay, so the
-		// prebuilt sample needs only its Now refreshed per replayed step.
-		ffc.sample = s
-		ffc.hasSample = true
-		m.sampler(s)
 	}
 }
 

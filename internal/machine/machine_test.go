@@ -278,34 +278,6 @@ func TestRemoveTask(t *testing.T) {
 	}
 }
 
-func TestSampler(t *testing.T) {
-	m := newTestMachine()
-	a := &constApp{name: "a", class: power.AVXHeavy, util: 0.6}
-	id, _ := m.AddTask(a, Placement{CoreLo: 0, CoreHi: 31, SMTSlot: 0})
-	var samples int
-	var lastFreq float64
-	m.OnSample(func(s Sample) {
-		samples++
-		for _, tf := range s.Tasks {
-			if tf.ID == id {
-				lastFreq = tf.GHz
-			}
-		}
-		if s.PackageWatts <= 0 {
-			t.Error("sample without power")
-		}
-	})
-	for i := 0; i < 10; i++ {
-		m.Step(1e-3)
-	}
-	if samples != 10 {
-		t.Fatalf("got %d samples, want 10", samples)
-	}
-	if lastFreq != 3.1 {
-		t.Fatalf("AVX region frequency = %v, want 3.1", lastFreq)
-	}
-}
-
 func TestPerTaskEnergyAttribution(t *testing.T) {
 	m := newTestMachine()
 	hot := &constApp{name: "hot", class: power.AMXHeavy, util: 0.95}

@@ -6,7 +6,6 @@ import (
 	"aum/internal/colo"
 	"aum/internal/llm"
 	"aum/internal/machine"
-	"aum/internal/perfmon"
 	"aum/internal/platform"
 	"aum/internal/rdt"
 	"aum/internal/serve"
@@ -25,7 +24,6 @@ func newEnv(t *testing.T, withBE bool) *colo.Env {
 		RDT:    rdt.New(m),
 		Engine: eng,
 		Scen:   trace.Chatbot(),
-		Mon:    perfmon.NewMonitor(0),
 	}
 	if withBE {
 		e.BEApp = workload.New(workload.SPECjbb(), 1)

@@ -1,150 +1,17 @@
-// Package perfmon turns the machine's raw statistics into the
-// characterization metrics the paper reports: turbostat-style frequency
-// traces (Figure 6), top-down cycle distributions (Figure 7), backend
-// decompositions (Figure 8), and the per-model usage metrics of
-// Table II (tma_amx_busy, fp_amx ratio, backend bound, dram bound).
+// Package perfmon derives the characterization metrics the paper
+// reports from a task's accumulated machine statistics: top-down cycle
+// distributions (Figure 7), backend decompositions (Figure 8), and the
+// per-model usage metrics of Table II (tma_amx_busy, fp_amx ratio,
+// backend bound, dram bound). It reads statistics after the fact and
+// never hooks into machine stepping.
 package perfmon
 
 import (
-	"fmt"
 	"sort"
-	"strings"
-	"sync"
 
 	"aum/internal/machine"
 	"aum/internal/topdown"
 )
-
-// FreqSample is one turbostat-style observation of a task's frequency.
-type FreqSample struct {
-	Now float64
-	GHz float64
-}
-
-// series is a bounded sample trace. When maxKeep > 0 it becomes a ring
-// once full — new samples overwrite the oldest in place, so the steady
-// state appends without reallocating or shifting. head is the index of
-// the oldest sample (0 until the ring wraps).
-type series struct {
-	buf  []FreqSample
-	head int
-}
-
-func (r *series) push(v FreqSample, maxKeep int) {
-	if maxKeep <= 0 || len(r.buf) < maxKeep {
-		r.buf = append(r.buf, v)
-		return
-	}
-	r.buf[r.head] = v
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-}
-
-// ordered returns the samples oldest-first, appended to dst.
-func (r *series) ordered(dst []FreqSample) []FreqSample {
-	dst = append(dst, r.buf[r.head:]...)
-	return append(dst, r.buf[:r.head]...)
-}
-
-// Monitor collects per-step telemetry from a machine. Register it with
-// machine.OnSample before stepping.
-type Monitor struct {
-	mu       sync.Mutex
-	freq     map[machine.TaskID]*series
-	watts    series // reuse the pair type: GHz field holds watts
-	linkUtil series // GHz field holds utilization
-	maxKeep  int
-}
-
-// NewMonitor returns a monitor keeping at most keep samples per series
-// (0 means unbounded).
-func NewMonitor(keep int) *Monitor {
-	return &Monitor{freq: make(map[machine.TaskID]*series), maxKeep: keep}
-}
-
-// Attach registers the monitor on the machine.
-func (mo *Monitor) Attach(m *machine.Machine) {
-	m.OnSample(mo.record)
-}
-
-func (mo *Monitor) record(s machine.Sample) {
-	mo.mu.Lock()
-	for _, tf := range s.Tasks {
-		r := mo.freq[tf.ID]
-		if r == nil {
-			r = &series{}
-			mo.freq[tf.ID] = r
-		}
-		r.push(FreqSample{Now: s.Now, GHz: tf.GHz}, mo.maxKeep)
-	}
-	mo.watts.push(FreqSample{Now: s.Now, GHz: s.PackageWatts}, mo.maxKeep)
-	mo.linkUtil.push(FreqSample{Now: s.Now, GHz: s.LinkUtil}, mo.maxKeep)
-	mo.mu.Unlock()
-}
-
-// MeanGHz returns the average observed frequency for a task over the
-// window [from, to] (the whole trace if to <= from).
-func (mo *Monitor) MeanGHz(id machine.TaskID, from, to float64) float64 {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	return seriesMean(mo.taskBuf(id), from, to)
-}
-
-// MeanWatts returns the average package power over the window.
-func (mo *Monitor) MeanWatts(from, to float64) float64 {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	return seriesMean(mo.watts.buf, from, to)
-}
-
-// MeanLinkUtil returns the average memory-link utilization over the
-// window.
-func (mo *Monitor) MeanLinkUtil(from, to float64) float64 {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	return seriesMean(mo.linkUtil.buf, from, to)
-}
-
-// taskBuf returns a task's raw sample buffer (unordered once the ring
-// wraps — fine for the order-independent mean). Callers hold mo.mu.
-func (mo *Monitor) taskBuf(id machine.TaskID) []FreqSample {
-	if r := mo.freq[id]; r != nil {
-		return r.buf
-	}
-	return nil
-}
-
-// FreqSeries returns a copy of the frequency trace of a task,
-// oldest-first.
-func (mo *Monitor) FreqSeries(id machine.TaskID) []FreqSample {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	r := mo.freq[id]
-	if r == nil {
-		return nil
-	}
-	return r.ordered(make([]FreqSample, 0, len(r.buf)))
-}
-
-func seriesMean(s []FreqSample, from, to float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	all := to <= from
-	sum, n := 0.0, 0
-	for _, v := range s {
-		if all || (v.Now >= from && v.Now <= to) {
-			sum += v.GHz
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
 
 // UsageMetrics are the Table II per-phase metrics derived from a task's
 // accumulated statistics.
@@ -176,49 +43,6 @@ func Usage(st machine.TaskStats) UsageMetrics {
 // the quantity Figure 7 plots.
 func Distribution(st machine.TaskStats) topdown.Breakdown {
 	return st.NormalizedBreakdown()
-}
-
-// TurbostatReport renders the frequency traces of the given tasks in
-// the style of the turbostat tool the paper uses for Figure 6: one row
-// per sampling window with the per-task average frequency in GHz and
-// the package power.
-func (mo *Monitor) TurbostatReport(ids []machine.TaskID, names []string, windowS float64) string {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	var b strings.Builder
-	b.WriteString("   time_s")
-	for i := range ids {
-		name := fmt.Sprintf("task%d", ids[i])
-		if i < len(names) {
-			name = names[i]
-		}
-		fmt.Fprintf(&b, " %10s", truncate(name, 10))
-	}
-	b.WriteString("     pkg_W\n")
-	if len(mo.watts.buf) == 0 || windowS <= 0 {
-		return b.String()
-	}
-	last := mo.watts.head - 1
-	if last < 0 {
-		last = len(mo.watts.buf) - 1
-	}
-	end := mo.watts.buf[last].Now
-	for t0 := 0.0; t0 < end; t0 += windowS {
-		t1 := t0 + windowS
-		fmt.Fprintf(&b, "%9.2f", t1)
-		for _, id := range ids {
-			fmt.Fprintf(&b, " %10.2f", seriesMean(mo.taskBuf(id), t0, t1))
-		}
-		fmt.Fprintf(&b, " %9.1f\n", seriesMean(mo.watts.buf, t0, t1))
-	}
-	return b.String()
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n]
 }
 
 // Percentile returns the p-th percentile (0..100) of the values.

@@ -2,7 +2,6 @@ package perfmon
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"aum/internal/machine"
@@ -18,46 +17,6 @@ func (a *avxApp) Demand(machine.Env) machine.Demand {
 }
 func (a *avxApp) Step(env machine.Env, now, dt float64) machine.Usage {
 	return machine.Usage{Work: dt, AMXBusy: 0.1, AVXBusy: 0.4, Flops: 1e9 * dt, AMXFlops: 4e8 * dt}
-}
-
-func TestMonitorFrequencySeries(t *testing.T) {
-	m := machine.New(platform.GenA())
-	mon := NewMonitor(0)
-	mon.Attach(m)
-	id, err := m.AddTask(&avxApp{}, machine.Placement{CoreLo: 0, CoreHi: 31, SMTSlot: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		m.Step(1e-3)
-	}
-	if got := mon.MeanGHz(id, 0, 0); math.Abs(got-3.1) > 1e-9 {
-		t.Fatalf("mean AVX-region frequency = %v, want 3.1", got)
-	}
-	series := mon.FreqSeries(id)
-	if len(series) != 100 {
-		t.Fatalf("series length = %d", len(series))
-	}
-	if mon.MeanWatts(0, 0) <= 0 {
-		t.Fatal("no power samples")
-	}
-	// Windowed query.
-	if got := mon.MeanGHz(id, 0.01, 0.05); math.Abs(got-3.1) > 1e-9 {
-		t.Fatalf("windowed mean = %v", got)
-	}
-}
-
-func TestMonitorBounded(t *testing.T) {
-	m := machine.New(platform.GenA())
-	mon := NewMonitor(10)
-	mon.Attach(m)
-	id, _ := m.AddTask(&avxApp{}, machine.Placement{CoreLo: 0, CoreHi: 3, SMTSlot: 0})
-	for i := 0; i < 100; i++ {
-		m.Step(1e-3)
-	}
-	if got := len(mon.FreqSeries(id)); got != 10 {
-		t.Fatalf("bounded series length = %d, want 10", got)
-	}
 }
 
 func TestUsageMetrics(t *testing.T) {
@@ -93,26 +52,5 @@ func TestPercentile(t *testing.T) {
 	// Input must not be mutated.
 	if vals[0] != 4 {
 		t.Fatal("percentile sorted the caller's slice")
-	}
-}
-
-func TestTurbostatReport(t *testing.T) {
-	m := machine.New(platform.GenA())
-	mon := NewMonitor(0)
-	mon.Attach(m)
-	id, _ := m.AddTask(&avxApp{}, machine.Placement{CoreLo: 0, CoreHi: 31, SMTSlot: 0})
-	for i := 0; i < 300; i++ {
-		m.Step(1e-3)
-	}
-	out := mon.TurbostatReport([]machine.TaskID{id}, []string{"decode"}, 0.1)
-	if !strings.Contains(out, "decode") || !strings.Contains(out, "pkg_W") {
-		t.Fatalf("report missing headers:\n%s", out)
-	}
-	lines := strings.Count(out, "\n")
-	if lines < 3 {
-		t.Fatalf("report too short (%d lines):\n%s", lines, out)
-	}
-	if !strings.Contains(out, "3.10") {
-		t.Fatalf("report missing the AVX license frequency:\n%s", out)
 	}
 }

@@ -95,6 +95,12 @@ func MeasureHotPaths() []HotPathBench {
 	replay.NsPerOp /= 10
 	replay.AllocsPerOp /= 10
 
+	// The machine a fleet actually steps: an idle serving node built as
+	// the cluster builds one, replaying its starved workers' step.
+	node := measureLoop("fleet_node_replay", 200, 5_000, cluster.NodeReplayBenchLoop(NewExclusive(), 10))
+	node.NsPerOp /= 10
+	node.AllocsPerOp /= 10
+
 	// The per-retry cost of fleet failover: schedule with jittered
 	// backoff, sample queue state, dispatch through the balancer.
 	failover := measureLoop("fleet_failover", 2_000, 50_000, cluster.FailoverBenchLoop())
@@ -112,5 +118,5 @@ func MeasureHotPaths() []HotPathBench {
 		rt.Token(tid, 0.3, 0.1, true, 0.05, 0, 0)
 	})
 
-	return []HotPathBench{step, replay, failover, token}
+	return []HotPathBench{step, replay, node, failover, token}
 }
