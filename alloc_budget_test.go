@@ -9,7 +9,9 @@ package aum
 // first few ticks.
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"aum/internal/cluster"
 	"aum/internal/llm"
@@ -18,6 +20,7 @@ import (
 	"aum/internal/platform"
 	"aum/internal/power"
 	"aum/internal/reqtrace"
+	"aum/internal/roofline"
 	"aum/internal/serve"
 	"aum/internal/trace"
 	"aum/internal/workload"
@@ -33,6 +36,28 @@ func allocBudget(t *testing.T, name string, max float64, warmup int, fn func()) 
 	got := testing.AllocsPerRun(200, fn)
 	if got > max {
 		t.Errorf("%s: %.1f allocs/op, budget %.0f", name, got, max)
+	}
+}
+
+// TestCopyFreeEnvLayout pins the layout that keeps the full machine
+// step copy-free. A CPU profile of the paper-tables benchmark once
+// showed 21% of CPU in runtime.duffcopy, mostly copying a 288-byte
+// platform.Platform embedded by value in every machine.Env passed to
+// Demand, Step and the LLM cost model. Env now shares the platform by
+// pointer; this fails if either Env embeds it again or machine.Env
+// outgrows 64 bytes.
+func TestCopyFreeEnvLayout(t *testing.T) {
+	for name, typ := range map[string]reflect.Type{
+		"machine.Env":  reflect.TypeOf(machine.Env{}),
+		"roofline.Env": reflect.TypeOf(roofline.Env{}),
+	} {
+		f, ok := typ.FieldByName("Plat")
+		if !ok || f.Type.Kind() != reflect.Pointer {
+			t.Errorf("%s.Plat must be a *platform.Platform, got %v", name, f.Type)
+		}
+	}
+	if n := unsafe.Sizeof(machine.Env{}); n > 64 {
+		t.Errorf("machine.Env is %d bytes, budget 64", n)
 	}
 }
 
@@ -66,6 +91,14 @@ func TestAllocBudgetServeStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocBudget(t, "serve machine.Step", 0, 1000, func() { m.Step(1e-3) })
+}
+
+// TestAllocBudgetColoStep pins the full step under every paper table —
+// serving workers mid-iteration on queued requests with a bursty
+// co-runner on their SMT siblings (coloStepLoop in perf.go) — at zero
+// allocations per step.
+func TestAllocBudgetColoStep(t *testing.T) {
+	allocBudget(t, "colo machine.Step", 0, 1000, coloStepLoop())
 }
 
 // TestAllocBudgetStepN pins the fast-forward replay path at zero
@@ -103,7 +136,7 @@ func TestAllocBudgetCostIteration(t *testing.T) {
 	plat := platform.GenA()
 	model := llm.Llama2_7B()
 	plan := model.PlanDecode(16, 600)
-	env := machine.Env{Plat: plat, Cores: 29, GHz: 3.1, ComputeShare: 1,
+	env := machine.Env{Plat: &plat, Cores: 29, GHz: 3.1, ComputeShare: 1,
 		LLCMB: plat.TotalLLCMB(), L2MB: 58, BWGBs: plat.MemBWGBs * 0.8}
 	allocBudget(t, "llm.CostIteration", 0, 10, func() { benchCostSink = llm.CostIteration(plan, env) })
 }

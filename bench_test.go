@@ -123,6 +123,21 @@ func BenchmarkMachineStep(b *testing.B) {
 	}
 }
 
+// BenchmarkColoStep measures one full 1 ms step of the machine the
+// paper tables step: GenA serving workers mid-iteration plus a bursty
+// SPECjbb co-runner on the SMT siblings (coloStepLoop in perf.go).
+func BenchmarkColoStep(b *testing.B) {
+	b.ReportAllocs()
+	step := coloStepLoop()
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // BenchmarkFleetNodeReplay measures one replayed 1 ms step of an idle
 // fleet node — a GenA machine under the exclusive baseline, built as a
 // fleet session builds it — the per-node work of a sparse barrier.
@@ -147,7 +162,7 @@ func BenchmarkCostIteration(b *testing.B) {
 	plat := platform.GenA()
 	model := llm.Llama2_7B()
 	plan := model.PlanDecode(16, 600)
-	env := machine.Env{Plat: plat, Cores: 29, GHz: 3.1, ComputeShare: 1,
+	env := machine.Env{Plat: &plat, Cores: 29, GHz: 3.1, ComputeShare: 1,
 		LLCMB: plat.TotalLLCMB(), L2MB: 58, BWGBs: plat.MemBWGBs * 0.8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

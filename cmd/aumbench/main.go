@@ -52,6 +52,8 @@ type benchReport struct {
 	Seed        uint64            `json:"seed"`
 	Workers     int               `json:"workers"`
 	GoMaxProcs  int               `json:"go_max_procs"`
+	NumCPU      int               `json:"num_cpu"`
+	GoVersion   string            `json:"go_version"`
 	TotalS      float64           `json:"total_s"`
 	Experiments []experimentTimed `json:"experiments"`
 	// HotPaths pins the simulator's per-step cost and allocation
@@ -202,6 +204,7 @@ func main() {
 	report := benchReport{
 		Suite: "aumbench", Quick: *quick, Seed: *seed,
 		Workers: lab.Workers(), GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(),
 	}
 	for _, e := range todo {
 		w, _ := snap.GaugeValue(fmt.Sprintf("aumbench_experiment_wall_seconds{id=%q}", e.ID))

@@ -31,6 +31,9 @@ import (
 type report struct {
 	Suite       string  `json:"suite"`
 	Quick       bool    `json:"quick"`
+	GoMaxProcs  int     `json:"go_max_procs"`
+	NumCPU      int     `json:"num_cpu"`
+	GoVersion   string  `json:"go_version"`
 	TotalS      float64 `json:"total_s"`
 	Experiments []struct {
 		ID    string  `json:"id"`
@@ -40,6 +43,27 @@ type report struct {
 		Name    string  `json:"name"`
 		NsPerOp float64 `json:"ns_per_op"`
 	} `json:"hot_paths"`
+}
+
+// hostLines renders the host facts of both reports side by side, so a
+// reader can tell whether the two sides ran on comparable hosts. A fact
+// a report lacks (written before it was recorded) prints as "-".
+func hostLines(oldR, newR report) []string {
+	line := func(name string, o, n any) string {
+		show := func(v any) string {
+			if s := fmt.Sprint(v); s != "0" && s != "" {
+				return s
+			}
+			return "-"
+		}
+		return fmt.Sprintf("%-24s %10s %10s", name, show(o), show(n))
+	}
+	return []string{
+		line("host", "old", "new"),
+		line("go_max_procs", oldR.GoMaxProcs, newR.GoMaxProcs),
+		line("num_cpu", oldR.NumCPU, newR.NumCPU),
+		line("go_version", oldR.GoVersion, newR.GoVersion),
+	}
 }
 
 // entry is one comparable (id, value) pair from a report — an
@@ -165,6 +189,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
+	for _, l := range hostLines(oldR, newR) {
+		fmt.Println(l)
+	}
+	fmt.Println()
 	rows, regressions := compare(oldR, newR, *threshold)
 	printRows("experiment", "old(s)", "new(s)", rows, "%10.3f")
 	if oldR.TotalS > 0 && newR.TotalS > 0 {

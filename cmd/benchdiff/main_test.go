@@ -102,3 +102,23 @@ func TestCompareHotPathsNoFloor(t *testing.T) {
 		t.Fatalf("experiment under floor: regressions = %d, status = %q, want unmarked", regressions, rows[0].status)
 	}
 }
+
+func TestHostLines(t *testing.T) {
+	oldR := report{GoMaxProcs: 2, GoVersion: "go1.24.0"}
+	newR := report{GoMaxProcs: 4, NumCPU: 4, GoVersion: "go1.24.1"}
+	want := []string{
+		"host                            old        new",
+		"go_max_procs                      2          4",
+		"num_cpu                           -          4",
+		"go_version                 go1.24.0   go1.24.1",
+	}
+	got := hostLines(oldR, newR)
+	if len(got) != len(want) {
+		t.Fatalf("got %d lines, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+}

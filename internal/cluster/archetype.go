@@ -64,12 +64,12 @@ type archState struct {
 
 func newArchState(s *session) *archState {
 	a := &archState{
-		cElided: s.cfg.Telemetry.Counter("aum_cluster_barriers_elided_total"),
-		cHits:   s.cfg.Telemetry.Counter("aum_cluster_archetype_hits_total"),
-		syncBI:  make([]int, len(s.nodes)),
-		inBusy:  make([]bool, len(s.nodes)),
-		adopted: make([]bool, len(s.nodes)),
-		archOf:  make([]int, len(s.nodes)),
+		cElided:  s.cfg.Telemetry.Counter("aum_cluster_barriers_elided_total"),
+		cHits:    s.cfg.Telemetry.Counter("aum_cluster_archetype_hits_total"),
+		syncBI:   make([]int, len(s.nodes)),
+		inBusy:   make([]bool, len(s.nodes)),
+		adopted:  make([]bool, len(s.nodes)),
+		archOf:   make([]int, len(s.nodes)),
 		routable: make([][]int, len(s.classes)),
 	}
 	for k := range s.classes {

@@ -812,7 +812,7 @@ func requestCapacity(p platform.Platform, m llm.Model, scen trace.Scenario) floa
 	prefillReqPS := prefillCapacity(p, m) / float64(scen.MeanInput)
 	plan := m.PlanDecode(16, scen.MeanInput+scen.MeanOutput/2)
 	env := machine.Env{
-		Plat: p, Cores: int(0.26 * float64(p.Cores)), GHz: p.License.AVXHeavy,
+		Plat: &p, Cores: int(0.26 * float64(p.Cores)), GHz: p.License.AVXHeavy,
 		ComputeShare: 1, LLCMB: p.TotalLLCMB() * 0.5, L2MB: 48,
 		BWGBs: p.MemBWGBs * 0.85,
 	}

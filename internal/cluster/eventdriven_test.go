@@ -44,7 +44,7 @@ func diffFixtures() map[string]Config {
 			},
 			Model: model, Scen: scen, Policy: AUVAware,
 			HorizonS: 24, Seed: 7, RatePerS: 1.0,
-			QPS: []RatePoint{{At: 8, RatePerS: 4.0}, {At: 16, RatePerS: 1.0}},
+			QPS:       []RatePoint{{At: 8, RatePerS: 4.0}, {At: 16, RatePerS: 1.0}},
 			Autoscale: &AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1},
 		},
 		"fleet-disagg": {

@@ -37,9 +37,9 @@ type eventState struct {
 	// across an elided span (no event can fire inside the span, so no
 	// node state or queue content can change).
 	scanned      bool
-	allIdle      bool    // every non-standby live node has empty queues and an idle engine
-	drainingAny  bool    // a draining node may transition at any barrier
-	unhealthyAny bool    // suspect/down/recovering nodes force execution
+	allIdle      bool // every non-standby live node has empty queues and an idle engine
+	drainingAny  bool // a draining node may transition at any barrier
+	unhealthyAny bool // suspect/down/recovering nodes force execution
 	warmingAny   bool
 	minActiveAt  float64 // earliest warming -> active completion
 

@@ -144,15 +144,15 @@ func TestRoutingSkipsUnhealthyNodes(t *testing.T) {
 		}
 	}
 	nodes := []*node{
-		mk(stateActive, RoleMixed),    // 0: eligible for both
-		mk(stateStandby, RoleMixed),   // 1
-		mk(stateWarming, RoleMixed),   // 2
-		mk(stateDraining, RoleMixed),  // 3
-		mk(stateSuspect, RoleMixed),   // 4
-		mk(stateDown, RoleMixed),      // 5
-		mk(stateRecovering, RoleMixed),// 6
-		mk(stateActive, RoleDecode),   // 7: decode sink, never an arrival target
-		mk(stateActive, RolePrefill),  // 8: arrival target, never a decode sink
+		mk(stateActive, RoleMixed),     // 0: eligible for both
+		mk(stateStandby, RoleMixed),    // 1
+		mk(stateWarming, RoleMixed),    // 2
+		mk(stateDraining, RoleMixed),   // 3
+		mk(stateSuspect, RoleMixed),    // 4
+		mk(stateDown, RoleMixed),       // 5
+		mk(stateRecovering, RoleMixed), // 6
+		mk(stateActive, RoleDecode),    // 7: decode sink, never an arrival target
+		mk(stateActive, RolePrefill),   // 8: arrival target, never a decode sink
 	}
 	got := routableNodes(nodes, 0, nil)
 	if len(got) != 2 || got[0] != 0 || got[1] != 8 {

@@ -34,7 +34,7 @@ func randomPlanEnv(r *rng.Stream) (llm.IterationPlan, machine.Env) {
 		plan = model.PlanDecode(batch, seqLen)
 	}
 	env := machine.Env{
-		Plat:         plat,
+		Plat:         &plat,
 		Cores:        4 + r.Intn(plat.Cores-3),
 		GHz:          plat.License.AMXHeavy + r.Float64()*(plat.TurboGHz-plat.License.AMXHeavy),
 		ComputeShare: 0.3 + 0.7*r.Float64(),

@@ -45,9 +45,9 @@ func runTable2(_ *Lab, _ Options) (*Table, error) {
 	for _, m := range llm.Zoo() {
 		pre := m.PlanPrefill(16, 512)
 		dec := m.PlanDecode(16, 600)
-		envP := machine.Env{Plat: plat, Cores: plat.Cores / 2, GHz: plat.License.AMXHeavy,
+		envP := machine.Env{Plat: &plat, Cores: plat.Cores / 2, GHz: plat.License.AMXHeavy,
 			ComputeShare: 1, LLCMB: plat.TotalLLCMB(), L2MB: 96, BWGBs: plat.MemBWGBs * 0.4}
-		envD := machine.Env{Plat: plat, Cores: plat.Cores / 3, GHz: plat.License.AVXHeavy,
+		envD := machine.Env{Plat: &plat, Cores: plat.Cores / 3, GHz: plat.License.AVXHeavy,
 			ComputeShare: 1, LLCMB: plat.TotalLLCMB(), L2MB: 64, BWGBs: plat.MemBWGBs * 0.85}
 		cp := llm.CostIteration(pre, envP)
 		cd := llm.CostIteration(dec, envD)
@@ -245,7 +245,7 @@ func runFig7(l *Lab, o Options) (*Table, error) {
 			{"prefill", model.PlanPrefill(16, 512)},
 			{"decode", model.PlanDecode(16, 600)},
 		} {
-			env := machine.Env{Plat: plat, Cores: plat.Cores / 2, GHz: plat.License.AMXHeavy,
+			env := machine.Env{Plat: &plat, Cores: plat.Cores / 2, GHz: plat.License.AMXHeavy,
 				ComputeShare: 1, LLCMB: plat.TotalLLCMB(), L2MB: 96, BWGBs: plat.MemBWGBs * 0.7}
 			c := llm.CostIteration(ph.plan, env)
 			b := c.Breakdown
@@ -295,8 +295,8 @@ func runFig8(_ *Lab, _ Options) (*Table, error) {
 		plan llm.IterationPlan
 		env  machine.Env
 	}{
-		{"prefill", model.PlanPrefill(16, 512), machine.Env{Plat: plat, Cores: 48, GHz: 2.5, ComputeShare: 1, LLCMB: plat.TotalLLCMB(), L2MB: 96, BWGBs: plat.MemBWGBs * 0.4}},
-		{"decode", model.PlanDecode(16, 600), machine.Env{Plat: plat, Cores: 32, GHz: 3.1, ComputeShare: 1, LLCMB: plat.TotalLLCMB(), L2MB: 64, BWGBs: plat.MemBWGBs * 0.85}},
+		{"prefill", model.PlanPrefill(16, 512), machine.Env{Plat: &plat, Cores: 48, GHz: 2.5, ComputeShare: 1, LLCMB: plat.TotalLLCMB(), L2MB: 96, BWGBs: plat.MemBWGBs * 0.4}},
+		{"decode", model.PlanDecode(16, 600), machine.Env{Plat: &plat, Cores: 32, GHz: 3.1, ComputeShare: 1, LLCMB: plat.TotalLLCMB(), L2MB: 64, BWGBs: plat.MemBWGBs * 0.85}},
 	} {
 		b := llm.CostIteration(ph.plan, ph.env).Breakdown
 		t.AddRow(ph.name,

@@ -151,7 +151,7 @@ func runSharedAU(_ *Lab, _ Options) (*Table, error) {
 	for _, plat := range []platform.Platform{private, pooled} {
 		vals := make([]float64, len(cores))
 		for i, c := range cores {
-			env := roofline.Env{Plat: plat, Cores: c, GHz: plat.License.AMXHeavy,
+			env := roofline.Env{Plat: &plat, Cores: c, GHz: plat.License.AMXHeavy,
 				BWGBs: plat.MemBWGBs, ComputeShare: 1}
 			tm := roofline.GEMMCost(g, roofline.UnitAMX, g.WeightBytes(), env)
 			vals[i] = roofline.EffectiveTFLOPS(g.Flops(), tm)
@@ -160,9 +160,9 @@ func runSharedAU(_ *Lab, _ Options) (*Table, error) {
 	}
 	// Decode is bandwidth-bound either way.
 	dec := llm.Llama2_7B().PlanDecode(16, 600)
-	envP := machine.Env{Plat: private, Cores: 29, GHz: 3.1, ComputeShare: 1, LLCMB: private.TotalLLCMB(), L2MB: 58, BWGBs: private.MemBWGBs * 0.8}
+	envP := machine.Env{Plat: &private, Cores: 29, GHz: 3.1, ComputeShare: 1, LLCMB: private.TotalLLCMB(), L2MB: 58, BWGBs: private.MemBWGBs * 0.8}
 	envS := envP
-	envS.Plat = pooled
+	envS.Plat = &pooled
 	t.AddNote("decode TPOT: private %.0f ms vs pooled %.0f ms (bandwidth-bound, pooling is nearly free)",
 		1e3*llm.CostIteration(dec, envP).TotalS, 1e3*llm.CostIteration(dec, envS).TotalS)
 	return t, nil

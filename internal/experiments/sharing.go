@@ -287,8 +287,8 @@ func runFig13(_ *Lab, _ Options) (*Table, error) {
 			plan llm.IterationPlan
 			env  machine.Env
 		}{
-			{"prefill", model.PlanPrefill(8, 512), machine.Env{Plat: plat, Cores: plat.Cores / 2, GHz: plat.License.AMXHeavy, ComputeShare: 1, L2MB: 96, BWGBs: plat.MemBWGBs * 0.5}},
-			{"decode", model.PlanDecode(16, 600), machine.Env{Plat: plat, Cores: plat.Cores / 3, GHz: plat.License.AVXHeavy, ComputeShare: 1, L2MB: 64, BWGBs: plat.MemBWGBs * 0.85}},
+			{"prefill", model.PlanPrefill(8, 512), machine.Env{Plat: &plat, Cores: plat.Cores / 2, GHz: plat.License.AMXHeavy, ComputeShare: 1, L2MB: 96, BWGBs: plat.MemBWGBs * 0.5}},
+			{"decode", model.PlanDecode(16, 600), machine.Env{Plat: &plat, Cores: plat.Cores / 3, GHz: plat.License.AVXHeavy, ComputeShare: 1, L2MB: 64, BWGBs: plat.MemBWGBs * 0.85}},
 		} {
 			env := ph.env
 			env.LLCMB = plat.LLCWayMB() * float64(plat.LLC.Ways)

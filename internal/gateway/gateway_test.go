@@ -217,7 +217,7 @@ func TestNonStreamingChatCompletion(t *testing.T) {
 // expects at least one request shed as HTTP 429 with Retry-After.
 func TestShedMapsTo429(t *testing.T) {
 	fc := cluster.Config{
-		Machines: []cluster.MachineSpec{{Plat: platform.GenA(), Mgr: manager.AllAU{}}},
+		Machines:  []cluster.MachineSpec{{Plat: platform.GenA(), Mgr: manager.AllAU{}}},
 		Admission: serve.Admission{MaxQueue: 1},
 		HorizonS:  4,
 	}

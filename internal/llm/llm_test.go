@@ -12,7 +12,7 @@ import (
 func genAEnv(cores int, ghz, bwFrac float64) machine.Env {
 	p := platform.GenA()
 	return machine.Env{
-		Plat: p, Cores: cores, GHz: ghz, ComputeShare: 1,
+		Plat: &p, Cores: cores, GHz: ghz, ComputeShare: 1,
 		LLCMB: p.TotalLLCMB(), L2MB: 96, BWGBs: p.MemBWGBs * bwFrac,
 	}
 }

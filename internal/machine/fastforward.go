@@ -335,7 +335,7 @@ func (m *Machine) SkipQuiescent(dt float64, k int) bool {
 			st.AMXBusyInt += kk * inc.amxBusyInc
 			st.AVXBusyInt += kk * inc.avxBusyInc
 			st.EnergyJ += kk * inc.energyInc
-			st.Breakdown.Weighted(inc.breakdown, kk)
+			st.Breakdown.Weighted(&inc.breakdown, kk)
 		}
 		m.lastLinkUtil = c.linkUtil
 	}

@@ -28,7 +28,9 @@ import (
 // Env is the execution environment the machine grants a task for one
 // step.
 type Env struct {
-	Plat         platform.Platform
+	// Plat is the machine's own platform, shared by pointer so Env
+	// stays small; it is read-only, so never write through it.
+	Plat         *platform.Platform
 	Cores        int     // physical cores allocated
 	GHz          float64 // region frequency
 	ComputeShare float64 // execution-port share (<1 when an SMT sibling is active)
@@ -197,8 +199,8 @@ func (s TaskStats) Sub(prev TaskStats) TaskStats {
 	d.AVXBusyInt -= prev.AVXBusyInt
 	d.EnergyJ -= prev.EnergyJ
 	var b topdown.Breakdown
-	b.Weighted(s.Breakdown, 1)
-	b.Weighted(prev.Breakdown, -1)
+	b.Weighted(&s.Breakdown, 1)
+	b.Weighted(&prev.Breakdown, -1)
 	d.Breakdown = b
 	return d
 }
@@ -819,13 +821,6 @@ func resizeSlice[T any](s *[]T, n int) []T {
 	return *s
 }
 
-// baseEnv builds the demand-estimation environment for a task.
-func (m *Machine) baseEnv(t *task, llcPart cache.Partition) Env {
-	var env Env
-	m.fillBaseEnv(&env, t, llcPart)
-	return env
-}
-
 // fillBaseEnv writes the demand-estimation environment for a task into
 // *env, avoiding a large-struct copy on the per-step path. Demand
 // estimation uses the scalar license as the optimistic frequency; the
@@ -836,9 +831,9 @@ func (m *Machine) fillBaseEnv(env *Env, t *task, llcPart cache.Partition) {
 	if m.hasSibling(t) {
 		l2 /= 2
 	}
-	env.Plat = m.plat
+	env.Plat = &m.plat
 	env.Cores = t.place.Cores()
-	env.GHz = power.LicenseCap(m.plat, power.Scalar)
+	env.GHz = power.LicenseCap(&m.plat, power.Scalar)
 	env.ComputeShare = 1
 	env.LLCMB = llcPart.WaysMB(cosCfg.Ways.Count())
 	env.L2MB = l2

@@ -222,7 +222,7 @@ func All() []Platform { return []Platform{GenA(), GenB(), GenC()} }
 
 // socketCount returns the populated sockets, defaulting to 1 for
 // hand-built test platforms that leave the field zero.
-func (p Platform) socketCount() float64 {
+func (p *Platform) socketCount() float64 {
 	if p.Sockets <= 0 {
 		return 1
 	}
@@ -232,12 +232,12 @@ func (p Platform) socketCount() float64 {
 // AMXPeakGFLOPSPerCore returns the per-core AMX peak at the given
 // frequency in GFLOP/s. Peak scales linearly with frequency from the
 // per-socket Table I value quoted at base frequency.
-func (p Platform) AMXPeakGFLOPSPerCore(ghz float64) float64 {
+func (p *Platform) AMXPeakGFLOPSPerCore(ghz float64) float64 {
 	return p.AMXPeakTFLOPS * p.socketCount() * 1000 / float64(p.Cores) * ghz / p.peakRef()
 }
 
 // peakRef returns the frequency the Table I peaks are quoted at.
-func (p Platform) peakRef() float64 {
+func (p *Platform) peakRef() float64 {
 	if p.PeakRefGHz > 0 {
 		return p.PeakRefGHz
 	}
@@ -246,23 +246,23 @@ func (p Platform) peakRef() float64 {
 
 // AVXPeakGFLOPSPerCore returns the per-core AVX-512 peak at the given
 // frequency in GFLOP/s.
-func (p Platform) AVXPeakGFLOPSPerCore(ghz float64) float64 {
+func (p *Platform) AVXPeakGFLOPSPerCore(ghz float64) float64 {
 	return p.AVXPeakTFLOPS * p.socketCount() * 1000 / float64(p.Cores) * ghz / p.peakRef()
 }
 
 // TotalLLCMB returns the machine-wide LLC capacity in MiB.
-func (p Platform) TotalLLCMB() float64 {
+func (p *Platform) TotalLLCMB() float64 {
 	return p.LLC.SizeMB() * p.socketCount()
 }
 
 // ScalarPeakGFLOPSPerCore returns the per-core scalar/SSE FP peak at
 // the given frequency: 4 FLOPs per cycle (2 FMA pipes, 128-bit).
-func (p Platform) ScalarPeakGFLOPSPerCore(ghz float64) float64 {
+func (p *Platform) ScalarPeakGFLOPSPerCore(ghz float64) float64 {
 	return 4 * ghz
 }
 
 // LLCWayMB returns the machine-wide capacity of a single LLC way in
 // MiB (CAT masks are mirrored across sockets).
-func (p Platform) LLCWayMB() float64 {
+func (p *Platform) LLCWayMB() float64 {
 	return p.TotalLLCMB() / float64(p.LLC.Ways)
 }

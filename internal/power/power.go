@@ -113,7 +113,7 @@ func classPrio(c Class) float64 {
 }
 
 // LicenseCap returns the license frequency ceiling for a class on p.
-func LicenseCap(p platform.Platform, c Class) float64 {
+func LicenseCap(p *platform.Platform, c Class) float64 {
 	switch c {
 	case AMXHeavy:
 		return p.License.AMXHeavy
@@ -128,7 +128,7 @@ func LicenseCap(p platform.Platform, c Class) float64 {
 
 // CoreWatts returns the modelled power of one core of class c running
 // at util (fraction of cycles with the unit active) and ghz.
-func CoreWatts(p platform.Platform, c Class, util, ghz float64) float64 {
+func CoreWatts(p *platform.Platform, c Class, util, ghz float64) float64 {
 	if util < 0 {
 		util = 0
 	}
@@ -265,13 +265,13 @@ func (g *Governor) Solve(regions []RegionLoad, dt float64) Solution {
 	}
 	freqs := g.freqs[:len(regions)]
 	for i, r := range regions {
-		f := LicenseCap(g.plat, r.Class)
+		f := LicenseCap(&g.plat, r.Class)
 		// Lightly-utilized AU regions recover part of the license
 		// gap: a decode region at low AMX duty does not pay the full
 		// AMX license penalty (Figure 6a shows decode near the AVX
 		// cap despite issuing some AMX work).
 		if r.Class == AMXHeavy && r.Util < 0.35 {
-			f = LicenseCap(g.plat, AVXHeavy)
+			f = LicenseCap(&g.plat, AVXHeavy)
 		}
 		freqs[i] = g.quantize(f)
 	}
@@ -294,7 +294,7 @@ func (g *Governor) Solve(regions []RegionLoad, dt float64) Solution {
 			if r.Class == Idle || r.Cores == 0 || freqs[i] <= MinGHz {
 				continue
 			}
-			rel := freqs[i] / LicenseCap(g.plat, r.Class)
+			rel := freqs[i] / LicenseCap(&g.plat, r.Class)
 			// Squared decay: a heavily-throttled AU region stops
 			// being the preferred victim, spreading sustained
 			// overload onto scalar regions instead of starving AU.

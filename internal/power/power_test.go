@@ -124,20 +124,20 @@ func TestLowUtilAMXKeepsAVXLicense(t *testing.T) {
 
 func TestCoreWatts(t *testing.T) {
 	p := platform.GenA()
-	if CoreWatts(p, Idle, 0, 3.2) != p.IdleCoreW {
+	if CoreWatts(&p, Idle, 0, 3.2) != p.IdleCoreW {
 		t.Fatal("idle core should draw idle power")
 	}
-	if CoreWatts(p, AMXHeavy, 1, 2.5) <= CoreWatts(p, AVXHeavy, 1, 2.5) {
+	if CoreWatts(&p, AMXHeavy, 1, 2.5) <= CoreWatts(&p, AVXHeavy, 1, 2.5) {
 		t.Fatal("AMX activity should draw more than AVX at equal freq")
 	}
-	if CoreWatts(p, Scalar, 1, 3.2) <= CoreWatts(p, Scalar, 1, 1.6) {
+	if CoreWatts(&p, Scalar, 1, 3.2) <= CoreWatts(&p, Scalar, 1, 1.6) {
 		t.Fatal("power must grow with frequency")
 	}
 	// PowerScale discounts newer processes.
 	c := platform.GenC()
-	scaled := CoreWatts(c, Scalar, 1, c.BaseGHz)
+	scaled := CoreWatts(&c, Scalar, 1, c.BaseGHz)
 	c.PowerScale = 1
-	if full := CoreWatts(c, Scalar, 1, c.BaseGHz); scaled >= full {
+	if full := CoreWatts(&c, Scalar, 1, c.BaseGHz); scaled >= full {
 		t.Fatal("PowerScale not applied")
 	}
 }

@@ -141,7 +141,7 @@ func unitEfficiency(g GEMM, u Unit) float64 {
 // layout of Section VIII) the AMX peak is pooled: a cluster of N cores
 // owns one matrix unit, so matrix throughput scales with the number of
 // clusters touched rather than the number of cores.
-func PeakGFLOPS(p platform.Platform, g GEMM, u Unit, cores int, ghz float64) float64 {
+func PeakGFLOPS(p *platform.Platform, g GEMM, u Unit, cores int, ghz float64) float64 {
 	if cores <= 0 || ghz <= 0 {
 		return 0
 	}
@@ -180,7 +180,7 @@ func parallelEfficiency(cores int) float64 {
 // frequency, granted DRAM bandwidth, and compute share (reduced below 1
 // when an SMT sibling competes for execution ports).
 type Env struct {
-	Plat         platform.Platform
+	Plat         *platform.Platform // read-only; never write through it
 	Cores        int
 	GHz          float64
 	BWGBs        float64 // granted DRAM bandwidth for this kernel

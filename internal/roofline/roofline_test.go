@@ -12,7 +12,7 @@ import (
 // of cores at the AMX license frequency with the full link.
 func paperEnv() Env {
 	p := platform.GenA()
-	return Env{Plat: p, Cores: p.Cores / 2, GHz: p.License.AMXHeavy, BWGBs: p.MemBWGBs, ComputeShare: 1}
+	return Env{Plat: &p, Cores: p.Cores / 2, GHz: p.License.AMXHeavy, BWGBs: p.MemBWGBs, ComputeShare: 1}
 }
 
 func TestPrefillGEMMCalibration(t *testing.T) {

@@ -12,7 +12,8 @@ import (
 // environment — enough to move requests through prefill and decode
 // without a full machine simulation.
 func stepEngine(e *Engine, horizon float64) {
-	env := machine.Env{Plat: platform.GenA(), Cores: 32, GHz: 2.0,
+	plat := platform.GenA()
+	env := machine.Env{Plat: &plat, Cores: 32, GHz: 2.0,
 		ComputeShare: 1, LLCMB: 100, L2MB: 64, BWGBs: 200}
 	dt := 1e-3
 	for now := 0.0; now < horizon; now += dt {
@@ -91,7 +92,8 @@ func TestIdleSeesInflightPrefill(t *testing.T) {
 	}
 	// One tiny step: the worker pops the request into a prefill job it
 	// cannot finish, so the queue is empty but the engine is not idle.
-	env := machine.Env{Plat: platform.GenA(), Cores: 1, GHz: 0.5,
+	plat := platform.GenA()
+	env := machine.Env{Plat: &plat, Cores: 1, GHz: 0.5,
 		ComputeShare: 1, LLCMB: 10, L2MB: 2, BWGBs: 10}
 	e.PrefillWorker().Step(env, 0, 1e-6)
 	if e.QueueLen() != 0 {

@@ -19,7 +19,7 @@ func testConfig() Config {
 
 func fullEnv(cores int, ghz float64) machine.Env {
 	p := platform.GenA()
-	return machine.Env{Plat: p, Cores: cores, GHz: ghz, ComputeShare: 1,
+	return machine.Env{Plat: &p, Cores: cores, GHz: ghz, ComputeShare: 1,
 		LLCMB: p.TotalLLCMB(), L2MB: 96, BWGBs: p.MemBWGBs}
 }
 

@@ -35,8 +35,9 @@ type Worker struct {
 	phase   llm.Phase
 	current *job
 
-	// Telemetry for controllers and the profiler.
-	lastCost  llm.IterationCost
+	// Telemetry for controllers and the profiler. lastCostS is the
+	// unclamped TotalS of the last iteration cost Step used.
+	lastCostS float64
 	busyTime  float64
 	idleTime  float64
 	completed int
@@ -68,7 +69,7 @@ type costKey struct {
 	bw     float64
 }
 
-func keyOf(p llm.IterationPlan, env machine.Env) costKey {
+func keyOf(p *llm.IterationPlan, env machine.Env) costKey {
 	return costKey{phase: p.Phase, batch: p.Batch, seqLen: p.SeqLen,
 		cores: env.Cores, ghz: env.GHz,
 		share: env.ComputeShare, llc: env.LLCMB, bw: env.BWGBs}
@@ -87,17 +88,20 @@ type costCache struct {
 	next int
 }
 
-func (c *costCache) get(p llm.IterationPlan, env machine.Env) llm.IterationCost {
+// get returns the cost of p under env. The result points into the
+// cache and stays valid only until the next get on the same cache;
+// callers read it and must never write through it.
+func (c *costCache) get(p *llm.IterationPlan, env machine.Env) *llm.IterationCost {
 	k := keyOf(p, env)
 	for i := range c.keys {
 		if c.ok[i] && c.keys[i] == k {
-			return c.cost[i]
+			return &c.cost[i]
 		}
 	}
-	v := llm.CostIteration(p, env)
-	c.keys[c.next], c.cost[c.next], c.ok[c.next] = k, v, true
-	c.next = (c.next + 1) % len(c.keys)
-	return v
+	i := c.next
+	c.keys[i], c.cost[i], c.ok[i] = k, llm.CostIteration(*p, env), true
+	c.next = (i + 1) % len(c.keys)
+	return &c.cost[i]
 }
 
 // demandCache memoizes DemandOf, whose result is independent of the
@@ -109,7 +113,7 @@ type demandCache struct {
 	next int
 }
 
-func (c *demandCache) get(p llm.IterationPlan, env machine.Env) float64 {
+func (c *demandCache) get(p *llm.IterationPlan, env machine.Env) float64 {
 	k := keyOf(p, env)
 	k.bw = 0 // DemandOf ignores the bandwidth grant
 	for i := range c.keys {
@@ -117,7 +121,7 @@ func (c *demandCache) get(p llm.IterationPlan, env machine.Env) float64 {
 			return c.gbs[i]
 		}
 	}
-	v := llm.DemandOf(p, env)
+	v := llm.DemandOf(*p, env)
 	c.keys[c.next], c.gbs[c.next], c.ok[c.next] = k, v, true
 	c.next = (c.next + 1) % len(c.keys)
 	return v
@@ -197,13 +201,17 @@ func (w *Worker) Demand(env machine.Env) machine.Demand {
 			return machine.Demand{Class: power.Scalar, Util: spinUtil}
 		}
 	}
-	var plan llm.IterationPlan
+	var plan *llm.IterationPlan
 	if j != nil {
-		plan = j.plan
-	} else if w.phase == llm.Prefill {
-		plan = w.eng.cfg.Model.PlanPrefill(1, 512)
+		plan = &j.plan
 	} else {
-		plan = w.eng.cfg.Model.PlanDecode(w.eng.DecodeBatch(), 512)
+		var p llm.IterationPlan
+		if w.phase == llm.Prefill {
+			p = w.eng.cfg.Model.PlanPrefill(1, 512)
+		} else {
+			p = w.eng.cfg.Model.PlanDecode(w.eng.DecodeBatch(), 512)
+		}
+		plan = &p
 	}
 	cost := w.costs.get(plan, env)
 	class := power.AVXHeavy
@@ -238,21 +246,23 @@ func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
 			u.Util += spinUtil * left
 			break
 		}
-		cost := w.costs.get(j.plan, env)
-		w.lastCost = cost
-		if cost.TotalS <= 0 {
-			cost.TotalS = 1e-9
+		cost := w.costs.get(&j.plan, env)
+		w.lastCostS = cost.TotalS
+		// Clamp on a local: the cache slot keeps the model's value.
+		ts := cost.TotalS
+		if ts <= 0 {
+			ts = 1e-9
 		}
-		need := j.remaining * cost.TotalS
+		need := j.remaining * ts
 		var ran float64
 		if need <= left {
 			ran = need
 			j.remaining = 0
 		} else {
 			ran = left
-			j.remaining -= left / cost.TotalS
+			j.remaining -= left / ts
 		}
-		frac := ran / cost.TotalS
+		frac := ran / ts
 		u.Flops += (j.plan.AMXFlops + j.plan.AVXFlops) * frac
 		u.AMXFlops += j.plan.AMXFlops * frac
 		u.AVXFlops += j.plan.AVXFlops * frac
@@ -260,7 +270,7 @@ func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
 		u.AMXBusy += cost.AMXBusy * ran
 		u.AVXBusy += cost.AVXBusy * ran
 		u.Util += cost.Util * ran
-		u.Breakdown.Weighted(cost.Breakdown, ran)
+		u.Breakdown.Weighted(&cost.Breakdown, ran)
 		w.busyTime += ran
 		left -= ran
 
@@ -268,7 +278,7 @@ func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
 			steady = false
 			done := now + (dt - left)
 			if j.traced {
-				j.execMembw, j.execThrottle = stallFractions(j.plan, env, cost)
+				j.execMembw, j.execThrottle = stallFractions(&j.plan, env, ts)
 			}
 			if w.phase == llm.Prefill {
 				w.eng.onPrefillDone(j, done)
@@ -297,24 +307,25 @@ func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
 // counterfactual: re-costing the plan under infinite bandwidth isolates
 // the memory-bandwidth stall, then additionally lifting the frequency
 // to the scalar license isolates the AU license throttle; what remains
-// is the pure compute floor. Pure function of (plan, env, cost) — it
-// reads nothing mutable and writes nothing, so tracing cannot change
-// simulation results. Fractions are clamped to [0,1] and to a sum <= 1
-// so the charge-back always conserves the measured interval.
-func stallFractions(p llm.IterationPlan, env machine.Env, cost llm.IterationCost) (membw, throttle float64) {
-	if cost.TotalS <= 0 {
+// is the pure compute floor. totalS is the iteration's measured (clamped)
+// cost. Pure function of (plan, env, totalS) — it reads nothing mutable
+// and writes nothing, so tracing cannot change simulation results.
+// Fractions are clamped to [0,1] and to a sum <= 1 so the charge-back
+// always conserves the measured interval.
+func stallFractions(p *llm.IterationPlan, env machine.Env, totalS float64) (membw, throttle float64) {
+	if totalS <= 0 {
 		return 0, 0
 	}
 	envNoBW := env
 	envNoBW.BWGBs = math.Inf(1)
-	tNoBW := llm.CostIteration(p, envNoBW).TotalS
+	tNoBW := llm.CostIteration(*p, envNoBW).TotalS
 	envNoThr := envNoBW
 	if s := env.Plat.License.Scalar; s > envNoThr.GHz {
 		envNoThr.GHz = s
 	}
-	tNoThr := llm.CostIteration(p, envNoThr).TotalS
-	membw = (cost.TotalS - tNoBW) / cost.TotalS
-	throttle = (tNoBW - tNoThr) / cost.TotalS
+	tNoThr := llm.CostIteration(*p, envNoThr).TotalS
+	membw = (totalS - tNoBW) / totalS
+	throttle = (tNoBW - tNoThr) / totalS
 	if membw < 0 {
 		membw = 0
 	}
@@ -340,8 +351,8 @@ func stallFractions(p llm.IterationPlan, env machine.Env, cost llm.IterationCost
 //
 // The environment is guaranteed unchanged by the caller (the machine
 // invalidates its capture on any placement/COS/fault mutation), so
-// lastCost — the cached cost the next step would recompute — is still
-// exact.
+// lastCostS — the TotalS of the cached cost the next step would
+// recompute — is still exact.
 func (w *Worker) CanQuiesce(dt float64) bool {
 	if !w.lastSteady {
 		return false
@@ -353,7 +364,7 @@ func (w *Worker) CanQuiesce(dt float64) bool {
 		}
 		return w.eng.DecodeBatch() == 0
 	}
-	ts := w.lastCost.TotalS
+	ts := w.lastCostS
 	if ts <= 0 {
 		ts = 1e-9
 	}
@@ -408,7 +419,7 @@ func (w *Worker) AdvanceQuiesced(dt float64) {
 		w.idleTime += dt
 		return
 	}
-	ts := w.lastCost.TotalS
+	ts := w.lastCostS
 	if ts <= 0 {
 		ts = 1e-9
 	}

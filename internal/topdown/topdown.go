@@ -47,7 +47,7 @@ type Breakdown struct {
 
 // Weighted accumulates b scaled by weight into the receiver. Use
 // Normalize after accumulating to recover fractions.
-func (d *Breakdown) Weighted(b Breakdown, weight float64) {
+func (d *Breakdown) Weighted(b *Breakdown, weight float64) {
 	d.Retiring += b.Retiring * weight
 	d.BadSpec += b.BadSpec * weight
 	d.FrontendBound += b.FrontendBound * weight

@@ -60,8 +60,8 @@ func TestWeightedNormalize(t *testing.T) {
 	a := Compose(0.1, 0.01, 0.02, 0.3, 0.5, [4]float64{1, 2, 3, 4}, 0.7)
 	b := Compose(0.3, 0.02, 0.05, 0.6, 0.2, [4]float64{4, 3, 2, 1}, 0.3)
 	var acc Breakdown
-	acc.Weighted(a, 2)
-	acc.Weighted(b, 1)
+	acc.Weighted(&a, 2)
+	acc.Weighted(&b, 1)
 	acc.Normalize()
 	if err := acc.Valid(1e-6); err != nil {
 		t.Fatal(err)

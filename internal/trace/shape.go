@@ -55,11 +55,11 @@ func (d Diurnal) MaxFactor() float64 { return 1 + d.Amplitude }
 // HoldS, and decays back over DecayS — the "everyone opens the app at
 // once" event the autoscaler is judged on.
 type FlashCrowd struct {
-	AtS   float64 // surge start (>= 0)
-	RampS float64 // linear ramp-up duration (>= 0)
-	HoldS float64 // plateau duration (>= 0)
+	AtS    float64 // surge start (>= 0)
+	RampS  float64 // linear ramp-up duration (>= 0)
+	HoldS  float64 // plateau duration (>= 0)
 	DecayS float64 // linear ramp-down duration (>= 0)
-	Peak  float64 // plateau factor (>= 1)
+	Peak   float64 // plateau factor (>= 1)
 }
 
 // Factor implements Shaper.

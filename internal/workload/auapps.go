@@ -87,7 +87,7 @@ func AUApps() []AUApp { return []AUApp{Faiss(), Vocoder(), DeepFM()} }
 // Figure 4's "AU-disabled GenC" normalization.
 func (a AUApp) ItemTime(plat platform.Platform, dim, batch, cores int, auEnabled bool) float64 {
 	env := roofline.Env{
-		Plat:         plat,
+		Plat:         &plat,
 		Cores:        cores,
 		GHz:          plat.License.Scalar,
 		BWGBs:        plat.MemBWGBs,

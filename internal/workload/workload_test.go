@@ -8,8 +8,9 @@ import (
 )
 
 func env(cores int, ghz, llcMB, bwGBs float64) machine.Env {
+	p := platform.GenA()
 	return machine.Env{
-		Plat: platform.GenA(), Cores: cores, GHz: ghz, ComputeShare: 1,
+		Plat: &p, Cores: cores, GHz: ghz, ComputeShare: 1,
 		LLCMB: llcMB, L2MB: 64, BWGBs: bwGBs,
 	}
 }

@@ -11,9 +11,14 @@ import (
 	"time"
 
 	"aum/internal/cluster"
+	"aum/internal/colo"
+	"aum/internal/llm"
 	"aum/internal/machine"
 	"aum/internal/platform"
+	"aum/internal/rdt"
 	"aum/internal/reqtrace"
+	"aum/internal/serve"
+	"aum/internal/trace"
 	"aum/internal/workload"
 )
 
@@ -74,6 +79,37 @@ func benchMachine() *machine.Machine {
 	return m
 }
 
+// coloStepLoop returns a closure that takes one full 1 ms step of the
+// machine the paper tables step: GenA serving llama2-7b with its
+// prefill and decode workers placed as NewExclusive places them, a
+// bursty SPECjbb co-runner on every core's SMT sibling (NewSMTSharing's
+// layout), and both workers mid-iteration on queued requests. The
+// co-runner never quiesces, so every step is a full one. The decode
+// batch is full with requests that never finish, and the prefill queue
+// holds about 20 simulated minutes of prompts (one takes ~0.3 s).
+func coloStepLoop() func() {
+	plat := platform.GenA()
+	m := machine.New(plat)
+	scen := trace.Chatbot()
+	eng := serve.NewEngine(serve.Config{Model: llm.Llama2_7B(), SLO: scen.SLO})
+	env := &colo.Env{Plat: plat, M: m, RDT: rdt.New(m), Engine: eng, Scen: scen,
+		BEApp: workload.New(workload.SPECjbb(), 7)}
+	if err := NewSMTSharing().Setup(env); err != nil {
+		panic(err)
+	}
+	const queued = 4096
+	for i := 0; i < queued; i++ {
+		if err := eng.Submit(&serve.Request{ID: i + 1, PromptLen: 512, OutputLen: 1 << 30}); err != nil {
+			panic(err)
+		}
+	}
+	const dt = 1e-3
+	for eng.DecodeBatch() < eng.Config().MaxBatch {
+		m.Step(dt)
+	}
+	return func() { m.Step(dt) }
+}
+
 // MeasureHotPaths benchmarks the simulator hot paths in-process —
 // the same loops bench_test.go's microbenchmarks time — so the
 // timing report can pin the per-step cost and its allocation count
@@ -81,6 +117,11 @@ func benchMachine() *machine.Machine {
 func MeasureHotPaths() []HotPathBench {
 	full := benchMachine()
 	step := measureLoop("machine_step", 2_000, 50_000, func() { full.Step(1e-3) })
+
+	// The full step under every paper table: serving workers whose cost
+	// caches and cost structs the analytic machine_step row never
+	// exercises.
+	coloRow := measureLoop("colo_step", 2_000, 50_000, coloStepLoop())
 
 	// The replay row uses a burst-free workload so StepN actually hits
 	// the quiescent path (bursty profiles refuse to quiesce).
@@ -118,5 +159,5 @@ func MeasureHotPaths() []HotPathBench {
 		rt.Token(tid, 0.3, 0.1, true, 0.05, 0, 0)
 	})
 
-	return []HotPathBench{step, replay, node, failover, token}
+	return []HotPathBench{step, coloRow, replay, node, failover, token}
 }
