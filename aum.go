@@ -93,10 +93,6 @@ type (
 	// Admission bounds the serving engine's queue and backlog (set
 	// RunConfig.Admission).
 	Admission = serve.Admission
-	// AdmissionPolicy is the pre-fleet name of Admission.
-	//
-	// Deprecated: use Admission, matching the DESIGN.md term.
-	AdmissionPolicy = serve.Admission
 	// ViolationWindow is one contiguous span of measured SLO violation
 	// in a RunResult.
 	ViolationWindow = colo.ViolationWindow
@@ -370,16 +366,11 @@ var (
 	WithTelemetry = cluster.WithTelemetry
 	// WithProgress registers a per-barrier callback.
 	WithProgress = cluster.WithProgress
-	// WithEventDriven enables the event-queue fleet core: barriers no
-	// event source can fire during are elided and replayed exactly
-	// before the next executed barrier. Results are byte-identical to
-	// the fixed-cadence loop at every worker width.
-	WithEventDriven = cluster.WithEventDriven
-	// WithArchetypes enables archetype memoization on top of the event
-	// core (implies WithEventDriven): quiescent machines advance
-	// coarsely on one interned capture per scenario class. Approximate
-	// within a documented tolerance; restricted to round-robin mixed
-	// fleets without faults or autoscaling.
+	// WithArchetypes enables archetype memoization in place of the
+	// exact event core: quiescent machines advance coarsely on one
+	// interned capture per scenario class. Approximate within a
+	// documented tolerance; restricted to round-robin mixed fleets
+	// without faults or autoscaling.
 	WithArchetypes = cluster.WithArchetypes
 	// WithFaults enables fleet fault tolerance under the given fault
 	// schedule and retry policy.

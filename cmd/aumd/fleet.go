@@ -49,9 +49,6 @@ func runFleetDaemon(policyName string, duration, report float64, seed uint64, ht
 		),
 		aum.WithAutoscale(aum.AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1}),
 		aum.WithSeed(seed),
-		// Byte-identical to the plain barrier loop (DESIGN.md §14);
-		// surfaces aum_cluster_barriers_elided_total on /v1/metrics.
-		aum.WithEventDriven(),
 		aum.WithTelemetry(reg),
 		aum.WithRequestTracing(rt),
 		aum.WithProgress(func(now float64) {

@@ -11,13 +11,10 @@ import (
 )
 
 // route is one row of the aumd route table: a versioned /v1 path, the
-// method it accepts ("" accepts any), its handler, and an optional
-// legacy (pre-/v1) alias answered with a 301 redirect so old scrape
-// configs keep working.
+// method it accepts ("" accepts any), and its handler.
 type route struct {
 	method string
 	path   string
-	legacy string
 	h      http.HandlerFunc
 }
 
@@ -31,8 +28,7 @@ type route struct {
 //	POST /v1/chat/completions  OpenAI-compatible completion (-gateway)
 //	GET  /v1/models            the model zoo (-gateway)
 //
-// plus a legacy alias for each pre-/v1 telemetry path. Every request
-// snapshots the registry, so responses are internally consistent even
+// Every request snapshots the registry, so responses are internally consistent even
 // while the simulation is mutating metrics. The rt tracer may be nil;
 // /v1/requests and /v1/slo then serve empty reports. gw is nil outside
 // -gateway mode; with a gateway its readiness probe (which folds in
@@ -43,11 +39,11 @@ func routeTable(reg *aum.TelemetryRegistry, rt *aum.RequestTracer, degradedBelow
 		healthz = gw.ReadyHandler
 	}
 	routes := []route{
-		{method: http.MethodGet, path: "/v1/metrics", legacy: "/metrics", h: metricsHandler(reg)},
-		{method: http.MethodGet, path: "/v1/events", legacy: "/events", h: eventsHandler(reg)},
-		{method: http.MethodGet, path: "/v1/requests", legacy: "/requests", h: requestsHandler(rt)},
-		{method: http.MethodGet, path: "/v1/slo", legacy: "/slo", h: sloHandler(rt)},
-		{method: http.MethodGet, path: "/v1/healthz", legacy: "/healthz", h: healthz},
+		{method: http.MethodGet, path: "/v1/metrics", h: metricsHandler(reg)},
+		{method: http.MethodGet, path: "/v1/events", h: eventsHandler(reg)},
+		{method: http.MethodGet, path: "/v1/requests", h: requestsHandler(rt)},
+		{method: http.MethodGet, path: "/v1/slo", h: sloHandler(rt)},
+		{method: http.MethodGet, path: "/v1/healthz", h: healthz},
 	}
 	if gw != nil {
 		routes = append(routes,
@@ -59,7 +55,7 @@ func routeTable(reg *aum.TelemetryRegistry, rt *aum.RequestTracer, degradedBelow
 }
 
 // newMux mounts a route table: method guards answer 405 in the shared
-// error envelope, legacy aliases redirect with 301, unknown routes get
+// error envelope, unknown routes (the pre-/v1 paths among them) get
 // the 404 envelope, and the pprof endpoints ride along unversioned
 // (the Go tooling expects them at /debug/pprof).
 func newMux(routes []route) *http.ServeMux {
@@ -73,9 +69,6 @@ func newMux(routes []route) *http.ServeMux {
 			}
 			r.h(w, req)
 		})
-		if r.legacy != "" {
-			mux.Handle(r.legacy, http.RedirectHandler(r.path, http.StatusMovedPermanently))
-		}
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -12,8 +12,8 @@
 // served live under the versioned /v1 prefix — /v1/metrics
 // (Prometheus text), /v1/events (JSON), /v1/requests and /v1/slo
 // (per-request causal traces and blame/burn-rate reports, JSON), and
-// /v1/healthz — for the duration of the run. The pre-/v1 paths answer
-// with 301 redirects, and every error is the shared JSON envelope
+// /v1/healthz — for the duration of the run. Every error, including
+// the 404 for an unversioned path, is the shared JSON envelope
 // {"error":{"type","message"}}.
 //
 // With -fleet the daemon instead simulates a heterogeneous cluster

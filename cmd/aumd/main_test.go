@@ -118,17 +118,15 @@ func TestHealthzDegraded(t *testing.T) {
 }
 
 // TestRouteTable pins the versioned API surface: every /v1 endpoint
-// answers directly, every legacy path is a 301 onto its /v1 twin,
-// unknown routes get the shared 404 envelope, and method guards
-// answer 405 in the same envelope.
+// answers directly, unknown routes — the retired pre-/v1 paths among
+// them — get the shared 404 envelope, and method guards answer 405 in
+// the same envelope.
 func TestRouteTable(t *testing.T) {
 	reg := aum.NewTelemetryRegistry()
 	rt := aum.NewRequestTracer(aum.ReqTraceConfig{Telemetry: reg})
 	srv := httptest.NewServer(newMux(routeTable(reg, rt, 0.95, nil)))
 	defer srv.Close()
-	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
+	client := srv.Client()
 
 	for _, p := range []string{"/v1/metrics", "/v1/events", "/v1/requests", "/v1/slo", "/v1/healthz"} {
 		resp, err := client.Get(srv.URL + p)
@@ -138,20 +136,6 @@ func TestRouteTable(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s = %d, want 200", p, resp.StatusCode)
-		}
-	}
-
-	for _, p := range []string{"/metrics", "/events", "/requests", "/slo", "/healthz"} {
-		resp, err := client.Get(srv.URL + p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMovedPermanently {
-			t.Errorf("GET %s = %d, want 301", p, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != "/v1"+p {
-			t.Errorf("GET %s redirects to %q, want %q", p, loc, "/v1"+p)
 		}
 	}
 
@@ -172,13 +156,15 @@ func TestRouteTable(t *testing.T) {
 		}
 	}
 
-	resp, err := client.Get(srv.URL + "/no/such/route")
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range []string{"/no/such/route", "/metrics", "/events", "/requests", "/slo", "/healthz"} {
+		resp, err := client.Get(srv.URL + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEnvelope(resp, http.StatusNotFound, aum.ErrTypeNotFound)
 	}
-	checkEnvelope(resp, http.StatusNotFound, aum.ErrTypeNotFound)
 
-	resp, err = client.Post(srv.URL+"/v1/metrics", "application/json", nil)
+	resp, err := client.Post(srv.URL+"/v1/metrics", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

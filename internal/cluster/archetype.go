@@ -15,7 +15,7 @@
 //
 // Accounting (upS/activeS) is settled once at finish: states are
 // frozen, so the per-barrier additions collapse to one product per
-// node. Results are approximate with respect to the legacy loop only
+// node. Results are approximate with respect to the exact loop only
 // in warmup-snapshot placement (quantized to a barrier boundary) and
 // coarse-idle float summation; the differential test pins the
 // tolerance.
@@ -34,8 +34,7 @@ import (
 
 // archState is the archetype core's bookkeeping.
 type archState struct {
-	cElided *telemetry.Counter
-	cHits   *telemetry.Counter
+	cHits *telemetry.Counter
 
 	// syncBI[i] is the barrier index through which node i's *machine*
 	// has been advanced. Busy nodes are stepped every barrier, so
@@ -64,7 +63,6 @@ type archState struct {
 
 func newArchState(s *session) *archState {
 	a := &archState{
-		cElided:  s.cfg.Telemetry.Counter("aum_cluster_barriers_elided_total"),
 		cHits:    s.cfg.Telemetry.Counter("aum_cluster_archetype_hits_total"),
 		syncBI:   make([]int, len(s.nodes)),
 		inBusy:   make([]bool, len(s.nodes)),
@@ -130,7 +128,7 @@ func (s *session) stepArch() error {
 		}
 	}
 	if !due && len(a.busy) == 0 {
-		a.cElided.Inc()
+		s.ev.cElided.Inc()
 		s.rt.Publish()
 		if cfg.Progress != nil {
 			cfg.Progress(end)
@@ -329,16 +327,12 @@ func (s *session) archFinish() error {
 		return err
 	}
 	// Deferred accounting: states are frozen in this mode, so the
-	// legacy loop's per-barrier additions collapse to one product.
+	// exact loop's per-barrier charges collapse to one charge of the
+	// whole span, made from zero so a repeated Finish stays idempotent.
 	span := float64(to) * s.cfg.BarrierS
 	for _, n := range s.nodes {
-		switch n.state {
-		case stateActive, stateDraining:
-			n.upS = span
-		}
-		if n.state != stateStandby && !n.dead() {
-			n.activeS = span
-		}
+		n.upS, n.downtimeS, n.activeS = 0, 0, 0
+		n.charge(span)
 	}
 	return nil
 }

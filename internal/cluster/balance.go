@@ -22,12 +22,6 @@ const (
 	AUVAware
 )
 
-// Policy is the pre-fleet name of BalancePolicy.
-//
-// Deprecated: use BalancePolicy. The alias keeps pre-fleet callers
-// compiling; String and the constants are unchanged.
-type Policy = BalancePolicy
-
 // String returns the policy name.
 func (p BalancePolicy) String() string {
 	switch p {

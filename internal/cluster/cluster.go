@@ -147,16 +147,6 @@ type Config struct {
 	// Progress, when set, is called after every barrier with the fleet
 	// time — the hook cmd/aumd's -fleet status line uses.
 	Progress func(now float64)
-	// EventDriven replaces the fixed-cadence barrier loop with the
-	// event-queue core (DESIGN.md §14): barriers at which no event
-	// source — arrivals, QPS points, fault timers, autoscaler
-	// watermarks, warm-up completions, KV deliveries — can fire and no
-	// machine is mid-request are elided, and machine state is caught up
-	// lazily by replaying exactly the per-barrier steps the legacy loop
-	// would have run. Results are byte-identical to the barrier loop at
-	// every worker width with fast-forward on or off; only wall-clock
-	// changes. Elisions are counted in aum_cluster_barriers_elided_total.
-	EventDriven bool
 	// Archetypes enables archetype memoization on top of the event
 	// core: quiescent machines advance in O(1) closed form from an
 	// interned per-class step capture (machine.ReplayCapture), adopted
@@ -167,8 +157,7 @@ type Config struct {
 	// configurations whose idle dynamics are provably self-repeating:
 	// all-mixed roles, round-robin routing, interval-free managers, and
 	// no faults, autoscaler, co-runner, live source, or request tracing.
-	// Implies EventDriven. Hits are counted in
-	// aum_cluster_archetype_hits_total.
+	// Hits are counted in aum_cluster_archetype_hits_total.
 	Archetypes bool
 }
 
@@ -241,12 +230,8 @@ func WithTelemetry(reg *telemetry.Registry) Option { return func(c *Config) { c.
 // WithProgress registers a per-barrier callback.
 func WithProgress(fn func(now float64)) Option { return func(c *Config) { c.Progress = fn } }
 
-// WithEventDriven enables the event-queue core: quiescent barriers are
-// elided and caught up lazily, byte-identical to the barrier loop.
-func WithEventDriven() Option { return func(c *Config) { c.EventDriven = true } }
-
-// WithArchetypes enables archetype memoization (implies WithEventDriven):
-// the approximate O(1) idle-advance mode for very large fleets.
+// WithArchetypes enables archetype memoization: the approximate O(1)
+// idle-advance mode for very large fleets.
 func WithArchetypes() Option { return func(c *Config) { c.Archetypes = true } }
 
 // New validates a fleet assembled from options and returns it ready to
@@ -458,7 +443,6 @@ func (c Config) withDefaults() (Config, error) {
 		}
 	}
 	if c.Archetypes {
-		c.EventDriven = true
 		// The archetype safety predicate (DESIGN.md §14) only holds for
 		// configurations whose idle machines are provably self-repeating
 		// and whose node states never change mid-run.
@@ -567,6 +551,27 @@ type node struct {
 
 // undelivered reports KV transfers still in flight toward the node.
 func (n *node) undelivered() int { return len(n.pending) - n.handIdx }
+
+// charge books dt seconds spent in the node's current state — serving
+// (active, draining), outage (suspect, down, recovering) and powered
+// (every live non-standby state; a recovering node reboots on power) —
+// and reports whether the node was powered. The executed barrier and
+// the replay of an elided span both charge once per barrier, so the
+// per-node additions stay iterated in the same order however the span
+// was advanced.
+func (n *node) charge(dt float64) (powered bool) {
+	switch n.state {
+	case stateActive, stateDraining:
+		n.upS += dt
+	case stateSuspect, stateDown, stateRecovering:
+		n.downtimeS += dt
+	}
+	if n.state == stateStandby || n.dead() {
+		return false
+	}
+	n.activeS += dt
+	return true
+}
 
 func (n *node) maybeSnapshot(warmupS, now float64) {
 	if n.measured || now < warmupS {

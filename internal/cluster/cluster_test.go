@@ -41,11 +41,6 @@ func TestPolicyNames(t *testing.T) {
 	if _, err := ParseBalancePolicy("fastest"); err == nil {
 		t.Fatal("parsed a bogus policy")
 	}
-	// The pre-fleet name must stay assignable.
-	var legacy Policy = AUVAware
-	if legacy.String() != "auv-aware" {
-		t.Fatal("Policy alias broke")
-	}
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -1,19 +1,19 @@
-// Event-queue fleet core (Config.EventDriven): the barrier loop with
-// barrier elision. A barrier is *inert* when no event source — arrival
+// Event-queue fleet core: the exact barrier loop, with barrier
+// elision. A barrier is *inert* when no event source — arrival
 // generators, QPS schedule, warming completions, fault injector, retry
 // queue, autoscaler watermarks — can observably fire during it and
 // every machine is quiescent. Inert barriers are elided: the loop
 // advances its clock without touching any machine; deferred per-node
 // work is replayed barrier by barrier (stepEvent -> catchUp) right
-// before the next executed barrier, with exactly the call sequence the
-// legacy loop would have made, so results stay byte-identical to
-// EventDriven=false at every worker width with fast-forward on or off.
+// before the next executed barrier, with exactly the call sequence
+// executing every barrier would have made, so results are the same at
+// every worker width with fast-forward on or off.
 //
 // The elision predicate is deliberately conservative: any state it
 // cannot prove inert (draining or unhealthy nodes, a live source with
 // arrivals due, a watermark streak one barrier from firing) forces the
-// barrier to execute the untouched legacy step body. DESIGN.md §14
-// gives the determinism argument source by source.
+// barrier to execute the full step body. DESIGN.md §14 gives the
+// determinism argument source by source.
 package cluster
 
 import (
@@ -33,10 +33,10 @@ type eventState struct {
 	// immediately after an executed barrier.
 	deferFrom int
 
-	// Fleet scan, refreshed after every executed barrier and frozen
-	// across an elided span (no event can fire inside the span, so no
-	// node state or queue content can change).
-	scanned      bool
+	// Fleet scan, taken when the session is built, refreshed after
+	// every executed barrier and frozen across an elided span (no event
+	// can fire inside the span, so no node state or queue content can
+	// change).
 	allIdle      bool // every non-standby live node has empty queues and an idle engine
 	drainingAny  bool // a draining node may transition at any barrier
 	unhealthyAny bool // suspect/down/recovering nodes force execution
@@ -52,20 +52,9 @@ type eventState struct {
 	spanPowered int
 }
 
-func newEventState(reg *telemetry.Registry) *eventState {
-	return &eventState{
-		cElided:     reg.Counter("aum_cluster_barriers_elided_total"),
-		minActiveAt: math.Inf(1),
-	}
-}
-
-// stepEvent advances one barrier in event-driven mode: elide if the
-// barrier is provably inert, otherwise replay the deferred span and
-// run the legacy barrier body verbatim.
+// stepEvent advances one barrier: elide it if it is provably inert,
+// otherwise replay the deferred span and run the executed-barrier body.
 func (s *session) stepEvent() error {
-	if !s.ev.scanned {
-		s.refreshEventScan()
-	}
 	if s.canElide() {
 		s.elideBarrier()
 		return nil
@@ -84,8 +73,7 @@ func (s *session) stepEvent() error {
 // refreshEventScan recomputes the frozen fleet facts after an executed
 // barrier. O(nodes), once per executed barrier.
 func (s *session) refreshEventScan() {
-	ev := s.ev
-	ev.scanned = true
+	ev := &s.ev
 	ev.spanFrozen = false
 	ev.allIdle = true
 	ev.drainingAny, ev.unhealthyAny, ev.warmingAny = false, false, false
@@ -113,11 +101,11 @@ func (s *session) refreshEventScan() {
 }
 
 // canElide reports whether the barrier starting at now() is inert.
-// Every comparison replicates the corresponding legacy check exactly
+// Every comparison replicates the corresponding step check exactly
 // (same epsilons, same pop conditions), so "no source fires" here
 // means the executed barrier would have been a no-op for that source.
 func (s *session) canElide() bool {
-	ev, cfg := s.ev, s.cfg
+	ev, cfg := &s.ev, s.cfg
 	start := s.now()
 	if !ev.allIdle || ev.drainingAny || ev.unhealthyAny {
 		return false
@@ -169,7 +157,7 @@ func (s *session) canElide() bool {
 // freezeScalerSpan evaluates the autoscaler's watermark comparisons
 // once for the elided span, with observe's exact capacity loop.
 func (s *session) freezeScalerSpan() {
-	ev := s.ev
+	ev := &s.ev
 	var capacity float64
 	powered := 0
 	for _, n := range s.nodes {
@@ -217,9 +205,10 @@ func (s *session) elideBarrier() {
 // catchUp replays the deferred span [deferFrom, bi) for every node,
 // barrier by barrier — the same stepEpoch calls in the same per-node
 // order the executed barriers would have made, plus the accounting
-// additions from step's tail. Iterated per-barrier float additions are
-// preserved (one fused k*B add is not byte-identical), which is the
-// whole reason this loop is per-barrier rather than one span advance.
+// charges step's tail makes (node.charge). Iterated per-barrier float
+// additions are preserved (one fused k*B add is not byte-identical),
+// which is the whole reason this loop is per-barrier rather than one
+// span advance.
 // Nodes are independent across the span (all idle, no merges), so the
 // replay parallelizes over contiguous shards of nodes.
 func (s *session) catchUp() error {
@@ -235,15 +224,7 @@ func (s *session) catchUp() error {
 					if err := stepEpoch(cfg, n, float64(b)*cfg.BarrierS, s.steps); err != nil {
 						return err
 					}
-					switch n.state {
-					case stateActive, stateDraining:
-						n.upS += cfg.BarrierS
-					case stateSuspect, stateDown, stateRecovering:
-						n.downtimeS += cfg.BarrierS
-					}
-					if n.state != stateStandby && !n.dead() {
-						n.activeS += cfg.BarrierS
-					}
+					n.charge(cfg.BarrierS)
 				}
 			}
 			return nil

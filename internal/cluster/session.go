@@ -60,8 +60,8 @@ type session struct {
 	routable []int
 	bi       int // barriers completed so far
 
-	ev   *eventState // event-queue core (Config.EventDriven)
-	arch *archState  // archetype memoization (Config.Archetypes)
+	ev   eventState // event-queue core: barrier elision and catch-up
+	arch *archState // archetype memoization (Config.Archetypes)
 }
 
 // newSession builds the fleet from an already-validated Config.
@@ -169,6 +169,7 @@ func newSession(cfg Config) (*session, error) {
 		ropt:  runner.Options{Workers: cfg.Workers, Seed: cfg.Seed},
 		steps: int(math.Round(cfg.BarrierS / cfg.DT)),
 		rate:  cfg.RatePerS,
+		ev:    eventState{cElided: cfg.Telemetry.Counter("aum_cluster_barriers_elided_total")},
 	}
 	if cfg.Autoscale != nil {
 		s.scaler = &autoscaler{cfg: *cfg.Autoscale}
@@ -180,34 +181,29 @@ func newSession(cfg Config) (*session, error) {
 		}
 		s.fe.rt = rt
 	}
-	switch {
-	case cfg.Archetypes:
+	if cfg.Archetypes {
 		s.arch = newArchState(s)
-	case cfg.EventDriven:
-		s.ev = newEventState(cfg.Telemetry)
+	} else {
+		s.refreshEventScan()
 	}
 	return s, nil
 }
 
-// advance steps one barrier with whichever loop body the config
-// selected: archetype memoization, the event-queue core, or the
-// legacy fixed-cadence body.
+// advance steps one barrier: archetype memoization when the config
+// asks for it, otherwise the exact event-queue core.
 func (s *session) advance() error {
-	switch {
-	case s.arch != nil:
+	if s.arch != nil {
 		return s.stepArch()
-	case s.ev != nil:
-		return s.stepEvent()
 	}
-	return s.step()
+	return s.stepEvent()
 }
 
 // now is the simulated time of the next barrier's start.
 func (s *session) now() float64 { return float64(s.bi) * s.cfg.BarrierS }
 
-// step advances the fleet one barrier interval: the exact loop body
-// run() has always executed, ending with the single-threaded merge and
-// telemetry publish.
+// step executes one barrier interval across the whole fleet — the
+// event core's executed-barrier body — ending with the single-threaded
+// merge and telemetry publish.
 func (s *session) step() error {
 	cfg, nodes, rt, fe := s.cfg, s.nodes, s.rt, s.fe
 	start := float64(s.bi) * cfg.BarrierS
@@ -380,24 +376,12 @@ func (s *session) step() error {
 	upSum, downSum := 0.0, 0.0
 	for _, n := range nodes {
 		n.gState.Set(float64(n.state))
-		switch n.state {
-		case stateActive:
+		if n.state == stateActive {
 			active++
-			n.upS += cfg.BarrierS
-		case stateDraining:
-			n.upS += cfg.BarrierS
-		case stateSuspect, stateDown:
-			// Off the power rail: an outage second, no powered time.
-			n.downtimeS += cfg.BarrierS
-		case stateRecovering:
-			// Rebooting: burns power (counted below) but is still an
-			// outage second for availability.
-			n.downtimeS += cfg.BarrierS
 		}
-		if n.state != stateStandby && !n.dead() {
+		if n.charge(cfg.BarrierS) {
 			powered++
 			capacity += n.capacity
-			n.activeS += cfg.BarrierS
 		}
 		upSum += n.upS
 		downSum += n.downtimeS
@@ -426,17 +410,14 @@ func (s *session) step() error {
 // [WarmupS, endS]: per-node post-warmup deltas, summed.
 func (s *session) finishAt(endS float64) (Result, error) {
 	cfg, nodes := s.cfg, s.nodes
-	// Settle any work the event-driven modes deferred: elided spans
-	// replay exactly; archetype spans advance coarsely.
-	switch {
-	case s.arch != nil:
-		if err := s.archFinish(); err != nil {
-			return Result{}, err
-		}
-	case s.ev != nil:
-		if err := s.catchUp(); err != nil {
-			return Result{}, err
-		}
+	// Settle deferred work: elided spans replay exactly; archetype
+	// spans advance coarsely.
+	settle := s.catchUp
+	if s.arch != nil {
+		settle = s.archFinish
+	}
+	if err := settle(); err != nil {
+		return Result{}, err
 	}
 	s.rt.Publish()
 	if cfg.ReqTrace != nil {
@@ -551,13 +532,13 @@ func (s *Session) Config() Config { return s.s.cfg }
 func (s *Session) Now() float64 { return s.s.now() }
 
 // Step advances the fleet exactly one barrier interval, through the
-// config-selected loop body (legacy, event-driven, or archetype).
+// event core (or the archetype loop when Config.Archetypes is set).
 func (s *Session) Step() error { return s.s.advance() }
 
 // StepUntil advances barriers until the simulated clock reaches at
-// least t. With EventDriven set, inert barriers inside the span are
-// elided, so catching a long-idle session up to "now" costs far less
-// than stepping each barrier's fleet scan.
+// least t. Inert barriers inside the span are elided, so catching a
+// long-idle session up to "now" costs far less than stepping each
+// barrier's fleet scan.
 func (s *Session) StepUntil(t float64) error {
 	for s.s.now() < t-1e-9 {
 		if err := s.s.advance(); err != nil {
@@ -573,16 +554,13 @@ func (s *Session) StepUntil(t float64) error {
 // has anything scheduled (a fully idle session with a live source is
 // woken by its next Submit), otherwise the start of the earliest
 // barrier that observes a scheduled event. The bound may be early —
-// the core re-checks at every barrier — never late. Without
-// EventDriven it degenerates to Now().
+// the core re-checks at every barrier — never late. The archetype
+// loop keeps no event scan, so under Config.Archetypes it is Now().
 func (s *Session) NextEventAt() float64 { return s.s.nextBusyBarrierAt() }
 
 func (s *session) nextBusyBarrierAt() float64 {
-	if s.ev == nil {
+	if s.arch != nil {
 		return s.now()
-	}
-	if !s.ev.scanned {
-		s.refreshEventScan()
 	}
 	if !s.canElide() {
 		return s.now()

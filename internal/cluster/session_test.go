@@ -10,6 +10,7 @@ import (
 	"aum/internal/manager"
 	"aum/internal/platform"
 	"aum/internal/serve"
+	"aum/internal/telemetry"
 	"aum/internal/trace"
 )
 
@@ -168,14 +169,27 @@ func (failTick) Tick(*colo.Env, float64) error { return errors.New("injected tic
 // TestStepReportsLowestFailingNode pins the error order of the sharded
 // barrier fan-out: when nodes 3, 5 and 700 of 1024 fail in the same
 // barrier (3 and 5 share a shard at every width, 700 lies in another),
-// Step reports node 3 at every worker width, in the legacy and the
-// event-driven loop alike (the latter through its deferred-span
-// catch-up).
+// node 3 is reported at every worker width on both error paths — from
+// an executed barrier's step shards (arrivals in every barrier, so
+// none is elided) and from Finish's catch-up (no arrivals, so every
+// barrier is elided and the failures surface in the deferred replay).
 func TestStepReportsLowestFailingNode(t *testing.T) {
-	for _, ed := range []bool{false, true} {
+	for _, tc := range []struct {
+		path   string
+		rate   float64
+		elided uint64 // barriers elided before the failure surfaced
+	}{
+		{"executed", 400, 0},
+		{"catch-up", 1e-3, 40},
+	} {
 		var first string
 		for _, w := range []int{1, 2, 8} {
-			cfg := Config{HorizonS: 2, RatePerS: 1, Workers: w, EventDriven: ed}
+			// The generator draws its first arrival at the scenario's
+			// own rate, so set both rates.
+			scen := trace.Chatbot()
+			scen.RatePerS = tc.rate
+			reg := telemetry.NewRegistry()
+			cfg := Config{Scen: scen, HorizonS: 2, RatePerS: tc.rate, Workers: w, Telemetry: reg}
 			cfg.Machines = make([]MachineSpec, 1024)
 			for i := range cfg.Machines {
 				cfg.Machines[i] = MachineSpec{Plat: platform.GenA(), Mgr: manager.AllAU{}}
@@ -191,21 +205,22 @@ func TestStepReportsLowestFailingNode(t *testing.T) {
 				err = s.Step()
 			}
 			if err == nil {
-				// Every barrier was elided: the deferred span, and its
-				// failures, replay in Finish's catch-up.
 				_, err = s.Finish()
 			}
 			if err == nil {
-				t.Fatalf("event-driven=%v width %d: no barrier failed", ed, w)
+				t.Fatalf("%s width %d: no barrier failed", tc.path, w)
+			}
+			if got := reg.Counter("aum_cluster_barriers_elided_total").Value(); got != tc.elided {
+				t.Fatalf("%s width %d: %d barriers elided, want %d", tc.path, w, got, tc.elided)
 			}
 			msg := err.Error()
 			if !strings.Contains(msg, "GenA-3 tick: injected tick failure") {
-				t.Fatalf("event-driven=%v width %d: Step reported %q, want node GenA-3", ed, w, msg)
+				t.Fatalf("%s width %d: reported %q, want node GenA-3", tc.path, w, msg)
 			}
 			if first == "" {
 				first = msg
 			} else if msg != first {
-				t.Fatalf("event-driven=%v: width %d reported %q, width 1 reported %q", ed, w, msg, first)
+				t.Fatalf("%s: width %d reported %q, width 1 reported %q", tc.path, w, msg, first)
 			}
 		}
 	}

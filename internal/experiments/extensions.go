@@ -32,7 +32,7 @@ func runCluster(l *Lab, o Options) (*Table, error) {
 	jbb := workload.SPECjbb()
 	t := &Table{ID: "cluster", Title: "Heterogeneous fleet (GenA + HBM GenB) sharing SPECjbb under pressure",
 		Columns: []string{"eff", "TPOT-guar", "TTFT-guar", "imbalance", "watts"}}
-	policies := []cluster.Policy{cluster.RoundRobin, cluster.LeastQueued, cluster.AUVAware}
+	policies := []cluster.BalancePolicy{cluster.RoundRobin, cluster.LeastQueued, cluster.AUVAware}
 	results := make([]cluster.Result, len(policies))
 	err := l.Parallel(len(policies), func(i int) error {
 		res, err := cluster.Run(cluster.Config{

@@ -19,9 +19,11 @@ func init() {
 // runFleet100k is the scale benchmark for the event-queue fleet core:
 // a heterogeneous 100k-machine fleet (GenA/GenB/GenC round-robin)
 // serves one simulated hour of sparse chatbot traffic under archetype
-// memoization, against a fixed-cadence reference run over a truncated
-// horizon normalized to the same simulated span. The headline numbers
-// — wall seconds and the speedup over the legacy loop — are wall-clock
+// memoization, against a reference run of the exact event core (no
+// archetypes) over a truncated horizon normalized to the same simulated
+// span. The row and metric names keep their "legacy" labels, which the
+// golden pins. The headline numbers — wall seconds and the speedup over
+// the exact loop — are wall-clock
 // measurements of the host, so the table rows are volatile for golden
 // comparison and the report carries them as Metrics. Quick fidelity
 // shrinks the fleet to 10k machines and the horizon to five simulated
@@ -44,9 +46,9 @@ func runFleet100k(l *Lab, o Options) (*Table, error) {
 		Seed: o.Seed, RatePerS: 2, Workers: l.Workers(),
 	}
 
-	// Legacy reference: the fixed-cadence loop over a truncated
-	// horizon (a full hour at 100k machines is hours of wall clock),
-	// normalized per simulated second. Warmup spans the whole
+	// Reference: the exact event core over a truncated horizon (a full
+	// hour at 100k machines is hours of wall clock), normalized per
+	// simulated second. Warmup spans the whole
 	// truncated run minus one barrier so the config stays valid.
 	ref := base
 	ref.HorizonS = refSimS

@@ -214,12 +214,6 @@ func NewFromConfig(cfg Config) (*Gateway, error) {
 	fc := cfg.Fleet
 	fc.Source = g.src
 	fc.ReqTrace = g.rt
-	// The live session runs on the event-queue core: barriers with no
-	// pending arrival, retry, or autoscaler event are elided, so an
-	// idle gateway costs pulses instead of fleet scans and the driver
-	// can sleep until the next interaction event rather than waking
-	// every barrier interval.
-	fc.EventDriven = true
 	sess, err := cluster.NewSession(fc)
 	if err != nil {
 		return nil, err
@@ -270,8 +264,8 @@ func (g *Gateway) Stop() (cluster.Result, error) {
 // next scheduled event while the fleet is coasting, and indefinitely
 // (+Inf) when nothing is scheduled — in which case only a Submit
 // nudge or Stop wakes it. On wake it catches the session up to the
-// warped clock with StepUntil; the EventDriven core turns the inert
-// barriers in between into cheap pulses, so a long-idle session
+// warped clock with StepUntil; the event core turns the inert barriers
+// in between into cheap pulses, so a long-idle session
 // catches up in microseconds instead of running every barrier's fleet
 // scan. Token release order is unchanged: releases are paced by the
 // handlers (pace) from simulated timestamps, which this loop only
