@@ -80,7 +80,6 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "root random seed")
 		format    = flag.String("format", "text", "output format: text | csv")
 		workers   = flag.Int("workers", 0, "per-experiment fan-out width (0 = default); never changes results")
-		ff        = flag.Bool("ff", true, "quiescence-aware fast-forward (DESIGN.md §9); never changes results")
 		benchOut  = flag.String("bench-out", "", "write the timing report to this path ('' disables; the checked-in baseline is -run all -quick -bench-out BENCH_results.json)")
 		tracePath = flag.String("trace", "", "write a Chrome trace_event file from one instrumented run ('' disables)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file ('' disables)")
@@ -92,7 +91,6 @@ func main() {
 	)
 	flag.StringVar(run, "experiment", "", "alias for -run")
 	flag.Parse()
-	aum.SetFastForward(*ff)
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

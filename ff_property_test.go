@@ -104,10 +104,6 @@ func floatBits(dst []uint64, v reflect.Value) []uint64 {
 // exercise capture invalidation; every TaskStats accumulator and
 // Breakdown field is compared by its bit pattern.
 func TestStepNEquivalenceProperty(t *testing.T) {
-	prev := machine.FastForward()
-	machine.SetFastForward(true)
-	defer machine.SetFastForward(prev)
-
 	const dt = 1e-3
 	var seqBits, ffBits []uint64
 	for seed := int64(1); seed <= 12; seed++ {

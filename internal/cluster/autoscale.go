@@ -81,16 +81,6 @@ type autoscaler struct {
 	loStreak int
 }
 
-// nextEventAt is the autoscaler's event-source bound (DESIGN.md §9):
-// scaling decisions and warmup completions are applied only at tick
-// barriers, so between barriers the autoscaler's next event is the
-// next barrier itself. The epoch stepper already ends every epoch at
-// a barrier; the fleet loop takes the min to keep the contract
-// explicit.
-func (a *autoscaler) nextEventAt(nextBarrier float64) float64 {
-	return nextBarrier
-}
-
 // observe runs one barrier's scaling decision. Activation prefers a
 // draining machine (already warm) and otherwise the highest-capacity
 // standby; draining targets the lowest-capacity active machine, so

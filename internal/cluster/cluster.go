@@ -687,7 +687,6 @@ func stepEpoch(cfg Config, n *node, start float64, steps int) error {
 	eng := n.env.Engine
 	iv := n.spec.Mgr.Interval() // invariant across the epoch; hoisted
 	end := start + float64(steps)*cfg.DT
-	ffOn := machine.FastForward()
 	ri := 0
 	for k := 0; k < steps; {
 		now := start + float64(k)*cfg.DT
@@ -715,30 +714,22 @@ func stepEpoch(cfg Config, n *node, start float64, steps int) error {
 		// snapshot, or epoch end. The machine re-checks quiescence per
 		// tick; this only skips the guard evaluations, which provably
 		// cannot fire before the bound.
-		nSteps := 1
-		if ffOn {
-			stop := end
-			if ri < len(n.inbox) {
-				if t := n.inbox[ri].Arrival - cfg.DT; t < stop {
-					stop = t
-				}
-			}
-			if t := n.nextDeliveryAt() - cfg.DT; t < stop {
+		stop := end
+		if ri < len(n.inbox) {
+			if t := n.inbox[ri].Arrival - cfg.DT; t < stop {
 				stop = t
 			}
-			if iv > 0 && n.nextTick < stop {
-				stop = n.nextTick
-			}
-			if !n.measured && cfg.WarmupS < stop {
-				stop = cfg.WarmupS
-			}
-			if d := int((stop-now)/cfg.DT - 0.5); d > 1 {
-				nSteps = d
-				if nSteps > steps-k {
-					nSteps = steps - k
-				}
-			}
 		}
+		if t := n.nextDeliveryAt() - cfg.DT; t < stop {
+			stop = t
+		}
+		if iv > 0 && n.nextTick < stop {
+			stop = n.nextTick
+		}
+		if !n.measured && cfg.WarmupS < stop {
+			stop = cfg.WarmupS
+		}
+		nSteps := min(machine.StepsBefore(now, stop, cfg.DT), steps-k)
 		n.env.M.StepN(cfg.DT, nSteps)
 		k += nSteps
 	}

@@ -10,7 +10,6 @@ import (
 
 	"aum/internal/chaos"
 	"aum/internal/llm"
-	"aum/internal/machine"
 	"aum/internal/manager"
 	"aum/internal/platform"
 	"aum/internal/reqtrace"
@@ -98,9 +97,8 @@ func diffFixtures() map[string]Config {
 var update = flag.Bool("update", false, "rewrite the event-core goldens under testdata/eventcore")
 
 // goldenBytes runs cfg at the given width and renders what the golden
-// pins: the Result JSON of a bare run (bare machines take the
-// fast-forward path when it is on) and the final gauge snapshot of a
-// run with telemetry attached, whose Result must match the bare one.
+// pins: the Result JSON of a bare run and the final gauge snapshot of
+// a run with telemetry attached, whose Result must match the bare one.
 func goldenBytes(t *testing.T, cfg Config, workers int) []byte {
 	t.Helper()
 	cfg.Workers = workers
@@ -133,19 +131,16 @@ func goldenBytes(t *testing.T, cfg Config, workers int) []byte {
 
 // TestEventDrivenByteIdentity is the compatibility lockdown: for every
 // fixture, the event core must reproduce testdata/eventcore/<fixture>.json
-// byte-for-byte across worker widths 1/2/8 and fast-forward on/off.
-// The goldens were written by the fixed-cadence barrier loop (width 1,
-// fast-forward on) before it was retired, so they pin that elided
-// spans replay exactly what executing every barrier produced. -update
-// rewrites them from the current loop at width 1, fast-forward on.
+// byte-for-byte across worker widths 1/2/8. The goldens were written by
+// the fixed-cadence barrier loop (width 1) before it was retired, so
+// they pin that elided spans replay exactly what executing every
+// barrier produced. -update rewrites them from the current loop at
+// width 1.
 func TestEventDrivenByteIdentity(t *testing.T) {
-	prev := machine.FastForward()
-	defer machine.SetFastForward(prev)
 	for name, base := range diffFixtures() {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join("testdata", "eventcore", name+".json")
 			if *update {
-				machine.SetFastForward(true)
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -158,13 +153,10 @@ func TestEventDrivenByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden (regenerate with -update): %v", err)
 			}
-			for _, ff := range []bool{true, false} {
-				machine.SetFastForward(ff)
-				for _, w := range []int{1, 2, 8} {
-					if got := goldenBytes(t, base, w); string(got) != string(want) {
-						t.Fatalf("ff=%v width=%d: event core diverges from %s\nwant: %s\ngot:  %s",
-							ff, w, path, want, got)
-					}
+			for _, w := range []int{1, 2, 8} {
+				if got := goldenBytes(t, base, w); string(got) != string(want) {
+					t.Fatalf("width=%d: event core diverges from %s\nwant: %s\ngot:  %s",
+						w, path, want, got)
 				}
 			}
 		})

@@ -7,7 +7,7 @@
 // work is replayed barrier by barrier (stepEvent -> catchUp) right
 // before the next executed barrier, with exactly the call sequence
 // executing every barrier would have made, so results are the same at
-// every worker width with fast-forward on or off.
+// every worker width.
 //
 // The elision predicate is deliberately conservative: any state it
 // cannot prove inert (draining or unhealthy nodes, a live source with

@@ -185,17 +185,6 @@ func newFaultEngine(cfg Config) (*faultEngine, error) {
 	}, nil
 }
 
-// nextEventAt is the fault engine's event-source bound (DESIGN.md §9).
-// Faults, health transitions, and retry dispatches are applied only at
-// tick barriers, so between barriers the next fault event is the next
-// barrier itself — the min in the epoch-end computation keeps the
-// contract explicit, exactly like the autoscaler's. The injector's own
-// NextEventAt is the sub-schedule horizon: when it is later than the
-// next barrier, this barrier fires nothing.
-func (fe *faultEngine) nextEventAt(nextBarrier float64) float64 {
-	return nextBarrier
-}
-
 func (fe *faultEngine) event(now float64, n *node, state string) {
 	fe.events = append(fe.events, HealthEvent{At: now, Machine: n.name, State: state})
 	fe.reg.Emit(now, "cluster", "node-health",
@@ -292,7 +281,7 @@ func (fe *faultEngine) crash(now float64, n *node) {
 	fe.cCrashes.Inc()
 	// The machine's workers will be mutated behind its back at harvest;
 	// a stale quiescence capture must never replay across the outage.
-	n.env.M.InvalidateFastForward()
+	n.env.M.InvalidateCapture()
 	fe.event(now, n, "suspect")
 }
 
@@ -335,7 +324,7 @@ func (fe *faultEngine) harvest(now float64, cfg Config, nodes []*node, link *kvL
 		}
 	}
 	lost := n.env.Engine.Crash(now)
-	n.env.M.InvalidateFastForward()
+	n.env.M.InvalidateCapture()
 	for _, ex := range n.exports {
 		lost = append(lost, ex.req)
 	}

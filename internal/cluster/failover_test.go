@@ -9,7 +9,6 @@ import (
 	"aum/internal/chaos"
 	"aum/internal/colo"
 	"aum/internal/llm"
-	"aum/internal/machine"
 	"aum/internal/manager"
 	"aum/internal/platform"
 	"aum/internal/serve"
@@ -89,44 +88,40 @@ func TestCrashRecoveryLifecycle(t *testing.T) {
 // TestFleetChaosWidthDeterminism is the acceptance contract of the
 // fault-tolerance layer: a fleet under crashes, stragglers, and link
 // faults must produce a byte-identical Result across worker widths
-// 1/2/8 and with fast-forward on or off. Run under -race this also
-// proves the failover paths share nothing across epoch goroutines.
+// 1/2/8. Run under -race this also proves the failover paths share
+// nothing across epoch goroutines.
 func TestFleetChaosWidthDeterminism(t *testing.T) {
-	defer machine.SetFastForward(machine.FastForward())
 	baseline := ""
-	for _, ff := range []bool{true, false} {
-		machine.SetFastForward(ff)
-		for _, w := range []int{1, 2, 8} {
-			cfg := Config{
-				Machines: []MachineSpec{
-					{Plat: platform.GenA(), Mgr: manager.AllAU{}},
-					{Plat: platform.GenB(), Mgr: manager.AllAU{}},
-					{Plat: platform.GenC(), Mgr: manager.AllAU{}, Standby: true},
-				},
-				Model: llm.Llama2_7B(), Scen: trace.Chatbot(), Policy: AUVAware,
-				HorizonS: 10, Seed: 17, Workers: w, RatePerS: 2.0,
-				Autoscale: &AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 0.5},
-				Faults: &FaultConfig{
-					Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
-						{At: 3, Kind: chaos.MachineCrash, Machine: 0, Duration: 1.5},
-						{At: 4, Kind: chaos.Straggler, Machine: 1, Duration: 3, Factor: 0.6},
-						{At: 6, Kind: chaos.LinkBrownout, Machine: 1, Duration: 2, Factor: 0.4},
-					}},
-				},
-			}
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("ff=%v workers=%d: %v", ff, w, err)
-			}
-			buf, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if baseline == "" {
-				baseline = string(buf)
-			} else if string(buf) != baseline {
-				t.Fatalf("ff=%v workers=%d diverged:\n%s\nvs\n%s", ff, w, buf, baseline)
-			}
+	for _, w := range []int{1, 2, 8} {
+		cfg := Config{
+			Machines: []MachineSpec{
+				{Plat: platform.GenA(), Mgr: manager.AllAU{}},
+				{Plat: platform.GenB(), Mgr: manager.AllAU{}},
+				{Plat: platform.GenC(), Mgr: manager.AllAU{}, Standby: true},
+			},
+			Model: llm.Llama2_7B(), Scen: trace.Chatbot(), Policy: AUVAware,
+			HorizonS: 10, Seed: 17, Workers: w, RatePerS: 2.0,
+			Autoscale: &AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 0.5},
+			Faults: &FaultConfig{
+				Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
+					{At: 3, Kind: chaos.MachineCrash, Machine: 0, Duration: 1.5},
+					{At: 4, Kind: chaos.Straggler, Machine: 1, Duration: 3, Factor: 0.6},
+					{At: 6, Kind: chaos.LinkBrownout, Machine: 1, Duration: 2, Factor: 0.4},
+				}},
+			},
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		buf, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if baseline == "" {
+			baseline = string(buf)
+		} else if string(buf) != baseline {
+			t.Fatalf("workers=%d diverged:\n%s\nvs\n%s", w, buf, baseline)
 		}
 	}
 }

@@ -2,11 +2,10 @@
 // that can be driven one barrier at a time. The offline path (run)
 // executes exactly the same statements in the same order as before the
 // factoring — a session is a cursor over the loop, not a new engine —
-// so fleet results stay byte-identical at every worker width with
-// fast-forward on or off. The open-ended path (Session) exists for the
-// serving gateway: it steps the same loop against a live arrival
-// source with no horizon bound, calling Finish only when the daemon
-// shuts down.
+// so fleet results stay byte-identical at every worker width. The
+// open-ended path (Session) exists for the serving gateway: it steps
+// the same loop against a live arrival source with no horizon bound,
+// calling Finish only when the daemon shuts down.
 package cluster
 
 import (
@@ -208,17 +207,6 @@ func (s *session) step() error {
 	cfg, nodes, rt, fe := s.cfg, s.nodes, s.rt, s.fe
 	start := float64(s.bi) * cfg.BarrierS
 	end := float64(s.bi+1) * cfg.BarrierS
-	if s.scaler != nil {
-		// By construction the autoscaler's next event is the next
-		// barrier, so this min never shortens the epoch; it keeps
-		// the event-source contract (DESIGN.md §9) explicit.
-		end = math.Min(end, s.scaler.nextEventAt(end))
-	}
-	if fe != nil {
-		// Same contract: faults quantize to barriers, so the fault
-		// engine's next event is the next barrier too.
-		end = math.Min(end, fe.nextEventAt(end))
-	}
 
 	for s.qpsIdx < len(cfg.QPS) && cfg.QPS[s.qpsIdx].At <= start+1e-9 {
 		s.rate = cfg.QPS[s.qpsIdx].RatePerS

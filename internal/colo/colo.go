@@ -441,13 +441,6 @@ func Run(cfg Config) (Result, error) {
 	}
 	var baseStats serve.Stats
 
-	// ffOn gates the skip-horizon computation; it is hoisted because the
-	// toggle is process-global and never changes mid-run in practice.
-	ffOn := machine.FastForward()
-	// Managers that export their decision cadence (core.AUM) tighten
-	// the skip horizon through the shared event-source contract; for
-	// the rest, the loop's own nextTick bound below is authoritative.
-	mgrEv, _ := cfg.Manager.(interface{ NextEventAt(float64) float64 })
 	for m.Now() < cfg.HorizonS {
 		now := m.Now()
 		for _, r := range src.Emit(now, cfg.DT) {
@@ -504,40 +497,27 @@ func Run(cfg Config) (Result, error) {
 		// fire, so the machine may replay quiescent steps back to back.
 		// The machine still re-checks quiescence every tick; this only
 		// batches the loop bookkeeping.
-		k := 1
-		if ffOn {
-			stop := cfg.HorizonS
-			// Emit's guard fires at nextAt <= now+dt, so the last safe
-			// tick start is one dt before the arrival.
-			if t := src.NextEventAt(now) - cfg.DT; t < stop {
+		stop := cfg.HorizonS
+		// Emit's guard fires at nextAt <= now+dt, so the last safe
+		// tick start is one dt before the arrival.
+		if t := src.NextEventAt(now) - cfg.DT; t < stop {
+			stop = t
+		}
+		if inj != nil {
+			if t := inj.NextEventAt(now); t < stop {
 				stop = t
 			}
-			if inj != nil {
-				if t := inj.NextEventAt(now); t < stop {
-					stop = t
-				}
-			}
-			if sloMon.nextAt < stop {
-				stop = sloMon.nextAt
-			}
-			if interval > 0 && nextTick < stop {
-				stop = nextTick
-			}
-			if mgrEv != nil {
-				if t := mgrEv.NextEventAt(now); t < stop {
-					stop = t
-				}
-			}
-			if !measured && cfg.WarmupS < stop {
-				stop = cfg.WarmupS
-			}
-			// Half-a-tick safety margin absorbs the ~1-ulp drift between
-			// the accumulated clock and event times computed arithmetically.
-			if n := int((stop-now)/cfg.DT - 0.5); n > 1 {
-				k = n
-			}
 		}
-		m.StepN(cfg.DT, k)
+		if sloMon.nextAt < stop {
+			stop = sloMon.nextAt
+		}
+		if interval > 0 && nextTick < stop {
+			stop = nextTick
+		}
+		if !measured && cfg.WarmupS < stop {
+			stop = cfg.WarmupS
+		}
+		m.StepN(cfg.DT, machine.StepsBefore(now, stop, cfg.DT))
 	}
 	if !measured {
 		snapshot()

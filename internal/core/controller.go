@@ -124,7 +124,6 @@ type AUM struct {
 	// Interval measurement state for online refinement.
 	lastBEWork float64
 	lastNow    float64
-	lastTickAt float64 // when Tick last ran, for NextEventAt
 
 	tel ctrlTelemetry
 }
@@ -302,24 +301,10 @@ func (a *AUM) boundAllocation(e *colo.Env) {
 	}
 }
 
-// NextEventAt exports the controller's decision cadence to the
-// fast-forward layer (DESIGN.md §9): the next instant a Tick is due.
-// The colo loop's own tick schedule is authoritative for the loop it
-// drives; this bound lets external drivers compute a safe skip
-// horizon. Returning now (before the first tick, or when a tick is
-// overdue) under-promises, which is always safe.
-func (a *AUM) NextEventAt(now float64) float64 {
-	if next := a.lastTickAt + a.opt.IntervalS; next > now {
-		return next
-	}
-	return now
-}
-
 // Tick implements colo.Manager: Algorithm 1.
 func (a *AUM) Tick(e *colo.Env, now float64) error {
 	a.tick++
 	a.tel.ticks.Inc()
-	a.lastTickAt = now
 
 	// Stage 1 — slack-aware SLO analysis (lines 1-3).
 	sloH, sloL := e.Engine.RuntimeSLOs(now)

@@ -39,6 +39,26 @@ func normalizeTable(tbl *Table) {
 	}
 }
 
+// renderNormalized runs one experiment on the given lab and returns its
+// normalized JSON — the canonical form the golden snapshots use.
+func renderNormalized(t *testing.T, lab *Lab, id string, o Options) string {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.Run(lab, o)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	normalizeTable(tbl)
+	got, err := json.MarshalIndent(tbl, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(got)
+}
+
 func goldenPath(id string) string {
 	return filepath.Join("testdata", "golden", id+".json")
 }
@@ -59,16 +79,7 @@ func TestGoldenTables(t *testing.T) {
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tbl, err := e.Run(lab, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			normalizeTable(tbl)
-			got, err := json.MarshalIndent(tbl, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
+			got := []byte(renderNormalized(t, lab, e.ID, o) + "\n")
 			path := goldenPath(e.ID)
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -119,26 +130,19 @@ func goldenDiff(want, got []byte) string {
 // experiments: the same experiment executed sequentially (width 1) and
 // via the parallel runner at widths 2 and 8 must render byte-identical
 // tables. Each width uses a fresh Lab so the run cache cannot mask
-// re-execution.
+// re-execution. Run under -race in CI, this also exercises the step
+// capture's confinement to its owning machine.
 func TestParallelWidthDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiments skipped in -short")
 	}
-	ids := []string{"fig10", "auservice", "fleet"}
+	ids := []string{"fig10", "auservice", "fleet", "chaos"}
 	render := func(width int) map[string]string {
 		lab := NewLab()
 		lab.SetWorkers(width)
 		out := make(map[string]string, len(ids))
 		for _, id := range ids {
-			e, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tbl, err := e.Run(lab, Options{Quick: true, Seed: 42})
-			if err != nil {
-				t.Fatalf("width %d: %s: %v", width, id, err)
-			}
-			out[id] = tbl.Render()
+			out[id] = renderNormalized(t, lab, id, Options{Quick: true, Seed: 42})
 		}
 		return out
 	}

@@ -4,7 +4,6 @@ import (
 	"os"
 	"testing"
 
-	"aum/internal/machine"
 	"aum/internal/reqtrace"
 )
 
@@ -45,24 +44,21 @@ func TestRequestTracingDoesNotChangeResults(t *testing.T) {
 	}
 }
 
-// TestRequestTracingWidthFFDeterminism crosses the tracing toggle with
-// worker width and quiescence fast-forward on the fleet experiments
-// (including the faulted and traced ones): all twelve combinations must
-// render byte-identically to the untraced width-1 reference. Run under
-// -race in CI, this also exercises the tracer's hook-side locking.
-func TestRequestTracingWidthFFDeterminism(t *testing.T) {
+// TestRequestTracingWidthDeterminism crosses the tracing toggle with
+// worker width on the fleet experiments (including the faulted and
+// traced ones): traced runs at widths 1, 2 and 8 must render
+// byte-identically to the untraced width-1 reference. Run under -race
+// in CI, this also exercises the tracer's hook-side locking.
+func TestRequestTracingWidthDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiments skipped in -short")
 	}
-	prevFF := machine.FastForward()
-	defer machine.SetFastForward(prevFF)
 	defer reqtrace.SetForced(false)
 
 	ids := []string{"fleet", "fleetchaos", "blame"}
 	o := Options{Quick: true, Seed: 42}
-	render := func(traced, ff bool, width int) map[string]string {
+	render := func(traced bool, width int) map[string]string {
 		reqtrace.SetForced(traced)
-		machine.SetFastForward(ff)
 		lab := NewLab()
 		lab.SetWorkers(width)
 		out := make(map[string]string, len(ids))
@@ -71,14 +67,12 @@ func TestRequestTracingWidthFFDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	ref := render(false, false, 1)
-	for _, ff := range []bool{false, true} {
-		for _, w := range []int{1, 2, 8} {
-			got := render(true, ff, w)
-			for _, id := range ids {
-				if got[id] != ref[id] {
-					t.Errorf("%s (traced, ff=%v, width=%d) diverged from untraced ff=off width=1", id, ff, w)
-				}
+	ref := render(false, 1)
+	for _, w := range []int{1, 2, 8} {
+		got := render(true, w)
+		for _, id := range ids {
+			if got[id] != ref[id] {
+				t.Errorf("%s (traced, width=%d) diverged from untraced width 1", id, w)
 			}
 		}
 	}

@@ -13,8 +13,6 @@
 package machine
 
 import (
-	"sync/atomic"
-
 	"aum/internal/power"
 	"aum/internal/topdown"
 )
@@ -36,19 +34,6 @@ type Quiescer interface {
 	// operations, without recomputing the Usage.
 	AdvanceQuiesced(dt float64)
 }
-
-// ffOff is the global fast-forward kill switch, default off (i.e.
-// fast-forward enabled). Stored inverted so the zero value enables the
-// optimization.
-var ffOff atomic.Bool
-
-// SetFastForward toggles quiescence-aware fast-forward globally.
-// Results are byte-identical either way; disabling only costs
-// wall-clock. Intended for A/B verification and debugging.
-func SetFastForward(enabled bool) { ffOff.Store(!enabled) }
-
-// FastForward reports whether quiescence-aware fast-forward is enabled.
-func FastForward() bool { return !ffOff.Load() }
 
 // taskInc is the captured per-task accumulator increment of one step.
 // Each field holds the already-multiplied product the full Step added,
@@ -132,12 +117,12 @@ type stepCapture struct {
 // could change the next step's dynamics calls it.
 func (m *Machine) invalidateFF() { m.ff.valid = false }
 
-// InvalidateFastForward drops the step capture from outside the
+// InvalidateCapture drops the step capture from outside the
 // machine API. Layers that mutate a workload's feeding state behind
 // the machine's back — the fleet harvesting a crashed node's serving
 // engine — must call it, or a stale capture could replay a step whose
 // quiescence proof no longer holds.
-func (m *Machine) InvalidateFastForward() { m.invalidateFF() }
+func (m *Machine) InvalidateCapture() { m.invalidateFF() }
 
 // FFSteps returns how many steps were advanced via fast-forward replay
 // rather than a full solve, so observability can report how much
@@ -213,18 +198,29 @@ func (m *Machine) replayStep(dt float64) {
 }
 
 // StepN advances the simulation by k steps of dt seconds each,
-// replaying quiescent steps from the last full step's capture when
-// fast-forward is enabled. StepN(dt, k) is byte-identical to k
-// sequential Step(dt) calls.
+// replaying quiescent steps from the last full step's capture.
+// StepN(dt, k) is byte-identical to k sequential Step(dt) calls.
 func (m *Machine) StepN(dt float64, k int) {
-	ff := FastForward()
 	for ; k > 0; k-- {
-		if ff && m.canReplay(dt) {
+		if m.canReplay(dt) {
 			m.replayStep(dt)
 		} else {
 			m.Step(dt)
 		}
 	}
+}
+
+// StepsBefore is the skip rule the stepping loops share (DESIGN.md §9):
+// how many dt steps a loop at now may take back to back when its next
+// event is due at stop. The count stops half a tick short of stop —
+// the margin absorbs the ~1-ulp drift between an accumulated clock and
+// an event time computed arithmetically — and is at least 1, so a loop
+// always advances.
+func StepsBefore(now, stop, dt float64) int {
+	if k := int((stop-now)/dt - 0.5); k > 1 {
+		return k
+	}
+	return 1
 }
 
 // capture records the just-completed full step so subsequent quiescent
@@ -262,7 +258,7 @@ type BulkQuiescer interface {
 // the per-barrier stepping set.
 func (m *Machine) CoarseReady(dt float64) bool {
 	c := &m.ff
-	if !FastForward() || !c.valid || c.dt != dt || c.n != len(m.tasks) {
+	if !c.valid || c.dt != dt || c.n != len(m.tasks) {
 		return false
 	}
 	if m.tel != nil {
@@ -297,7 +293,7 @@ func (m *Machine) SkipQuiescent(dt float64, k int) bool {
 		return true
 	}
 	c := &m.ff
-	if !FastForward() || !c.valid || c.dt != dt || c.n != len(m.tasks) {
+	if !c.valid || c.dt != dt || c.n != len(m.tasks) {
 		return false
 	}
 	if m.tel != nil {

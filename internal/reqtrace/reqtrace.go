@@ -15,8 +15,8 @@
 // input is a pure function of state the simulation computes anyway, and
 // fleet-level float aggregation happens only in single-threaded barrier
 // code over records sorted by trace ID — so enabling tracing is
-// byte-identical to disabling it at any worker width, with fast-forward
-// on or off (pinned by TestRequestTracingDoesNotChangeResults).
+// byte-identical to disabling it at any worker width (pinned by
+// TestRequestTracingDoesNotChangeResults).
 package reqtrace
 
 import (
@@ -262,10 +262,10 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// forcedOn is the process-global default-tracing toggle, mirroring
-// machine.SetFastForward: TestRequestTracingDoesNotChangeResults flips
-// it to force every run in the process to carry a tracer, proving the
-// goldens are byte-identical either way.
+// forcedOn is the process-global default-tracing toggle:
+// TestRequestTracingDoesNotChangeResults flips it to force every run
+// in the process to carry a tracer, proving the goldens are
+// byte-identical either way.
 var forcedOn atomic.Bool
 
 // SetForced toggles default request tracing globally: runs whose config

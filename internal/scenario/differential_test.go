@@ -10,15 +10,14 @@ import (
 	"aum/internal/chaos"
 	"aum/internal/cluster"
 	"aum/internal/experiments"
-	"aum/internal/machine"
 	"aum/internal/manager"
 	"aum/internal/platform"
 	"aum/internal/trace"
 )
 
 // The differential contract: a scenario file that re-declares a
-// Go-built experiment must produce the byte-identical cluster.Result —
-// at every worker width and with fast-forward on or off. The mirrors
+// Go-built experiment must produce the byte-identical cluster.Result
+// at every worker width. The mirrors
 // under testdata/diff re-declare the fleet and fleetchaos experiment
 // rows at the Quick horizon (20 s, seed 42); goRef* below are the same
 // configurations the experiments build, restated literally.
@@ -115,31 +114,25 @@ func TestDifferentialScenarioParity(t *testing.T) {
 	if testing.Short() {
 		widths = []int{1, 8}
 	}
-	defer machine.SetFastForward(machine.FastForward())
-
 	for name, refCfg := range refs {
 		t.Run(name, func(t *testing.T) {
 			spec, err := Load(filepath.Join("testdata", "diff", name+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			machine.SetFastForward(true)
 			refRes, err := cluster.Run(refCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := resultBytes(t, refRes)
-			for _, ff := range []bool{true, false} {
-				machine.SetFastForward(ff)
-				for _, w := range widths {
-					res, err := Run(spec, RunOptions{Workers: w})
-					if err != nil {
-						t.Fatalf("ff=%v workers=%d: %v", ff, w, err)
-					}
-					if got := resultBytes(t, res); !bytes.Equal(got, want) {
-						t.Fatalf("ff=%v workers=%d: scenario result diverged from the Go path\n got: %s\nwant: %s",
-							ff, w, got, want)
-					}
+			for _, w := range widths {
+				res, err := Run(spec, RunOptions{Workers: w})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				if got := resultBytes(t, res); !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d: scenario result diverged from the Go path\n got: %s\nwant: %s",
+						w, got, want)
 				}
 			}
 		})
@@ -152,8 +145,6 @@ func TestDifferentialScenarioParity(t *testing.T) {
 func TestDifferentialExperimentTables(t *testing.T) {
 	lab := experiments.NewLab()
 	opt := experiments.Options{Quick: true, Seed: 42}
-	defer machine.SetFastForward(machine.FastForward())
-	machine.SetFastForward(true)
 
 	runDSL := func(t *testing.T, name string, workers int) cluster.Result {
 		t.Helper()

@@ -6,7 +6,7 @@
 // deterministic core is untouched: a scenario is pure data, and the
 // compiled cluster.Config runs through exactly the machinery the
 // Go-coded experiments use, so DSL-declared scenarios inherit the
-// width-determinism and fast-forward byte-identity contracts
+// width-determinism and replay byte-identity contracts
 // (DESIGN.md §6, §8, §9) for free — a property the differential tests
 // in this package pin against the fleet and fleetchaos experiments.
 //

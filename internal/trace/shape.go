@@ -17,7 +17,7 @@ import (
 //
 // Implementations must be pure: Factor is a function of t only, so a
 // shaped generator replays identically from a seed regardless of
-// worker width or fast-forward.
+// worker width or how many quiescent ticks the loop batches.
 type Shaper interface {
 	// Factor returns the instantaneous rate multiplier at absolute
 	// simulation time t. It must be non-negative and bounded above by

@@ -1,10 +1,8 @@
 package aum
 
-// Fast-forward control and in-process hot-path measurement. The
-// toggle re-exports the quiescence replay layer (DESIGN.md §9); the
-// measurement lets cmd/aumbench record the simulator's per-step cost
-// and allocation count in BENCH_results.json without depending on
-// `go test -bench`.
+// In-process hot-path measurement: lets cmd/aumbench record the
+// simulator's per-step cost and allocation count in BENCH_results.json
+// without depending on `go test -bench`.
 
 import (
 	"runtime"
@@ -21,16 +19,6 @@ import (
 	"aum/internal/trace"
 	"aum/internal/workload"
 )
-
-// SetFastForward toggles quiescence-aware fast-forward (DESIGN.md §9)
-// process-wide. It is enabled by default; results are byte-identical
-// either way — the toggle exists for debugging and for measuring the
-// layer's speedup.
-func SetFastForward(on bool) { machine.SetFastForward(on) }
-
-// FastForward reports whether quiescence-aware fast-forward is
-// enabled.
-func FastForward() bool { return machine.FastForward() }
 
 // HotPathBench is one in-process microbenchmark result, the schema
 // recorded under "hot_paths" in BENCH_results.json.
