@@ -113,9 +113,20 @@ type stepCapture struct {
 	inc     []taskInc
 }
 
-// invalidateFF drops the step capture. Every machine-API mutation that
-// could change the next step's dynamics calls it.
-func (m *Machine) invalidateFF() { m.ff.valid = false }
+// invalidateFF drops the step capture and the step layout. Every
+// machine-API mutation that could change the next step's dynamics
+// calls it.
+func (m *Machine) invalidateFF() {
+	m.ff.valid = false
+	m.layout.valid = false
+}
+
+// captureFits reports whether the capture describes a full step of dt
+// over the current task set, the precondition of every replay path.
+func (m *Machine) captureFits(dt float64) bool {
+	c := &m.ff
+	return c.valid && c.dt == dt && c.n == len(m.tasks)
+}
 
 // InvalidateCapture drops the step capture from outside the
 // machine API. Layers that mutate a workload's feeding state behind
@@ -134,10 +145,10 @@ func (m *Machine) FFSteps() uint64 { return m.ffSteps }
 // which commits the thermal advance — it must stay last so a refusal
 // leaves the machine untouched for the full Step that follows.
 func (m *Machine) canReplay(dt float64) bool {
-	c := &m.ff
-	if !c.valid || c.dt != dt || c.n != len(m.tasks) {
+	if !m.captureFits(dt) {
 		return false
 	}
+	c := &m.ff
 	if c.empty {
 		return true
 	}
@@ -190,9 +201,9 @@ func (m *Machine) replayStep(dt float64) {
 	m.now += dt
 	if m.tel != nil {
 		// The captured solve/demand state is exactly what a sequential
-		// step would have recomputed; scratch demands/regionOf are
-		// untouched during replay.
-		m.tel.record(m, c.sol, c.cosGrants, c.linkUtil, m.scratch.demands, m.scratch.regionOf)
+		// step would have recomputed; the scratch demands and the
+		// layout's regionOf are untouched during replay.
+		m.tel.record(m, c.sol, c.cosGrants, c.linkUtil, m.scratch.demands, m.layout.regionOf)
 		m.tel.ffSteps.Inc()
 	}
 }
@@ -257,13 +268,16 @@ type BulkQuiescer interface {
 // bulk-quiesce. Fleet code uses it to decide when a machine may leave
 // the per-barrier stepping set.
 func (m *Machine) CoarseReady(dt float64) bool {
+	return m.bulkQuiescent(dt, 1)
+}
+
+// bulkQuiescent reports whether the capture fits dt, no telemetry is
+// attached, and every stepped task can bulk-quiesce k steps. It is pure.
+func (m *Machine) bulkQuiescent(dt float64, k int) bool {
+	if !m.captureFits(dt) || m.tel != nil {
+		return false
+	}
 	c := &m.ff
-	if !c.valid || c.dt != dt || c.n != len(m.tasks) {
-		return false
-	}
-	if m.tel != nil {
-		return false
-	}
 	if c.empty {
 		return true
 	}
@@ -272,7 +286,7 @@ func (m *Machine) CoarseReady(dt float64) bool {
 			continue
 		}
 		bq, ok := c.quiesce[i].(BulkQuiescer)
-		if !ok || !bq.CanQuiesceN(dt, 1) {
+		if !ok || !bq.CanQuiesceN(dt, k) {
 			return false
 		}
 	}
@@ -292,24 +306,12 @@ func (m *Machine) SkipQuiescent(dt float64, k int) bool {
 	if k <= 0 {
 		return true
 	}
+	if !m.bulkQuiescent(dt, k) {
+		return false
+	}
 	c := &m.ff
-	if !c.valid || c.dt != dt || c.n != len(m.tasks) {
-		return false
-	}
-	if m.tel != nil {
-		return false
-	}
 	kk := float64(k)
 	if !c.empty {
-		for i := range c.stepped {
-			if !c.stepped[i] {
-				continue
-			}
-			bq, ok := c.quiesce[i].(BulkQuiescer)
-			if !ok || !bq.CanQuiesceN(dt, k) {
-				return false
-			}
-		}
 		if !m.gov.SkipThermal(dt, k) {
 			return false
 		}

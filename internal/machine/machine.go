@@ -219,32 +219,16 @@ type task struct {
 	stats TaskStats
 }
 
-// region is one frequency-governor region formed during a step: a
-// slot-0 task plus any SMT siblings merged in.
-type region struct {
-	primary int // index into m.tasks
-	class   power.Class
-	util    float64
-}
-
 // stepScratch holds every per-step working buffer so that steady-state
 // stepping allocates nothing. Buffers are sized on first use and grow
 // only when the task population does.
 type stepScratch struct {
-	envs      []Env
 	demands   []Demand
-	eff       []int
-	regions   []region
-	regionOf  []int
 	loads     []power.RegionLoad
-	cosCores  []int
-	cosDemand []float64
-	cosWeight []float64
-	cosCap    []float64
+	cosDemand []float64 // per occupied class
+	cosGrants []float64 // per class, NumCOS long
 	taskGrant []float64
-	idx       []int     // per-COS member indices, reused across classes
-	dem       []float64 // per-COS member demands
-	wts       []float64 // per-COS member weights
+	dem       []float64 // one class's member demands
 	cosArb    membw.Arbiter
 	taskArb   membw.Arbiter
 }
@@ -271,6 +255,7 @@ type Machine struct {
 	lastLinkUtil float64
 	tel          *machTelemetry
 
+	layout  stepLayout
 	scratch stepScratch
 
 	// Fast-forward state (fastforward.go): the last full step's capture
@@ -602,122 +587,63 @@ func (m *Machine) Step(dt float64) {
 	// Task order is stable by construction: AddTask assigns monotonic
 	// ids and appends, and RemoveTask preserves relative order, so
 	// m.tasks is always sorted by id and stepping is deterministic.
+	lay := m.stepLayout()
+	eff := lay.eff
 
-	// Pass 1: provisional environments for demand estimation. Use the
-	// class-license frequency and the full COS bandwidth cap. A task
-	// whose cores are all offline is dormant: zero demand, no step.
+	// Pass 1: demand estimation under the provisional environments. A
+	// task whose cores are all offline is dormant: zero demand, no step.
 	sc := &m.scratch
-	envs := resizeSlice(&sc.envs, n)
 	demands := resizeSlice(&sc.demands, n)
-	eff := resizeSlice(&sc.eff, n)
-	llcPart := cache.Partition{TotalMB: m.plat.TotalLLCMB(), Ways: m.plat.LLC.Ways}
 	for i, t := range m.tasks {
-		eff[i] = m.effCores(t.place)
-		m.fillBaseEnv(&envs[i], t, llcPart)
-		envs[i].Cores = eff[i]
 		if eff[i] > 0 {
-			demands[i] = t.wl.Demand(envs[i])
+			demands[i] = t.wl.Demand(lay.base[i])
 		} else {
 			demands[i] = Demand{}
 		}
 	}
 
-	// Frequency regions: one per slot-0 task; siblings merge in.
-	regions := resizeSlice(&sc.regions, n)[:0]
-	regionOf := resizeSlice(&sc.regionOf, n)
-	for i := range regionOf {
-		regionOf[i] = -1
+	// Frequency regions: each primary's load, raised by its siblings'
+	// demand on the shared fraction of the region's cores.
+	loads := resizeSlice(&sc.loads, len(lay.primaries))
+	for j, p := range lay.primaries {
+		loads[j] = power.RegionLoad{Cores: eff[p], Class: demands[p].Class, Util: demands[p].Util}
 	}
-	for i, t := range m.tasks {
-		if t.place.SMTSlot != 0 {
-			continue
+	for _, s := range lay.merges {
+		d, r := &demands[s.task], &loads[s.other]
+		if d.Class > r.Class {
+			r.Class = d.Class
 		}
-		regionOf[i] = len(regions)
-		regions = append(regions, region{primary: i, class: demands[i].Class, util: demands[i].Util})
-	}
-	for i, t := range m.tasks {
-		if t.place.SMTSlot == 0 {
-			continue
-		}
-		best, bestOverlap := -1, 0
-		for j, r := range regions {
-			rp := m.tasks[r.primary].place
-			if !rp.overlaps(t.place) {
-				continue
-			}
-			lo := max(rp.CoreLo, t.place.CoreLo)
-			hi := min(rp.CoreHi, t.place.CoreHi)
-			overlap := hi - lo + 1
-			// Combined utilization raises core power on the shared
-			// fraction of the region's cores.
-			if demands[i].Class > regions[j].class {
-				regions[j].class = demands[i].Class
-			}
-			cover := float64(overlap) / float64(rp.Cores())
-			regions[j].util = math.Min(1.6, regions[j].util+demands[i].Util*cover)
-			if overlap > bestOverlap {
-				best, bestOverlap = j, overlap
-			}
-		}
-		// The sibling runs at the frequency of the region hosting most
-		// of its cores.
-		regionOf[i] = best
-	}
-	loads := resizeSlice(&sc.loads, len(regions))
-	for j, r := range regions {
-		loads[j] = power.RegionLoad{
-			Cores: eff[r.primary],
-			Class: r.class,
-			Util:  r.util,
-		}
+		r.Util = math.Min(1.6, r.Util+d.Util*s.cover)
 	}
 	sol := m.gov.Solve(loads, dt)
 
-	// Bandwidth: two-level weighted max-min arbitration — across
-	// classes of service (weights: core counts, caps: MBA throttles),
-	// then across the tasks within each class (weights: core counts).
-	availBW := m.plat.MemBWGBs - m.bwPressure
-	if availBW < 1 {
-		availBW = 1
+	// Bandwidth: two-level weighted max-min arbitration — across the
+	// occupied classes of service (weights: core counts, caps: MBA
+	// throttles), then across the tasks within each class (weights:
+	// core counts). An empty class would have zero demand and weight,
+	// so leaving it out changes no grant.
+	cosDemand := resizeSlice(&sc.cosDemand, len(lay.cos))
+	for k := range lay.cos {
+		d := 0.0
+		for _, i := range lay.members[lay.memberLo[k]:lay.memberLo[k+1]] {
+			d += demands[i].BWGBs
+		}
+		cosDemand[k] = d
 	}
-	cosCores := resizeSlice(&sc.cosCores, len(m.cos))
-	cosDemand := resizeSlice(&sc.cosDemand, len(m.cos))
-	cosWeight := resizeSlice(&sc.cosWeight, len(m.cos))
-	cosCap := resizeSlice(&sc.cosCap, len(m.cos))
-	for c := range m.cos {
-		cosCores[c] = 0
-		cosDemand[c] = 0
-	}
-	for i, t := range m.tasks {
-		cosCores[t.place.COS] += eff[i]
-		cosDemand[t.place.COS] += demands[i].BWGBs
-	}
-	for c := range m.cos {
-		cosWeight[c] = float64(cosCores[c])
-		cosCap[c] = m.cos[c].MBAFrac * availBW
-	}
-	cosGrants := sc.cosArb.MaxMin(availBW, cosDemand, cosWeight, cosCap)
-	// Within each class, allot across its tasks.
+	grants := sc.cosArb.MaxMin(lay.availBW, cosDemand, lay.cosWeight, lay.cosCap)
+	cosGrants := resizeSlice(&sc.cosGrants, len(m.cos))
+	clear(cosGrants)
 	taskGrant := resizeSlice(&sc.taskGrant, n)
-	for c := range m.cos {
-		idx := sc.idx[:0]
-		dem := sc.dem[:0]
-		wts := sc.wts[:0]
-		for i, t := range m.tasks {
-			if t.place.COS != c {
-				continue
-			}
-			idx = append(idx, i)
-			dem = append(dem, demands[i].BWGBs)
-			wts = append(wts, float64(eff[i]))
+	for k, c := range lay.cos {
+		cosGrants[c] = grants[k]
+		lo, hi := lay.memberLo[k], lay.memberLo[k+1]
+		dem := resizeSlice(&sc.dem, hi-lo)
+		for x, i := range lay.members[lo:hi] {
+			dem[x] = demands[i].BWGBs
 		}
-		sc.idx, sc.dem, sc.wts = idx, dem, wts
-		if len(idx) == 0 {
-			continue
-		}
-		g := sc.taskArb.MaxMin(cosGrants[c], dem, wts, nil)
-		for k, i := range idx {
-			taskGrant[i] = g[k]
+		g := sc.taskArb.MaxMin(grants[k], dem, lay.memberW[lo:hi], nil)
+		for x, i := range lay.members[lo:hi] {
+			taskGrant[i] = g[x]
 		}
 	}
 	linkUsed := m.bwPressure
@@ -740,26 +666,21 @@ func (m *Machine) Step(dt float64) {
 			continue // all cores offline: the task is stalled
 		}
 		ffc.stepped[i] = true
-		ffc.quiesce[i], _ = t.wl.(Quiescer)
-		env := envs[i]
-		if regionOf[i] >= 0 {
-			env.GHz = sol.FreqGHz[regionOf[i]]
+		ffc.quiesce[i] = lay.quiesce[i]
+		env := lay.base[i]
+		if r := lay.regionOf[i]; r >= 0 {
+			env.GHz = sol.FreqGHz[r]
 		}
 		env.GHz *= m.freqDerate
 		// Bandwidth share within COS.
-		c := t.place.COS
 		env.BWGBs = taskGrant[i]
 		// Guarantee a trickle so zero-demand estimates don't deadlock
 		// workloads whose demand appears after execution begins.
 		if env.BWGBs < 0.1 {
 			env.BWGBs = 0.1
 		}
-		// LLC share within COS.
-		if cosCores[c] > 0 {
-			env.LLCMB = llcPart.WaysMB(m.cos[c].Ways.Count()) * float64(eff[i]) / float64(cosCores[c])
-		}
-		// SMT compute share.
-		env.ComputeShare = m.computeShare(i, demands)
+		env.LLCMB = lay.llcMB[i]
+		env.ComputeShare = lay.computeShare(i, demands)
 		env.LinkUtil = linkUtil
 
 		u := t.wl.Step(env, m.now, dt)
@@ -807,7 +728,7 @@ func (m *Machine) Step(dt float64) {
 	ffc.cosGrants = cosGrants
 
 	if m.tel != nil {
-		m.tel.record(m, sol, cosGrants, linkUtil, demands, regionOf)
+		m.tel.record(m, sol, cosGrants, linkUtil, demands, lay.regionOf)
 	}
 }
 
@@ -819,62 +740,4 @@ func resizeSlice[T any](s *[]T, n int) []T {
 	}
 	*s = (*s)[:n]
 	return *s
-}
-
-// fillBaseEnv writes the demand-estimation environment for a task into
-// *env, avoiding a large-struct copy on the per-step path. Demand
-// estimation uses the scalar license as the optimistic frequency; the
-// governor refines it.
-func (m *Machine) fillBaseEnv(env *Env, t *task, llcPart cache.Partition) {
-	cosCfg := m.cos[t.place.COS]
-	l2 := float64(m.plat.L2.SizeKB) / 1024 * float64(t.place.Cores())
-	if m.hasSibling(t) {
-		l2 /= 2
-	}
-	env.Plat = &m.plat
-	env.Cores = t.place.Cores()
-	env.GHz = power.LicenseCap(&m.plat, power.Scalar)
-	env.ComputeShare = 1
-	env.LLCMB = llcPart.WaysMB(cosCfg.Ways.Count())
-	env.L2MB = l2
-	env.BWGBs = cosCfg.MBAFrac * m.plat.MemBWGBs
-	env.LinkUtil = 0
-}
-
-// hasSibling reports whether any task occupies the other SMT slot of
-// t's cores.
-func (m *Machine) hasSibling(t *task) bool {
-	for _, o := range m.tasks {
-		if o.id == t.id || o.place.SMTSlot == t.place.SMTSlot {
-			continue
-		}
-		if o.place.overlaps(t.place) {
-			return true
-		}
-	}
-	return false
-}
-
-// computeShare returns the execution-port share of task i given all
-// demands: 1 when alone on its cores, reduced by an active sibling.
-func (m *Machine) computeShare(i int, demands []Demand) float64 {
-	t := m.tasks[i]
-	partnerUtil := 0.0
-	for j, o := range m.tasks {
-		if j == i || o.place.SMTSlot == t.place.SMTSlot {
-			continue
-		}
-		if o.place.overlaps(t.place) {
-			// Weight by how much of t's range the sibling covers.
-			lo := math.Max(float64(t.place.CoreLo), float64(o.place.CoreLo))
-			hi := math.Min(float64(t.place.CoreHi), float64(o.place.CoreHi))
-			cover := (hi - lo + 1) / float64(t.place.Cores())
-			partnerUtil += demands[j].Util * cover
-		}
-	}
-	if partnerUtil <= 0 {
-		return 1
-	}
-	c := smtContention(demands[i].Class)
-	return 1 / (1 + c*math.Min(partnerUtil, 1.25))
 }

@@ -85,6 +85,44 @@ type App struct {
 	// FlipPhase) that the next full Step has not yet observed; it blocks
 	// quiescent replay until then (see CanQuiesce).
 	dirty bool
+
+	// Memos of the two transcendental terms of a step: the miss ratio
+	// at an LLC size and the frequency factor at a clock ratio. They
+	// depend on the profile only through Curve and FreqSens, which no
+	// phase changes. Each keeps two entries because the machine asks at
+	// two environments per step: Demand at the provisional one, Step at
+	// the granted one.
+	missMemo memo2
+	freqMemo memo2
+}
+
+// memo2 caches a pure function of one float64 at its two most recently
+// used arguments, keyed by their exact bits.
+type memo2 struct {
+	key  [2]uint64
+	val  [2]float64
+	set  [2]bool
+	last int // slot used most recently
+}
+
+// lookup returns the memoized value at x, if x is an entry.
+func (m *memo2) lookup(x float64) (float64, bool) {
+	k := math.Float64bits(x)
+	for i := range m.key {
+		if m.set[i] && m.key[i] == k {
+			m.last = i
+			return m.val[i], true
+		}
+	}
+	return 0, false
+}
+
+// store records v at x in place of the least recently used entry and
+// returns v.
+func (m *memo2) store(x, v float64) float64 {
+	i := 1 - m.last
+	m.key[i], m.val[i], m.set[i], m.last = math.Float64bits(x), v, true, i
+	return v
 }
 
 // New instantiates a profile with its own random stream.
@@ -137,7 +175,11 @@ func (a *App) PhaseFlipped() bool { return a.flipped }
 // bytesPerUnit returns the DRAM traffic per work unit under the LLC
 // allocation.
 func (a *App) bytesPerUnit(llcMB float64) float64 {
-	return a.prof.ColdBytes + a.prof.ReuseBytes*a.prof.Curve.MissRatio(llcMB)
+	miss, ok := a.missMemo.lookup(llcMB)
+	if !ok {
+		miss = a.missMemo.store(llcMB, a.prof.Curve.MissRatio(llcMB))
+	}
+	return a.prof.ColdBytes + a.prof.ReuseBytes*miss
 }
 
 // unconstrainedRate returns the compute-side rate under env.
@@ -153,7 +195,11 @@ func (a *App) unconstrainedRate(env machine.Env) float64 {
 	if f <= 0 {
 		return 0
 	}
-	return a.prof.PerCoreRate * float64(env.Cores) * math.Pow(f, a.prof.FreqSens) * share * a.burst * a.intensity
+	scale, ok := a.freqMemo.lookup(f)
+	if !ok {
+		scale = a.freqMemo.store(f, math.Pow(f, a.prof.FreqSens))
+	}
+	return a.prof.PerCoreRate * float64(env.Cores) * scale * share * a.burst * a.intensity
 }
 
 // Demand implements machine.Workload.

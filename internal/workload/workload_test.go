@@ -1,8 +1,12 @@
 package workload
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"aum/internal/cache"
 	"aum/internal/machine"
 	"aum/internal/platform"
 )
@@ -242,5 +246,77 @@ func TestPhaseFlip(t *testing.T) {
 	}
 	if a.Profile() != orig {
 		t.Fatalf("profile not restored: %+v", a.Profile())
+	}
+}
+
+// usageBits is every float field of a Usage (Breakdown included) as bit
+// patterns, so −0 and +0 differ.
+func usageBits(u machine.Usage) []uint64 {
+	var bits []uint64
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Float64:
+			bits = append(bits, math.Float64bits(v.Float()))
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		}
+	}
+	walk(reflect.ValueOf(u))
+	return bits
+}
+
+// TestAppMemoBitIdentity drives twin Apps the way the machine does —
+// Demand under the provisional environment, then Step under the granted
+// one — while ways, frequency, intensity and phase change. One twin has
+// its miss-ratio and frequency memos cleared before every call, so it
+// recomputes every term; the twins must agree bit for bit.
+func TestAppMemoBitIdentity(t *testing.T) {
+	plat := platform.GenA()
+	part := cache.Partition{TotalMB: plat.TotalLLCMB(), Ways: plat.LLC.Ways}
+	clocks := []float64{1.9, 2.3, 2.7, 3.1}
+	for _, p := range []Profile{Compute(), OLAP(), SPECjbb(), Stressor(), MCF(), Ads()} {
+		t.Run(p.Name, func(t *testing.T) {
+			memo, fresh := New(p, 11), New(p, 11)
+			r := rand.New(rand.NewSource(5))
+			ways := 4
+			for s := 0; s < 600; s++ {
+				if r.Intn(10) == 0 {
+					ways = 1 + r.Intn(plat.LLC.Ways)
+				}
+				switch {
+				case s%83 == 82:
+					mult := 0.5 + r.Float64()
+					memo.SetIntensity(mult)
+					fresh.SetIntensity(mult)
+				case s%131 == 130:
+					memo.FlipPhase()
+					fresh.FlipPhase()
+				}
+				base := env(24, plat.License.Scalar, part.WaysMB(ways), 150)
+				exec := base
+				exec.GHz = clocks[r.Intn(len(clocks))]
+				if r.Intn(4) == 0 {
+					exec.GHz *= 0.8 + 0.2*r.Float64()
+				}
+				exec.LLCMB = base.LLCMB * float64(1+r.Intn(3)) / 3
+				exec.BWGBs = 5 + 100*r.Float64()
+				exec.LinkUtil = r.Float64()
+
+				fresh.missMemo, fresh.freqMemo = memo2{}, memo2{}
+				dm, df := memo.Demand(base), fresh.Demand(base)
+				if dm.Class != df.Class || math.Float64bits(dm.Util) != math.Float64bits(df.Util) ||
+					math.Float64bits(dm.BWGBs) != math.Float64bits(df.BWGBs) {
+					t.Fatalf("step %d: Demand %+v, recomputed %+v", s, dm, df)
+				}
+				fresh.missMemo, fresh.freqMemo = memo2{}, memo2{}
+				um, uf := memo.Step(exec, float64(s)*1e-3, 1e-3), fresh.Step(exec, float64(s)*1e-3, 1e-3)
+				if !reflect.DeepEqual(usageBits(um), usageBits(uf)) {
+					t.Fatalf("step %d: Usage %+v, recomputed %+v", s, um, uf)
+				}
+			}
+		})
 	}
 }
