@@ -172,8 +172,6 @@ type (
 	ScenarioSpec = scenario.Spec
 	// ScenarioRunOptions tune one scenario execution.
 	ScenarioRunOptions = scenario.RunOptions
-	// ScenarioMatrixOptions tune a scenario-matrix sweep.
-	ScenarioMatrixOptions = scenario.MatrixOptions
 	// TraceShaper modulates a Scenario's arrival rate over time (set
 	// Scenario.Shape); implementations must bound Factor by MaxFactor.
 	TraceShaper = trace.Shaper
@@ -211,9 +209,9 @@ func RunScenario(s *ScenarioSpec, o ScenarioRunOptions) (FleetResult, error) {
 
 // ScenarioMatrix sweeps scenarios through the lab's parallel pool and
 // returns one comparison table, rows in input order (the aumbench
-// -scenarios -matrix core).
-func ScenarioMatrix(lab *Lab, specs []*ScenarioSpec, o ScenarioMatrixOptions) (*ResultTable, error) {
-	return scenario.Matrix(lab, specs, o)
+// -scenarios core).
+func ScenarioMatrix(lab *Lab, specs []*ScenarioSpec) (*ResultTable, error) {
+	return experiments.Matrix(lab, specs)
 }
 
 // NewBurstStorm returns a seeded burst-storm shaper: windows of durS

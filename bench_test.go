@@ -201,7 +201,7 @@ func BenchmarkMaxMin(b *testing.B) {
 	}
 }
 
-var benchDecisionSink float64
+var benchDecisionSink int
 
 // BenchmarkControllerDecision measures the runtime controller's bucket
 // search — the operation the paper bounds at <1 ms (Section VII-D).
@@ -211,18 +211,15 @@ func BenchmarkControllerDecision(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	mgr, err := core.NewAUM(m, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	slo := trace.Chatbot().SLO
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		best := -1.0
-		for d := range m.Divisions {
-			for c := range m.Configs {
-				if e := m.Bucket(d, c).Efficiency(1.8, 0.2, m.Gamma); e > best {
-					best = e
-				}
-			}
-		}
-		benchDecisionSink = best
+		benchDecisionSink, _ = mgr.BestBucket(slo.TTFT, slo.TPOT)
 	}
 }
 

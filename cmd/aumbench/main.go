@@ -5,15 +5,15 @@
 //	aumbench -list
 //	aumbench -run fig14
 //	aumbench -run all -quick -workers 8
-//	aumbench -scenarios internal/scenario/library -matrix
+//	aumbench -scenarios internal/scenario/library
 //	aumbench -scenarios dir/ -lint
 //
 // -scenarios enters scenario mode: every *.json / *.jsonc file in the
 // directory is loaded as a declarative workload scenario (DESIGN.md
-// §11). -matrix (the default action) sweeps them all through the
-// runner pool and prints one comparison table; -matrix-out also writes
-// it as JSON. -lint stops after validating and compiling each file,
-// printing one line per scenario — the CI schema check.
+// §11) and swept through the runner pool into one comparison table;
+// -matrix-out also writes it as JSON. -lint stops after validating and
+// compiling each file, printing one line per scenario — the CI schema
+// check.
 //
 // Each experiment prints a paper-style text table; EXPERIMENTS.md maps
 // every ID to the corresponding table or figure and records the
@@ -85,9 +85,8 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file ('' disables)")
 		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file ('' disables)")
 		scenDir   = flag.String("scenarios", "", "scenario mode: directory of declarative *.json/*.jsonc scenarios")
-		matrix    = flag.Bool("matrix", false, "with -scenarios: sweep every scenario and print the comparison table (default action)")
 		lint      = flag.Bool("lint", false, "with -scenarios: validate and compile every scenario, then exit")
-		matrixOut = flag.String("matrix-out", "", "with -scenarios -matrix: also write the table as JSON to this path ('' disables)")
+		matrixOut = flag.String("matrix-out", "", "with -scenarios: also write the comparison table as JSON to this path ('' disables)")
 	)
 	flag.StringVar(run, "experiment", "", "alias for -run")
 	flag.Parse()
@@ -130,7 +129,7 @@ func main() {
 		}
 	}
 	if *scenDir != "" {
-		if err := scenarioMode(*scenDir, *lint, *matrix, *matrixOut, *format, *workers); err != nil {
+		if err := scenarioMode(*scenDir, *lint, *matrixOut, *format, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -10,10 +10,9 @@ import (
 
 // scenarioMode implements -scenarios: load every declarative scenario
 // in dir, then either lint (validate + compile, one line per file) or
-// sweep the whole set through the runner pool as one comparison matrix.
-// The matrix is the default action; -lint wins when both are set.
-func scenarioMode(dir string, lint, matrix bool, matrixOut, format string, workers int) error {
-	_ = matrix // -matrix is the default action; the flag documents intent
+// sweep the whole set through the runner pool as one comparison matrix
+// (the action unless -lint is set).
+func scenarioMode(dir string, lint bool, matrixOut, format string, workers int) error {
 	specs, err := aum.LoadScenarioDir(dir)
 	if err != nil {
 		return err
@@ -33,7 +32,7 @@ func scenarioMode(dir string, lint, matrix bool, matrixOut, format string, worke
 	if workers > 0 {
 		lab.SetWorkers(workers)
 	}
-	tbl, err := aum.ScenarioMatrix(lab, specs, aum.ScenarioMatrixOptions{})
+	tbl, err := aum.ScenarioMatrix(lab, specs)
 	if err != nil {
 		return err
 	}

@@ -178,7 +178,7 @@ func (a *AUM) Allocation() (ways, mba int) { return a.beWays, a.beMBA }
 // Setup implements colo.Manager: pick the statically best feasible
 // bucket and realize it.
 func (a *AUM) Setup(e *colo.Env) error {
-	div, cfg := a.bestBucket(e.Scen.SLO.TTFT, e.Scen.SLO.TPOT)
+	div, cfg := a.BestBucket(e.Scen.SLO.TTFT, e.Scen.SLO.TPOT)
 	a.curDiv = div
 	a.beWays = a.model.Configs[cfg].BEWays
 	a.beMBA = a.model.Configs[cfg].BEMBA
@@ -196,13 +196,15 @@ func (a *AUM) Setup(e *colo.Env) error {
 	return a.applyAllocation(e)
 }
 
-// bestBucket maximizes bucket efficiency subject to the tail-latency
-// constraints (Algorithm 1 line 5). When an SLO is structurally
-// infeasible — the paper's cc scenario cannot meet its TTFT even on an
-// exclusive machine (Section VII-C) — the constraint is relaxed to the
-// achievable frontier so the controller still optimizes among the
-// best-attainable buckets instead of collapsing to max protection.
-func (a *AUM) bestBucket(sloTTFT, sloTPOT float64) (div, cfg int) {
+// BestBucket maximizes bucket efficiency subject to the tail-latency
+// constraints (Algorithm 1 line 5): the controller's decision, taken
+// at Setup and at every division re-check in Tick. When an SLO is
+// structurally infeasible — the paper's cc scenario cannot meet its
+// TTFT even on an exclusive machine (Section VII-C) — the constraint is
+// relaxed to the achievable frontier so the controller still optimizes
+// among the best-attainable buckets instead of collapsing to max
+// protection.
+func (a *AUM) BestBucket(sloTTFT, sloTPOT float64) (div, cfg int) {
 	boundTTFT, boundTPOT := feasibleBounds(a.model, sloTTFT, sloTPOT)
 	// Stage 1: pick the division by its *config-averaged* efficiency
 	// over feasible buckets. Averaging across the five resource probes
@@ -357,7 +359,7 @@ func (a *AUM) Tick(e *colo.Env, now float64) error {
 		// the wait-shrunk runtime slack drives the fine-grained tuner,
 		// but letting it redefine structural feasibility would flip
 		// the controller into unconstrained mode on every queue spike.
-		div, _ := a.bestBucket(e.Scen.SLO.TTFT, e.Scen.SLO.TPOT)
+		div, _ := a.BestBucket(e.Scen.SLO.TTFT, e.Scen.SLO.TPOT)
 		if div != a.curDiv {
 			if err := a.switchDivision(e, div, now); err != nil {
 				return err

@@ -1,15 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
-	"aum/internal/chaos"
 	"aum/internal/cluster"
-	"aum/internal/llm"
-	"aum/internal/manager"
-	"aum/internal/platform"
 	"aum/internal/reqtrace"
-	"aum/internal/trace"
 )
 
 func init() {
@@ -22,22 +15,17 @@ func init() {
 // attributed seconds of both SLO sides. The clean row is dominated by
 // queue/compute/membw; as the crash rate rises the mass visibly shifts
 // toward backoff and recompute — the cost of fault tolerance, itemized.
+// The disaggregated row's KV handoff crosses the default link, so the
+// kvlink category picks up nonzero mass.
 func runBlame(l *Lab, o Options) (*Table, error) {
-	o = o.withDefaults()
-	horizon, _, _ := o.horizons()
-	model := llm.Llama2_7B()
-	scen := trace.Chatbot()
-
-	const active = 4
-	fleet := func() []cluster.MachineSpec {
-		specs := make([]cluster.MachineSpec, 0, active+2)
-		for i := 0; i < active; i++ {
-			specs = append(specs, cluster.MachineSpec{Plat: platform.GenA(), Mgr: manager.AllAU{}})
-		}
-		specs = append(specs,
-			cluster.MachineSpec{Plat: platform.GenA(), Mgr: manager.AllAU{}, Standby: true},
-			cluster.MachineSpec{Plat: platform.GenA(), Mgr: manager.AllAU{}, Standby: true})
-		return specs
+	rows := []scenarioRow{stormRow(0), stormRow(2), stormRow(4), {"disagg-pd", "fleet-disagg", nil}}
+	tracers := make([]*reqtrace.Tracer, len(rows))
+	_, err := l.runScenarioRows(rows, o, func(i int, cfg *cluster.Config) {
+		tracers[i] = reqtrace.New(reqtrace.Config{})
+		cfg.ReqTrace = tracers[i]
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	cats := reqtrace.Categories()
@@ -48,53 +36,10 @@ func runBlame(l *Lab, o Options) (*Table, error) {
 	cols = append(cols, "burn-p99", "sampled")
 	t := &Table{ID: "blame", Title: "Blame attribution, 4x GenA + 2 standby under seeded crash storms (chatbot, autoscaled)",
 		Columns: cols}
-
-	type blameRow struct {
-		label string
-		cfg   cluster.Config
-	}
-	var rows []blameRow
-	for _, n := range []int{0, 2, 4} {
-		cfg := cluster.Config{
-			Machines: fleet(), Model: model, Scen: scen, Policy: cluster.AUVAware,
-			HorizonS: horizon, Seed: o.Seed, RatePerS: 2.0,
-			Autoscale: &cluster.AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1},
-		}
-		if n > 0 {
-			cfg.Faults = &cluster.FaultConfig{
-				Schedule: chaos.CrashStorm(active, n, horizon, horizon/8, o.Seed),
-			}
-		}
-		rows = append(rows, blameRow{fmt.Sprintf("crashes=%d", n), cfg})
-	}
-	// Disaggregated prefill/decode: the KV handoff crosses the default
-	// link, so the kvlink category picks up nonzero mass.
-	rows = append(rows, blameRow{"disagg-pd", cluster.Config{
-		Machines: []cluster.MachineSpec{
-			{Plat: platform.GenA(), Mgr: manager.AllAU{}, Role: cluster.RolePrefill},
-			{Plat: platform.GenB(), Mgr: manager.AllAU{}, Role: cluster.RoleDecode},
-		},
-		Model: model, Scen: scen, Policy: cluster.RoundRobin,
-		HorizonS: horizon, Seed: o.Seed, RatePerS: 1.5,
-	}})
-
 	reports := make([]reqtrace.BlameReport, len(rows))
-	err := l.Parallel(len(rows), func(i int) error {
-		cfg := rows[i].cfg
-		cfg.Workers = l.Workers()
-		rt := reqtrace.New(reqtrace.Config{})
-		cfg.ReqTrace = rt
-		if _, err := cluster.Run(cfg); err != nil {
-			return err
-		}
-		reports[i] = rt.Report()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	for i, r := range rows {
-		rep := reports[i]
+		rep := tracers[i].Report()
+		reports[i] = rep
 		total := rep.TTFTTotalS + rep.TPOTTotalS
 		row := make([]float64, 0, len(cats)+2)
 		for _, cb := range rep.Categories {

@@ -1,12 +1,6 @@
 package experiments
 
-import (
-	"aum/internal/cluster"
-	"aum/internal/llm"
-	"aum/internal/manager"
-	"aum/internal/platform"
-	"aum/internal/trace"
-)
+import "aum/internal/scenario"
 
 func init() {
 	register(Experiment{ID: "fleet", Paper: "Section VIII (ext)", Title: "Fleet-scale serving: balancing, autoscaling, and disaggregation", Run: runFleet})
@@ -15,79 +9,24 @@ func init() {
 // runFleet exercises the full fleet layer over one heterogeneous
 // cluster: the three balancing policies head-to-head under overload,
 // the AUV-aware autoscaler riding a QPS surge, and a disaggregated
-// prefill/decode split paying real KV-transfer costs.
+// prefill/decode split paying real KV-transfer costs. The fleets are
+// the embedded fleet-hetero, fleet-autoscale and fleet-disagg
+// scenario files.
 func runFleet(l *Lab, o Options) (*Table, error) {
-	o = o.withDefaults()
-	horizon, _, _ := o.horizons()
-	model := llm.Llama2_7B()
-	scen := trace.Chatbot()
-
-	// Two slow machines and one fast one: an AUV-oblivious balancer
-	// overloads the GenAs while the GenB coasts.
-	hetero := func() []cluster.MachineSpec {
-		return []cluster.MachineSpec{
-			{Plat: platform.GenA(), Mgr: manager.AllAU{}},
-			{Plat: platform.GenA(), Mgr: manager.AllAU{}},
-			{Plat: platform.GenB(), Mgr: manager.AllAU{}},
-		}
+	var rows []scenarioRow
+	for _, pol := range []string{"round-robin", "least-queued", "auv-aware"} {
+		rows = append(rows, scenarioRow{pol, "fleet-hetero", func(s *scenario.Spec) { s.Fleet.Policy = pol }})
+	}
+	rows = append(rows,
+		scenarioRow{"auv+autoscale", "fleet-autoscale", nil},
+		scenarioRow{"disagg-pd", "fleet-disagg", nil})
+	results, err := l.runScenarioRows(rows, o, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	t := &Table{ID: "fleet", Title: "Fleet of 2x GenA + GenB serving chatbot (exclusive AU use)",
 		Columns: []string{"eff", "goodtok/s", "TPOT-guar", "imbalance", "watts", "mach-s", "handoffs"}}
-
-	type fleetRow struct {
-		label string
-		cfg   cluster.Config
-	}
-	rows := []fleetRow{}
-	for _, pol := range []cluster.BalancePolicy{cluster.RoundRobin, cluster.LeastQueued, cluster.AUVAware} {
-		rows = append(rows, fleetRow{pol.String(), cluster.Config{
-			Machines: hetero(), Model: model, Scen: scen, Policy: pol,
-			HorizonS: horizon, Seed: o.Seed, RatePerS: 3.0,
-		}})
-	}
-	// The autoscaler fleet starts with one machine powered and rides a
-	// surge to triple rate in the middle third of the horizon.
-	rows = append(rows, fleetRow{"auv+autoscale", cluster.Config{
-		Machines: []cluster.MachineSpec{
-			{Plat: platform.GenB(), Mgr: manager.AllAU{}},
-			{Plat: platform.GenA(), Mgr: manager.AllAU{}, Standby: true},
-			{Plat: platform.GenA(), Mgr: manager.AllAU{}, Standby: true},
-		},
-		Model: model, Scen: scen, Policy: cluster.AUVAware,
-		HorizonS: horizon, Seed: o.Seed,
-		RatePerS: 1.0,
-		QPS: []cluster.RatePoint{
-			{At: horizon / 3, RatePerS: 4.0},
-			{At: 2 * horizon / 3, RatePerS: 1.0},
-		},
-		Autoscale: &cluster.AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1},
-	}})
-	// Disaggregation: GenA's AMX does prefill, GenB's HBM does decode,
-	// KV caches cross the default 25 GB/s link.
-	rows = append(rows, fleetRow{"disagg-pd", cluster.Config{
-		Machines: []cluster.MachineSpec{
-			{Plat: platform.GenA(), Mgr: manager.AllAU{}, Role: cluster.RolePrefill},
-			{Plat: platform.GenB(), Mgr: manager.AllAU{}, Role: cluster.RoleDecode},
-		},
-		Model: model, Scen: scen, Policy: cluster.RoundRobin,
-		HorizonS: horizon, Seed: o.Seed, RatePerS: 1.5,
-	}})
-
-	results := make([]cluster.Result, len(rows))
-	err := l.Parallel(len(rows), func(i int) error {
-		cfg := rows[i].cfg
-		cfg.Workers = l.Workers()
-		res, err := cluster.Run(cfg)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	for i, r := range rows {
 		res := results[i]
 		t.AddRow(r.label, res.Eff, res.GoodTokensPS, res.TPOTGuar, res.Imbalance,

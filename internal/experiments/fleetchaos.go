@@ -1,76 +1,28 @@
 package experiments
 
-import (
-	"fmt"
-
-	"aum/internal/chaos"
-	"aum/internal/cluster"
-	"aum/internal/llm"
-	"aum/internal/manager"
-	"aum/internal/platform"
-	"aum/internal/trace"
-)
-
 func init() {
 	register(Experiment{ID: "fleetchaos", Paper: "Section VIII (ext)", Title: "Fleet fault tolerance: availability and goodput under a crash-rate sweep", Run: runFleetChaos})
 }
 
-// runFleetChaos sweeps seeded crash storms over a fleet with a standby
-// pool: each outage harvests the dead machine's in-flight requests for
-// re-dispatch, re-routes its in-flight KV handoffs, and lets the
-// autoscaler backfill the lost capacity. The table shows graceful
-// degradation — availability and goodput fall smoothly with the crash
-// rate instead of collapsing, while the retry/recompute columns show
-// what the fault tolerance cost.
+// runFleetChaos sweeps seeded crash storms over the chaos-standby
+// fleet, which keeps a standby pool: each outage harvests the dead
+// machine's in-flight requests for re-dispatch, re-routes its in-flight
+// KV handoffs, and lets the autoscaler backfill the lost capacity. The
+// table shows graceful degradation — availability and goodput fall
+// smoothly with the crash rate instead of collapsing, while the
+// retry/recompute columns show what the fault tolerance cost.
 func runFleetChaos(l *Lab, o Options) (*Table, error) {
-	o = o.withDefaults()
-	horizon, _, _ := o.horizons()
-	model := llm.Llama2_7B()
-	scen := trace.Chatbot()
-
-	const active = 4
-	fleet := func() []cluster.MachineSpec {
-		specs := make([]cluster.MachineSpec, 0, active+2)
-		for i := 0; i < active; i++ {
-			specs = append(specs, cluster.MachineSpec{Plat: platform.GenA(), Mgr: manager.AllAU{}})
-		}
-		// Two standbys for the autoscaler to backfill outages with.
-		specs = append(specs,
-			cluster.MachineSpec{Plat: platform.GenA(), Mgr: manager.AllAU{}, Standby: true},
-			cluster.MachineSpec{Plat: platform.GenA(), Mgr: manager.AllAU{}, Standby: true})
-		return specs
+	rows := []scenarioRow{stormRow(0), stormRow(1), stormRow(2), stormRow(4)}
+	results, err := l.runScenarioRows(rows, o, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	t := &Table{ID: "fleetchaos", Title: "4x GenA + 2 standby under seeded crash storms (chatbot, autoscaled)",
 		Columns: []string{"avail", "mttr-s", "goodtok/s", "ttft-p99", "redisp", "recomp", "failed", "watts"}}
-
-	crashCounts := []int{0, 1, 2, 4}
-	results := make([]cluster.Result, len(crashCounts))
-	err := l.Parallel(len(crashCounts), func(i int) error {
-		cfg := cluster.Config{
-			Machines: fleet(), Model: model, Scen: scen, Policy: cluster.AUVAware,
-			HorizonS: horizon, Seed: o.Seed, RatePerS: 2.0, Workers: l.Workers(),
-			Autoscale: &cluster.AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1},
-		}
-		if n := crashCounts[i]; n > 0 {
-			f := cluster.FaultConfig{
-				Schedule: chaos.CrashStorm(active, n, horizon, horizon/8, o.Seed),
-			}
-			cfg.Faults = &f
-		}
-		res, err := cluster.Run(cfg)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, n := range crashCounts {
+	for i, r := range rows {
 		res := results[i]
-		t.AddRow(fmt.Sprintf("crashes=%d", n), res.Availability, res.MTTRs, res.GoodTokensPS,
+		t.AddRow(r.label, res.Availability, res.MTTRs, res.GoodTokensPS,
 			res.TTFTp99, float64(res.Redispatched), float64(res.Recomputed),
 			float64(res.FailedRequests), res.Watts)
 	}

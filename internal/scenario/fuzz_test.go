@@ -20,8 +20,8 @@ import (
 // compile into an absurd simulation.
 func FuzzLoadScenario(f *testing.F) {
 	// Every shipped scenario seeds the corpus: the library and the
-	// differential mirrors exercise all schema sections.
-	for _, dir := range []string{"library", "testdata/diff"} {
+	// fleet experiments' embedded files exercise all schema sections.
+	for _, dir := range []string{"library", "../experiments/scenarios"} {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			f.Fatal(err)
@@ -58,6 +58,12 @@ func FuzzLoadScenario(f *testing.F) {
 	f.Add([]byte("{\"version\": 1, \"name\": \"\\\"//\\\\\"}"))
 	f.Add([]byte(`{"version": 1, "name": "x", "seed": -1}`))
 	f.Add([]byte(`{"version": 1, "name": "x", "model": "gpt-17"}`))
+	// The edges the fleet experiments lean on: a storm needs a crash
+	// (so a crashes=0 row drops its faults section), a faults section
+	// needs a storm or events, and QPS steps may sit at thirds.
+	f.Add([]byte(`{"version": 1, "name": "x", "faults": {"storm": {"machines": 4, "crashes": 0, "down_frac": 0.125}}}`))
+	f.Add([]byte(`{"version": 1, "name": "x", "faults": {}}`))
+	f.Add([]byte(`{"version": 1, "name": "x", "horizon_s": 60, "arrival": {"qps": [{"at_frac": 0.3333333333333333, "rate_per_s": 4}, {"at_frac": 0.6666666666666666, "rate_per_s": 1}]}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)

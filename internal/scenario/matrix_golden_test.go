@@ -1,4 +1,4 @@
-package scenario
+package scenario_test
 
 import (
 	"bytes"
@@ -10,12 +10,14 @@ import (
 	"testing"
 
 	"aum/internal/experiments"
+	"aum/internal/scenario"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden matrix under testdata/golden")
 
-// TestGoldenMatrix sweeps the shipped scenario library through Matrix
-// and compares the table byte-for-byte against the checked-in snapshot.
+// TestGoldenMatrix sweeps the shipped scenario library through
+// experiments.Matrix and compares the table byte-for-byte against the
+// checked-in snapshot.
 // The simulator and the DSL compiler are deterministic, so any diff is
 // a behavior change that must be either fixed or consciously
 // re-baselined with
@@ -24,11 +26,11 @@ var update = flag.Bool("update", false, "rewrite the golden matrix under testdat
 //
 // (EXPERIMENTS.md documents the flow.)
 func TestGoldenMatrix(t *testing.T) {
-	specs, err := LoadDir("library")
+	specs, err := scenario.LoadDir("library")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := Matrix(experiments.NewLab(), specs, MatrixOptions{})
+	tbl, err := experiments.Matrix(experiments.NewLab(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +59,18 @@ func TestGoldenMatrix(t *testing.T) {
 }
 
 // TestMatrixWidthDeterminism is the width contract applied to the whole
-// library sweep: the matrix rendered at lab widths 1, 2, and 8 (and any
-// inner fleet worker cap) must be byte-identical.
+// library sweep: the matrix rendered at lab widths 1, 2, and 8 (each
+// fleet run steps its machines at the lab's width) must be
+// byte-identical.
 func TestMatrixWidthDeterminism(t *testing.T) {
-	specs, err := LoadDir("library")
+	specs, err := scenario.LoadDir("library")
 	if err != nil {
 		t.Fatal(err)
 	}
 	render := func(width int) string {
 		lab := experiments.NewLab()
 		lab.SetWorkers(width)
-		tbl, err := Matrix(lab, specs, MatrixOptions{Workers: width})
+		tbl, err := experiments.Matrix(lab, specs)
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}

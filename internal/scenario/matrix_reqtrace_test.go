@@ -1,4 +1,4 @@
-package scenario
+package scenario_test
 
 import (
 	"bytes"
@@ -9,6 +9,7 @@ import (
 
 	"aum/internal/experiments"
 	"aum/internal/reqtrace"
+	"aum/internal/scenario"
 )
 
 // TestMatrixRequestTracingNeutral extends the tracing-neutrality
@@ -23,11 +24,11 @@ func TestMatrixRequestTracingNeutral(t *testing.T) {
 	reqtrace.SetForced(true)
 	defer reqtrace.SetForced(false)
 
-	specs, err := LoadDir("library")
+	specs, err := scenario.LoadDir("library")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := Matrix(experiments.NewLab(), specs, MatrixOptions{})
+	tbl, err := experiments.Matrix(experiments.NewLab(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,12 @@
 // compiled cluster.Config runs through exactly the machinery the
 // Go-coded experiments use, so DSL-declared scenarios inherit the
 // width-determinism and replay byte-identity contracts
-// (DESIGN.md §6, §8, §9) for free — a property the differential tests
-// in this package pin against the fleet and fleetchaos experiments.
+// (DESIGN.md §6, §8, §9) for free. The fleet, fleetchaos and blame
+// experiments declare their fleets as scenario files for that reason.
 //
-// Scenario files are swept through the experiment Lab by Matrix
-// (aumbench -scenarios dir/ -matrix); the library/ directory ships the
-// named scenario set EXPERIMENTS.md documents.
+// Scenario files are swept through the experiment Lab by
+// experiments.Matrix (aumbench -scenarios dir/); the library/
+// directory ships the named scenario set EXPERIMENTS.md documents.
 package scenario
 
 import (
