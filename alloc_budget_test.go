@@ -93,6 +93,42 @@ func TestAllocBudgetServeStep(t *testing.T) {
 	allocBudget(t, "serve machine.Step", 0, 1000, func() { m.Step(1e-3) })
 }
 
+// TestAllocBudgetDecodeIteration pins one complete decode iteration —
+// every machine step from one iteration boundary of a full batch to
+// the next — at zero allocations. TestAllocBudgetColoStep cannot see a
+// per-iteration allocation: an iteration spans many 1 ms steps, and
+// AllocsPerRun rounds the per-step mean down to zero. The batch is
+// full of requests that never finish and the prefill queue is empty,
+// so each op is exactly one decode iteration and nothing else.
+func TestAllocBudgetDecodeIteration(t *testing.T) {
+	plat := platform.GenA()
+	m := machine.New(plat)
+	eng := serve.NewEngine(serve.Config{Model: llm.Llama2_7B(), SLO: trace.Chatbot().SLO})
+	half := plat.Cores / 2
+	if _, err := m.AddTask(eng.PrefillWorker(), machine.Placement{CoreLo: 0, CoreHi: half - 1, SMTSlot: 0, COS: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddTask(eng.DecodeWorker(), machine.Placement{CoreLo: half, CoreHi: plat.Cores - 1, SMTSlot: 0, COS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < eng.Config().MaxBatch; i++ {
+		if err := eng.Submit(&serve.Request{ID: i + 1, PromptLen: 512, OutputLen: 1 << 30}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const dt = 1e-3
+	for eng.DecodeBatch() < eng.Config().MaxBatch {
+		m.Step(dt)
+	}
+	dec := eng.DecodeWorker()
+	iteration := func() {
+		for n := dec.Completed(); dec.Completed() == n; {
+			m.Step(dt)
+		}
+	}
+	allocBudget(t, "serve decode iteration", 0, 10, iteration)
+}
+
 // TestAllocBudgetColoStep pins the full step under every paper table —
 // serving workers mid-iteration on queued requests with a bursty
 // co-runner on their SMT siblings (coloStepLoop in perf.go) — at zero

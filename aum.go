@@ -26,9 +26,9 @@
 //
 // This package is the public facade: it re-exports the types needed to
 // assemble experiments and provides constructors for every resource
-// management scheme. Single-machine runs go through Run; fleets are
-// assembled with NewCluster (functional options) or a FleetConfig
-// literal handed to RunFleet. The examples/ directory shows complete
+// management scheme. Single-machine runs go through Run; a fleet is a
+// FleetConfig literal handed to RunFleet (or NewFleetSession to step
+// it one barrier at a time). The examples/ directory shows complete
 // programs; cmd/aumbench regenerates every table and figure of the
 // paper, and cmd/aumd serves live telemetry from a single machine
 // (-fleet for a whole cluster).
@@ -36,7 +36,6 @@ package aum
 
 import (
 	"io"
-	"net"
 	"net/http"
 
 	"aum/internal/chaos"
@@ -115,18 +114,12 @@ type (
 	// Lab shares a profiled-model cache and a worker pool across
 	// experiment runs.
 	Lab = experiments.Lab
-	// ExperimentConfig is the one-call form of experiment invocation
-	// (see RunExperimentConfig).
-	ExperimentConfig = experiments.Config
 )
 
 // The fleet layer (DESIGN.md §8): a cluster of simulated machines with
 // AUV-aware balancing, autoscaling, and disaggregated serving.
 type (
-	// Cluster is a validated fleet, assembled with NewCluster.
-	Cluster = cluster.Cluster
-	// FleetConfig parameterizes one fleet simulation (literal-struct
-	// form of NewCluster's options).
+	// FleetConfig parameterizes one fleet simulation.
 	FleetConfig = cluster.Config
 	// FleetResult summarizes one fleet simulation.
 	FleetResult = cluster.Result
@@ -147,8 +140,6 @@ type (
 	// LinkConfig models the KV-transfer interconnect between
 	// disaggregated prefill and decode machines.
 	LinkConfig = cluster.LinkConfig
-	// ClusterOption configures NewCluster.
-	ClusterOption = cluster.Option
 	// FaultConfig parameterizes fleet fault tolerance: the fault
 	// schedule plus detection, retry/backoff, recovery, and circuit
 	// breaker knobs (set FleetConfig.Faults).
@@ -170,8 +161,6 @@ type (
 	// ScenarioSpec is one declarative scenario (schema version 1),
 	// loaded from a JSON/JSONC file or built literally.
 	ScenarioSpec = scenario.Spec
-	// ScenarioRunOptions tune one scenario execution.
-	ScenarioRunOptions = scenario.RunOptions
 	// TraceShaper modulates a Scenario's arrival rate over time (set
 	// Scenario.Shape); implementations must bound Factor by MaxFactor.
 	TraceShaper = trace.Shaper
@@ -198,14 +187,10 @@ func ParseScenario(data []byte) (*ScenarioSpec, error) { return scenario.Parse(d
 // by file name, rejecting duplicate scenario names.
 func LoadScenarioDir(dir string) ([]*ScenarioSpec, error) { return scenario.LoadDir(dir) }
 
-// CompileScenario lowers a scenario onto the fleet layer without
-// running it — the FleetConfig a Go program would have written by hand.
+// CompileScenario lowers a scenario onto the fleet layer — the
+// FleetConfig a Go program would have written by hand. Set Workers or
+// any observer on it, then hand it to RunFleet.
 func CompileScenario(s *ScenarioSpec) (FleetConfig, error) { return s.Compile() }
-
-// RunScenario compiles and executes one scenario.
-func RunScenario(s *ScenarioSpec, o ScenarioRunOptions) (FleetResult, error) {
-	return scenario.Run(s, o)
-}
 
 // ScenarioMatrix sweeps scenarios through the lab's parallel pool and
 // returns one comparison table, rows in input order (the aumbench
@@ -322,71 +307,13 @@ func NewBoundOnly(m *AUVModel, opt ControllerOptions) (Manager, error) { return 
 // an optional co-runner under the given manager on a simulated machine.
 func Run(cfg RunConfig) (RunResult, error) { return colo.Run(cfg) }
 
-// NewCluster assembles and validates a fleet from functional options.
-func NewCluster(opts ...ClusterOption) (*Cluster, error) { return cluster.New(opts...) }
-
-// RunFleet executes a fleet simulation from a literal FleetConfig —
-// the struct form of NewCluster(...).Run().
+// RunFleet validates a FleetConfig and executes the fleet simulation;
+// zero fields keep their documented defaults.
 func RunFleet(cfg FleetConfig) (FleetResult, error) { return cluster.Run(cfg) }
 
 // ParseBalancePolicy maps a policy name ("round-robin", "least-queued",
 // "auv-aware") to its BalancePolicy — the form command-line flags carry.
 func ParseBalancePolicy(s string) (BalancePolicy, error) { return cluster.ParseBalancePolicy(s) }
-
-// Fleet options for NewCluster. Each wraps the corresponding
-// FleetConfig field; zero values keep the documented defaults.
-var (
-	// WithMachines appends machines to the fleet.
-	WithMachines = cluster.WithMachines
-	// WithModel sets the served model.
-	WithModel = cluster.WithModel
-	// WithScenario sets the default scenario class.
-	WithScenario = cluster.WithScenario
-	// WithCoRunner co-runs the profile on every machine.
-	WithCoRunner = cluster.WithCoRunner
-	// WithPolicy selects the balancing policy.
-	WithPolicy = cluster.WithPolicy
-	// WithHorizon sets the simulated duration and warmup.
-	WithHorizon = cluster.WithHorizon
-	// WithRate sets the aggregate offered request rate.
-	WithRate = cluster.WithRate
-	// WithQPS sets the offered-rate trace.
-	WithQPS = cluster.WithQPS
-	// WithAutoscale enables the AUV-aware autoscaler.
-	WithAutoscale = cluster.WithAutoscale
-	// WithLink sets the KV-transfer link model.
-	WithLink = cluster.WithLink
-	// WithSeed sets the root random seed.
-	WithSeed = cluster.WithSeed
-	// WithWorkers caps concurrent machine stepping.
-	WithWorkers = cluster.WithWorkers
-	// WithTelemetry attaches a registry to the fleet.
-	WithTelemetry = cluster.WithTelemetry
-	// WithProgress registers a per-barrier callback.
-	WithProgress = cluster.WithProgress
-	// WithArchetypes enables archetype memoization in place of the
-	// exact event core: quiescent machines advance coarsely on one
-	// interned capture per scenario class. Approximate within a
-	// documented tolerance; restricted to round-robin mixed fleets
-	// without faults or autoscaling.
-	WithArchetypes = cluster.WithArchetypes
-	// WithFaults enables fleet fault tolerance under the given fault
-	// schedule and retry policy.
-	WithFaults = cluster.WithFaults
-	// WithTrace attaches a ChromeTrace that records node outages,
-	// failover, and recovery spans.
-	WithTrace = cluster.WithTrace
-	// WithRequestTracing attaches a per-request causal tracer that
-	// records span trees, blame vectors, and SLO burn-rate timelines
-	// across the fleet (NewRequestTracer).
-	WithRequestTracing = cluster.WithRequestTracing
-	// WithSource replaces the synthetic arrival generator with a live
-	// request source (NewLiveSource) — the gateway injection path.
-	WithSource = cluster.WithSource
-	// WithAdmission bounds every machine's serving queue and backlog;
-	// rejected requests are shed (the gateway maps them to HTTP 429).
-	WithAdmission = cluster.WithAdmission
-)
 
 // NewTelemetryRegistry returns an empty metric/event registry to wire
 // into RunConfig.Telemetry. Telemetry observes a run without changing
@@ -441,11 +368,6 @@ func RunExperiment(id string, opt ExperimentOptions) (*ResultTable, error) {
 	return e.Run(experiments.NewLab(), opt)
 }
 
-// RunExperimentConfig regenerates one artifact from a validated
-// ExperimentConfig — the struct form of RunExperiment, with worker and
-// telemetry control.
-func RunExperimentConfig(cfg ExperimentConfig) (*ResultTable, error) { return experiments.Run(cfg) }
-
 // ExperimentByID returns a registered experiment without running it.
 func ExperimentByID(id string) (Experiment, error) { return experiments.ByID(id) }
 
@@ -464,7 +386,7 @@ func ValidatePrometheus(r io.Reader) error { return telemetry.ValidatePrometheus
 // Per-request causal tracing (DESIGN.md §12): deterministic span trees,
 // critical-path blame attribution, and SLO burn-rate timelines. A
 // RequestTracer observes a run without changing its results; set
-// RunConfig.ReqTrace or use WithRequestTracing for fleets.
+// RunConfig.ReqTrace or FleetConfig.ReqTrace.
 type (
 	// RequestTracer records per-request lifecycle spans and blame.
 	RequestTracer = reqtrace.Tracer
@@ -488,7 +410,7 @@ type (
 )
 
 // NewRequestTracer returns a per-request causal tracer to wire into
-// RunConfig.ReqTrace or WithRequestTracing.
+// RunConfig.ReqTrace or FleetConfig.ReqTrace.
 func NewRequestTracer(cfg ReqTraceConfig) *RequestTracer { return reqtrace.New(cfg) }
 
 // BlameCategories returns the blame taxonomy in canonical order —
@@ -513,11 +435,8 @@ func ValidateBlameSeries(r io.Reader) error { return reqtrace.ValidateBlameSerie
 // completion maps to.
 type (
 	// Gateway owns a live fleet session and serves the /v1 API from it
-	// (NewGateway / ServeGateway).
+	// (NewGateway).
 	Gateway = gateway.Gateway
-	// GatewayConfig parameterizes a Gateway (literal-struct form of
-	// NewGateway's options).
-	GatewayConfig = gateway.Config
 	// GatewayOption configures NewGateway.
 	GatewayOption = gateway.Option
 	// HTTPError is the shared JSON error envelope every aum HTTP
@@ -554,8 +473,8 @@ const (
 	HeaderWarpFactor    = gateway.HeaderWarp
 )
 
-// Gateway options for NewGateway. Each wraps the corresponding
-// GatewayConfig field; zero values keep the documented defaults.
+// Gateway options for NewGateway; an option left out keeps its
+// documented default.
 var (
 	// WithGatewayFleet sets the fleet the gateway serves from.
 	WithGatewayFleet = gateway.WithFleet
@@ -576,21 +495,6 @@ var (
 // accounting.
 func NewGateway(opts ...GatewayOption) (*Gateway, error) { return gateway.New(opts...) }
 
-// NewGatewayFromConfig is the literal-struct form of NewGateway.
-func NewGatewayFromConfig(cfg GatewayConfig) (*Gateway, error) { return gateway.NewFromConfig(cfg) }
-
-// ServeGateway builds a gateway and serves its /v1 API on the
-// listener until the listener closes — the one-call form of
-// NewGateway + http.Serve.
-func ServeGateway(ln net.Listener, opts ...GatewayOption) error {
-	g, err := gateway.New(opts...)
-	if err != nil {
-		return err
-	}
-	defer g.Stop()
-	return http.Serve(ln, g.Handler())
-}
-
 // NewFleetSession returns an open-ended fleet simulation: Step
 // advances one barrier, Now reports the simulated time reached, and
 // Finish closes the accounting window. Run is exactly NewFleetSession
@@ -598,7 +502,7 @@ func ServeGateway(ln net.Listener, opts ...GatewayOption) error {
 func NewFleetSession(cfg FleetConfig) (*FleetSession, error) { return cluster.NewSession(cfg) }
 
 // NewLiveSource returns an empty live arrival source to wire into
-// FleetConfig.Source (or WithSource).
+// FleetConfig.Source.
 func NewLiveSource() *LiveSource { return trace.NewLiveSource() }
 
 // WriteHTTPError writes the shared JSON error envelope with the given

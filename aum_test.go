@@ -91,28 +91,24 @@ func TestRunExperimentQuick(t *testing.T) {
 }
 
 // TestFleetFacade drives the fourth (fleet) layer entirely through the
-// public API: options construction, a run with autoscaling, and the
-// literal-config path.
+// public API: a run with autoscaling and a disaggregated run.
 func TestFleetFacade(t *testing.T) {
 	scen, _ := ScenarioByName("cb")
-	c, err := NewCluster(
-		WithMachines(
-			MachineSpec{Plat: GenA(), Mgr: NewExclusive()},
-			MachineSpec{Plat: GenA(), Mgr: NewExclusive(), Standby: true},
-		),
-		WithModel(Llama2_7B()),
-		WithScenario(scen),
-		WithPolicy(AUVAware),
-		WithHorizon(6, 1),
-		WithRate(0.5),
-		WithQPS(RatePoint{At: 2, RatePerS: 4}),
-		WithAutoscale(AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 0.5}),
-		WithSeed(3),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run()
+	res, err := RunFleet(FleetConfig{
+		Machines: []MachineSpec{
+			{Plat: GenA(), Mgr: NewExclusive()},
+			{Plat: GenA(), Mgr: NewExclusive(), Standby: true},
+		},
+		Model:     Llama2_7B(),
+		Scen:      scen,
+		Policy:    AUVAware,
+		HorizonS:  6,
+		WarmupS:   1,
+		RatePerS:  0.5,
+		QPS:       []RatePoint{{At: 2, RatePerS: 4}},
+		Autoscale: &AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 0.5},
+		Seed:      3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,19 +138,5 @@ func TestFleetFacade(t *testing.T) {
 	}
 	if p, err := ParseBalancePolicy("least-queued"); err != nil || p != LeastQueued {
 		t.Fatalf("ParseBalancePolicy: %v, %v", p, err)
-	}
-}
-
-// TestRunExperimentConfig exercises the validated struct form.
-func TestRunExperimentConfig(t *testing.T) {
-	tbl, err := RunExperimentConfig(ExperimentConfig{ID: "table1", Quick: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 {
-		t.Fatal("table1 rows")
-	}
-	if _, err := RunExperimentConfig(ExperimentConfig{}); err == nil {
-		t.Fatal("missing ID accepted")
 	}
 }

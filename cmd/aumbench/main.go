@@ -88,7 +88,6 @@ func main() {
 		lint      = flag.Bool("lint", false, "with -scenarios: validate and compile every scenario, then exit")
 		matrixOut = flag.String("matrix-out", "", "with -scenarios: also write the comparison table as JSON to this path ('' disables)")
 	)
-	flag.StringVar(run, "experiment", "", "alias for -run")
 	flag.Parse()
 
 	if *cpuProf != "" {

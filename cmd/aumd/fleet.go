@@ -34,37 +34,33 @@ func runFleetDaemon(policyName string, duration, report float64, seed uint64, ht
 	}
 
 	nextAt := 0.0
-	c, err := aum.NewCluster(
-		aum.WithMachines(
-			aum.MachineSpec{Plat: aum.GenA(), Mgr: aum.NewExclusive()},
-			aum.MachineSpec{Plat: platB, Mgr: aum.NewExclusive()},
-			aum.MachineSpec{Plat: aum.GenA(), Mgr: aum.NewExclusive(), Standby: true},
-		),
-		aum.WithPolicy(policy),
-		aum.WithHorizon(duration, 0),
-		aum.WithRate(2.0),
-		aum.WithQPS(
-			aum.RatePoint{At: duration / 3, RatePerS: 4.5},
-			aum.RatePoint{At: 2 * duration / 3, RatePerS: 2.0},
-		),
-		aum.WithAutoscale(aum.AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1}),
-		aum.WithSeed(seed),
-		aum.WithTelemetry(reg),
-		aum.WithRequestTracing(rt),
-		aum.WithProgress(func(now float64) {
+	cfg := aum.FleetConfig{
+		Machines: []aum.MachineSpec{
+			{Plat: aum.GenA(), Mgr: aum.NewExclusive()},
+			{Plat: platB, Mgr: aum.NewExclusive()},
+			{Plat: aum.GenA(), Mgr: aum.NewExclusive(), Standby: true},
+		},
+		Policy:   policy,
+		HorizonS: duration,
+		RatePerS: 2.0,
+		QPS: []aum.RatePoint{
+			{At: duration / 3, RatePerS: 4.5},
+			{At: 2 * duration / 3, RatePerS: 2.0},
+		},
+		Autoscale: &aum.AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1},
+		Seed:      seed,
+		Telemetry: reg,
+		ReqTrace:  rt,
+		Progress: func(now float64) {
 			if now >= nextAt {
 				nextAt = now + report
 				fmt.Println(renderFleetStatus(reg.Snapshot(), now))
 			}
-		}),
-	)
-	if err != nil {
-		log.Fatal(err)
+		},
 	}
-	cfg := c.Config()
 	fmt.Printf("aumd: fleet of %d machines under %s balancing, surge to %.1f req/s at t=%.0fs\n",
 		len(cfg.Machines), cfg.Policy, cfg.QPS[0].RatePerS, cfg.QPS[0].At)
-	res, err := c.Run()
+	res, err := aum.RunFleet(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

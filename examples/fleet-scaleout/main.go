@@ -28,25 +28,22 @@ func main() {
 	// surges to 4 req/s in the middle third of the run; the autoscaler
 	// warms standbys while utilization holds above its watermark and
 	// drains them afterwards.
-	c, err := aum.NewCluster(
-		aum.WithMachines(
-			aum.MachineSpec{Plat: platB, Mgr: aum.NewExclusive()},
-			aum.MachineSpec{Plat: platA, Mgr: aum.NewExclusive(), Standby: true},
-			aum.MachineSpec{Plat: platA, Mgr: aum.NewExclusive(), Standby: true},
-		),
-		aum.WithModel(aum.Llama2_7B()),
-		aum.WithScenario(scen),
-		aum.WithPolicy(aum.AUVAware),
-		aum.WithHorizon(30, 5),
-		aum.WithRate(1.0),
-		aum.WithQPS(aum.RatePoint{At: 10, RatePerS: 4}, aum.RatePoint{At: 20, RatePerS: 1}),
-		aum.WithAutoscale(aum.AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1}),
-		aum.WithSeed(7),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := c.Run()
+	res, err := aum.RunFleet(aum.FleetConfig{
+		Machines: []aum.MachineSpec{
+			{Plat: platB, Mgr: aum.NewExclusive()},
+			{Plat: platA, Mgr: aum.NewExclusive(), Standby: true},
+			{Plat: platA, Mgr: aum.NewExclusive(), Standby: true},
+		},
+		Model:     aum.Llama2_7B(),
+		Scen:      scen,
+		Policy:    aum.AUVAware,
+		HorizonS:  30,
+		WarmupS:   5,
+		RatePerS:  1.0,
+		QPS:       []aum.RatePoint{{At: 10, RatePerS: 4}, {At: 20, RatePerS: 1}},
+		Autoscale: &aum.AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1},
+		Seed:      7,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,9 +53,9 @@ func main() {
 		fmt.Printf("  t=%5.2fs  %-8s %s\n", ev.At, ev.Action, ev.Machine)
 	}
 
-	// 2. Disaggregation from a literal FleetConfig: GenA's AMX handles
-	// prefill, GenB's HBM handles decode, and every prefilled request
-	// ships its KV cache across the link.
+	// 2. Disaggregation: GenA's AMX handles prefill, GenB's HBM handles
+	// decode, and every prefilled request ships its KV cache across the
+	// link.
 	disagg, err := aum.RunFleet(aum.FleetConfig{
 		Machines: []aum.MachineSpec{
 			{Plat: platA, Mgr: aum.NewExclusive(), Role: aum.RolePrefill},

@@ -161,106 +161,7 @@ type Config struct {
 	Archetypes bool
 }
 
-// Option mutates a Config under construction; see New.
-type Option func(*Config)
-
-// WithMachines sets the fleet's machine list.
-func WithMachines(specs ...MachineSpec) Option {
-	return func(c *Config) { c.Machines = append(c.Machines, specs...) }
-}
-
-// WithModel sets the served model.
-func WithModel(m llm.Model) Option { return func(c *Config) { c.Model = m } }
-
-// WithScenario sets the default scenario class.
-func WithScenario(s trace.Scenario) Option { return func(c *Config) { c.Scen = s } }
-
-// WithCoRunner co-runs the profile on every machine.
-func WithCoRunner(p workload.Profile) Option { return func(c *Config) { c.BE = &p } }
-
-// WithPolicy selects the balancing policy.
-func WithPolicy(p BalancePolicy) Option { return func(c *Config) { c.Policy = p } }
-
-// WithHorizon sets the simulated duration and warmup (0 = defaults).
-func WithHorizon(horizonS, warmupS float64) Option {
-	return func(c *Config) { c.HorizonS, c.WarmupS = horizonS, warmupS }
-}
-
-// WithRate sets the aggregate offered rate.
-func WithRate(perS float64) Option { return func(c *Config) { c.RatePerS = perS } }
-
-// WithQPS sets the offered-rate trace.
-func WithQPS(points ...RatePoint) Option {
-	return func(c *Config) { c.QPS = append(c.QPS, points...) }
-}
-
-// WithSource replaces the synthetic arrival generator with a live
-// external feed.
-func WithSource(src trace.Source) Option { return func(c *Config) { c.Source = src } }
-
-// WithAdmission sets the fleet-wide engine overload policy.
-func WithAdmission(a serve.Admission) Option { return func(c *Config) { c.Admission = a } }
-
-// WithAutoscale enables the AUV-aware autoscaler.
-func WithAutoscale(a AutoscaleConfig) Option { return func(c *Config) { c.Autoscale = &a } }
-
-// WithLink sets the KV-transfer link model.
-func WithLink(l LinkConfig) Option { return func(c *Config) { c.Link = l } }
-
-// WithFaults enables fleet-level fault injection and failover.
-func WithFaults(f FaultConfig) Option { return func(c *Config) { c.Faults = &f } }
-
-// WithTrace attaches a Chrome trace buffer for failover spans.
-func WithTrace(tr *telemetry.Trace) Option { return func(c *Config) { c.Trace = tr } }
-
-// WithRequestTracing attaches a per-request causal tracer.
-func WithRequestTracing(rt *reqtrace.Tracer) Option {
-	return func(c *Config) { c.ReqTrace = rt }
-}
-
-// WithSeed sets the root random seed.
-func WithSeed(seed uint64) Option { return func(c *Config) { c.Seed = seed } }
-
-// WithWorkers caps concurrent machine stepping.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithTelemetry attaches a registry.
-func WithTelemetry(reg *telemetry.Registry) Option { return func(c *Config) { c.Telemetry = reg } }
-
-// WithProgress registers a per-barrier callback.
-func WithProgress(fn func(now float64)) Option { return func(c *Config) { c.Progress = fn } }
-
-// WithArchetypes enables archetype memoization: the approximate O(1)
-// idle-advance mode for very large fleets.
-func WithArchetypes() Option { return func(c *Config) { c.Archetypes = true } }
-
-// New validates a fleet assembled from options and returns it ready to
-// Run. Package-level Run accepts the Config struct directly; both
-// paths share the same validation.
-func New(opts ...Option) (*Cluster, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	v, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{cfg: v}, nil
-}
-
-// Cluster is a validated fleet.
-type Cluster struct {
-	cfg Config
-}
-
-// Config returns the validated configuration (defaults filled in).
-func (c *Cluster) Config() Config { return c.cfg }
-
-// Run executes the fleet simulation.
-func (c *Cluster) Run() (Result, error) { return run(c.cfg) }
-
-// Run executes a fleet simulation from a literal Config.
+// Run validates a fleet Config and executes the simulation.
 func Run(cfg Config) (Result, error) {
 	v, err := cfg.withDefaults()
 	if err != nil {
@@ -297,7 +198,7 @@ func scenarioClasses(cfg Config) (classes []trace.Scenario, classOf []int) {
 func (c Config) withDefaults() (Config, error) {
 	const pkg = "cluster"
 	if len(c.Machines) == 0 {
-		return c, vcfg.Bad(pkg, "Config.Machines", len(c.Machines), "a non-empty machine list (WithMachines)")
+		return c, vcfg.Bad(pkg, "Config.Machines", len(c.Machines), "a non-empty machine list")
 	}
 	if c.Model.Name == "" {
 		c.Model = llm.Llama2_7B()

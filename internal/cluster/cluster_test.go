@@ -95,34 +95,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestOptionsMatchLiteralConfig(t *testing.T) {
-	c, err := New(
-		WithMachines(
-			MachineSpec{Plat: platform.GenA(), Mgr: manager.AllAU{}},
-			MachineSpec{Plat: platform.GenC(), Mgr: manager.AllAU{}},
-		),
-		WithModel(llm.Llama2_7B()),
-		WithScenario(trace.Chatbot()),
-		WithPolicy(AUVAware),
-		WithHorizon(12, 0),
-		WithSeed(9),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lit := twoNodeConfig(AUVAware)
-	v, err := lit.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := c.Config(), v
-	if got.HorizonS != want.HorizonS || got.WarmupS != want.WarmupS ||
-		got.BarrierS != want.BarrierS || got.RatePerS != want.RatePerS ||
-		got.Policy != want.Policy || len(got.Machines) != len(want.Machines) {
-		t.Fatalf("options config %+v != literal config %+v", got, want)
-	}
-}
-
 func TestRoundRobinBalances(t *testing.T) {
 	res, err := Run(twoNodeConfig(RoundRobin))
 	if err != nil {

@@ -9,9 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"aum/internal/telemetry"
-	"aum/internal/vcfg"
 )
 
 // Options tune experiment fidelity.
@@ -27,54 +24,6 @@ func (o Options) withDefaults() Options {
 		o.Seed = 42
 	}
 	return o
-}
-
-// Config is the one-call entry point for regenerating a single paper
-// artifact — the same validated-struct idiom colo.Run and cluster.Run
-// use, wrapping Lab construction for callers that do not need to share
-// a profile cache across experiments.
-type Config struct {
-	// ID names the experiment (see IDs / aumbench -list).
-	ID    string
-	Quick bool
-	Seed  uint64
-	// Workers caps intra-experiment parallelism (0 = the Lab default).
-	Workers int
-	// Telemetry, when set, is threaded through every run the
-	// experiment performs.
-	Telemetry *telemetry.Registry
-}
-
-func (c Config) withDefaults() (Config, error) {
-	const pkg = "experiments"
-	if c.ID == "" {
-		return c, vcfg.Bad(pkg, "Config.ID", c.ID, "a registered experiment id (see experiments.IDs)")
-	}
-	if c.Workers < 0 {
-		return c, vcfg.Bad(pkg, "Config.Workers", c.Workers, ">= 0 (0 keeps the Lab default)")
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c, nil
-}
-
-// Run regenerates one experiment from a literal Config.
-func Run(cfg Config) (*Table, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	e, err := ByID(cfg.ID)
-	if err != nil {
-		return nil, err
-	}
-	l := NewLab()
-	if cfg.Workers > 0 {
-		l.SetWorkers(cfg.Workers)
-	}
-	l.SetTelemetry(cfg.Telemetry)
-	return e.Run(l, Options{Quick: cfg.Quick, Seed: cfg.Seed})
 }
 
 // horizons returns (runHorizonS, profileReps, profileHorizonS).

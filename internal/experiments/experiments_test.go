@@ -348,7 +348,7 @@ func TestSharingExperimentsQuick(t *testing.T) {
 // with a finite recovery time, while the watchdog-disabled controller
 // accumulates a strictly longer violation window. The same table is
 // reproducible from the command line via
-// `aumbench -experiment chaos -quick` (fixed default seed).
+// `aumbench -run chaos -quick` (fixed default seed).
 func TestChaosGracefulDegradation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment skipped in -short")

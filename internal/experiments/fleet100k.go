@@ -24,8 +24,9 @@ func init() {
 // span. The row and metric names keep their "legacy" labels, which the
 // golden pins. The headline numbers — wall seconds and the speedup over
 // the exact loop — are wall-clock
-// measurements of the host, so the table rows are volatile for golden
-// comparison and the report carries them as Metrics. Quick fidelity
+// measurements of the host, so those cells and metrics are masked for
+// golden comparison; machines, simulated seconds, goodput, watts and
+// the event-core counters are pinned. Quick fidelity
 // shrinks the fleet to 10k machines and the horizon to five simulated
 // minutes: the CI scale smoke.
 func runFleet100k(l *Lab, o Options) (*Table, error) {

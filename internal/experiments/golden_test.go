@@ -12,13 +12,15 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden tables under testdata/golden")
 
-// volatileCells lists table rows whose values are wall-clock
-// measurements of the host rather than simulation outputs; they are
-// zeroed before golden comparison so the snapshots stay
-// machine-independent.
+// volatileCells names, per table, the cells that are wall-clock
+// measurements of the host rather than simulation outputs: a row label
+// masks the whole row, a column name masks that column in every row,
+// and a metric name masks that metric. They are zeroed before golden
+// comparison so the snapshots stay machine-independent.
 var volatileCells = map[string]map[string]bool{
-	"overhead":  {"decision-latency-ns": true},
-	"fleet100k": {"legacy-ref": true, "archetype": true},
+	"overhead": {"decision-latency-ns": true},
+	"fleet100k": {"wall-s": true, "sim-per-wall": true,
+		"arch_wall_s": true, "legacy_est_wall_s": true, "speedup_vs_legacy": true},
 }
 
 func normalizeTable(tbl *Table) {
@@ -27,15 +29,16 @@ func normalizeTable(tbl *Table) {
 		return
 	}
 	for i := range tbl.Rows {
-		if vol[tbl.Rows[i].Label] {
-			for j := range tbl.Rows[i].Values {
+		for j := range tbl.Rows[i].Values {
+			if vol[tbl.Rows[i].Label] || vol[tbl.Columns[j]] {
 				tbl.Rows[i].Values[j] = 0
 			}
 		}
 	}
-	// Metrics of volatile tables are wall-clock measurements too.
 	for k := range tbl.Metrics {
-		tbl.Metrics[k] = 0
+		if vol[k] {
+			tbl.Metrics[k] = 0
+		}
 	}
 }
 
@@ -155,5 +158,20 @@ func TestParallelWidthDeterminism(t *testing.T) {
 					id, w, ref[id], w, got[id])
 			}
 		}
+	}
+
+	// fleet100k is the heaviest experiment, so it runs once, at width
+	// 1, against its golden, which TestGoldenTables renders at the
+	// Lab's default width of 8.
+	lab := NewLab()
+	lab.SetWorkers(1)
+	got := renderNormalized(t, lab, "fleet100k", Options{Quick: true, Seed: 42}) + "\n"
+	want, err := os.ReadFile(goldenPath("fleet100k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("fleet100k at width 1 diverged from its golden (width %d)\n%s",
+			defaultWorkers, goldenDiff(want, []byte(got)))
 	}
 }

@@ -44,13 +44,8 @@ type Config struct {
 	// completion in 50 ms of wall time.
 	WarpFactor float64
 	// MaxTokens caps a request's max_tokens (default 256). Requests
-	// that omit max_tokens get DefaultTokens.
+	// that omit max_tokens get min(defaultTokens, MaxTokens).
 	MaxTokens int
-	// DefaultTokens is the completion length when the request does not
-	// set max_tokens (default 32).
-	DefaultTokens int
-	// MaxPromptTokens caps the estimated prompt length (default 4096).
-	MaxPromptTokens int
 	// DegradedBelow is the fleet-availability threshold under which the
 	// readiness probe reports degraded (<= 0 disables, the aumd
 	// -degraded-below contract).
@@ -60,6 +55,15 @@ type Config struct {
 	// registry.
 	Telemetry *telemetry.Registry
 }
+
+// Request-length limits of the completion handler.
+const (
+	// defaultTokens is the completion length when a request sets no
+	// max_tokens; the handler still clamps it to Config.MaxTokens.
+	defaultTokens = 32
+	// maxPromptTokens caps the estimated prompt length.
+	maxPromptTokens = 4096
+)
 
 // Option mutates a Config under construction; see New.
 type Option func(*Config)
@@ -92,18 +96,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxTokens == 0 {
 		c.MaxTokens = 256
-	}
-	if c.DefaultTokens < 0 || c.DefaultTokens > c.MaxTokens {
-		return c, vcfg.Bad(pkg, "Config.DefaultTokens", c.DefaultTokens, "in [0, MaxTokens] (0 selects 32)")
-	}
-	if c.DefaultTokens == 0 {
-		c.DefaultTokens = min(32, c.MaxTokens)
-	}
-	if c.MaxPromptTokens < 0 {
-		return c, vcfg.Bad(pkg, "Config.MaxPromptTokens", c.MaxPromptTokens, ">= 0 (0 selects 4096)")
-	}
-	if c.MaxPromptTokens == 0 {
-		c.MaxPromptTokens = 4096
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewRegistry()
@@ -172,7 +164,7 @@ type Gateway struct {
 	cTokens   *telemetry.Counter
 }
 
-// New validates the config, builds the fleet session around a live
+// New validates the options, builds the fleet session around a live
 // arrival source, and starts the time-warped barrier driver. Stop
 // shuts the driver down and returns the fleet accounting.
 func New(opts ...Option) (*Gateway, error) {
@@ -180,11 +172,6 @@ func New(opts ...Option) (*Gateway, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return NewFromConfig(cfg)
-}
-
-// NewFromConfig is the literal-struct form of New.
-func NewFromConfig(cfg Config) (*Gateway, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err

@@ -433,18 +433,40 @@ func TestGatewayTelemetrySeries(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Fleet: fourMachineFleet(), WarpFactor: -1},
-		{Fleet: fourMachineFleet(), MaxTokens: -1},
-		{Fleet: fourMachineFleet(), DefaultTokens: 9999, MaxTokens: 16},
-		{Fleet: fourMachineFleet(), MaxPromptTokens: -2},
+	bad := [][]Option{
+		{WithFleet(fourMachineFleet()), WithWarpFactor(-1)},
+		{WithFleet(fourMachineFleet()), WithMaxTokens(-1)},
 		{}, // empty fleet
 	}
-	for i, cfg := range bad {
-		if _, err := NewFromConfig(cfg); err == nil {
+	for i, opts := range bad {
+		if _, err := New(opts...); err == nil {
 			t.Fatalf("config %d validated, want error", i)
 		} else if !strings.Contains(err.Error(), "Config.") {
 			t.Fatalf("config %d error %q does not name the field", i, err)
+		}
+	}
+}
+
+// A request that sets no max_tokens gets 32 tokens, clamped to the
+// gateway's MaxTokens.
+func TestOmittedMaxTokensDefault(t *testing.T) {
+	for _, tc := range []struct{ maxTokens, want int }{{0, 32}, {8, 8}} {
+		g, srv := newTestGateway(t, WithFleet(fourMachineFleet()), WithWarpFactor(200),
+			WithMaxTokens(tc.maxTokens))
+		waitReady(t, g)
+		resp, err := http.Post(srv.URL+"/v1/chat/completions", "application/json",
+			completionBody(false, g.Model().Name, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c chatCompletion
+		err = json.NewDecoder(resp.Body).Decode(&c)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Usage == nil || c.Usage.CompletionTokens != tc.want {
+			t.Fatalf("MaxTokens %d: usage %+v, want %d completion tokens", tc.maxTokens, c.Usage, tc.want)
 		}
 	}
 }

@@ -152,12 +152,12 @@ func (g *Gateway) ChatCompletionsHandler(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	if maxTok == 0 {
-		maxTok = g.cfg.DefaultTokens
+		maxTok = defaultTokens
 	}
 	if maxTok > g.cfg.MaxTokens {
 		maxTok = g.cfg.MaxTokens
 	}
-	promptLen := estimatePromptTokens(req.Messages, g.cfg.MaxPromptTokens)
+	promptLen := estimatePromptTokens(req.Messages, maxPromptTokens)
 
 	lr := g.admit(promptLen, maxTok)
 	defer g.drop(lr.tid)

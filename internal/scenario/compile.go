@@ -253,21 +253,3 @@ func compileFaultKind(name string) chaos.FleetKind {
 func fieldf(format string, args ...any) string {
 	return fmt.Sprintf(format, args...)
 }
-
-// RunOptions tune one scenario execution without touching the file's
-// declared workload.
-type RunOptions struct {
-	// Workers caps concurrent machine stepping inside the fleet run
-	// (0 = GOMAXPROCS). The width never changes results (DESIGN.md §8).
-	Workers int
-}
-
-// Run compiles and executes one scenario.
-func Run(s *Spec, o RunOptions) (cluster.Result, error) {
-	cfg, err := s.Compile()
-	if err != nil {
-		return cluster.Result{}, err
-	}
-	cfg.Workers = o.Workers
-	return cluster.Run(cfg)
-}

@@ -337,7 +337,12 @@ func TestLibraryScenarios(t *testing.T) {
 		}
 	}
 	// One full run through the smallest member keeps this cheap.
-	res, err := Run(specs[0], RunOptions{Workers: 2})
+	cfg, err := specs[0].Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 2
+	res, err := cluster.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,6 +112,10 @@ type Engine struct {
 	// the next job of that phase once the previous one completed.
 	prefillReqs []*Request
 	decodeReqs  []*Request
+	// decodeJob is the one decode iteration job, re-formed in place by
+	// nextDecodeJob. A new iteration only forms when the decode worker
+	// has no job in flight, so the worker never holds the previous one.
+	decodeJob job
 
 	tel engineTelemetry
 	rt  *reqtrace.Tracer
@@ -398,7 +402,8 @@ func (e *Engine) nextDecodeJob(now float64) *job {
 		ctx += r.PromptLen + r.TokensDone
 	}
 	plan := e.cfg.Model.PlanDecode(len(reqs), ctx/len(reqs))
-	j := &job{plan: plan, reqs: reqs, startedAt: now}
+	j := &e.decodeJob
+	*j = job{plan: plan, reqs: reqs, startedAt: now}
 	if e.rt != nil {
 		for _, r := range reqs {
 			if e.rt.Sampled(r.TraceID) {

@@ -233,6 +233,9 @@ func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
 	// that pulls a new job is never steady: the machine estimated this
 	// step's demand from the pre-pull state, so the next step's
 	// environment will differ even though the job now runs smoothly.
+	// The decode job is one engine-owned value re-formed per iteration,
+	// so j == entered alone does not mean "same iteration": it does
+	// only on the first pass, where a pulled job implies entered == nil.
 	entered := w.current
 	steady := false
 	iter := 0

@@ -1,6 +1,6 @@
 // Package vcfg is the shared configuration-validation idiom: every
 // config surface in the repository (colo.Config, cluster.Config,
-// experiments.Config) funnels invalid fields through Bad, so a
+// gateway.Config) funnels invalid fields through Bad, so a
 // validation failure always names the owning package, the offending
 // field, the value it held, and the legal range — never a bare
 // "invalid config".
