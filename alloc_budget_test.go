@@ -76,57 +76,77 @@ func TestAllocBudgetMachineStep(t *testing.T) {
 	allocBudget(t, "machine.Step", 0, 1000, func() { m.Step(1e-3) })
 }
 
+// servingMachine is a GenA machine serving llama2-7b with the prefill
+// and decode workers on its two halves and no co-runner.
+func servingMachine(t *testing.T) (*machine.Machine, *serve.Engine) {
+	t.Helper()
+	plat := platform.GenA()
+	m := machine.New(plat)
+	eng := serve.NewEngine(serve.Config{Model: llm.Llama2_7B(), SLO: trace.Chatbot().SLO})
+	half := plat.Cores / 2
+	if _, err := m.AddTask(eng.PrefillWorker(), machine.Placement{CoreLo: 0, CoreHi: half - 1, SMTSlot: 0, COS: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddTask(eng.DecodeWorker(), machine.Placement{CoreLo: half, CoreHi: plat.Cores - 1, SMTSlot: 0, COS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	return m, eng
+}
+
 // TestAllocBudgetServeStep pins a serving machine (prefill + decode
 // workers, no arrivals) at zero allocations per step: the starved
 // worker path and the cost caches must not allocate.
 func TestAllocBudgetServeStep(t *testing.T) {
-	plat := platform.GenA()
-	m := machine.New(plat)
-	eng := serve.NewEngine(serve.Config{Model: llm.Llama2_7B(), SLO: trace.Chatbot().SLO})
-	half := plat.Cores / 2
-	if _, err := m.AddTask(eng.PrefillWorker(), machine.Placement{CoreLo: 0, CoreHi: half - 1, SMTSlot: 0, COS: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AddTask(eng.DecodeWorker(), machine.Placement{CoreLo: half, CoreHi: plat.Cores - 1, SMTSlot: 0, COS: 1}); err != nil {
-		t.Fatal(err)
-	}
+	m, _ := servingMachine(t)
 	allocBudget(t, "serve machine.Step", 0, 1000, func() { m.Step(1e-3) })
+}
+
+// iterationOf returns an op that steps m until w completes one more
+// iteration. TestAllocBudgetColoStep cannot see a per-iteration
+// allocation: an iteration spans many 1 ms steps, and AllocsPerRun
+// rounds the per-step mean down to zero.
+func iterationOf(m *machine.Machine, w *serve.Worker) func() {
+	return func() {
+		for n := w.Completed(); w.Completed() == n; {
+			m.Step(1e-3)
+		}
+	}
 }
 
 // TestAllocBudgetDecodeIteration pins one complete decode iteration —
 // every machine step from one iteration boundary of a full batch to
-// the next — at zero allocations. TestAllocBudgetColoStep cannot see a
-// per-iteration allocation: an iteration spans many 1 ms steps, and
-// AllocsPerRun rounds the per-step mean down to zero. The batch is
-// full of requests that never finish and the prefill queue is empty,
-// so each op is exactly one decode iteration and nothing else.
+// the next — at zero allocations. The batch is full of requests that
+// never finish and the prefill queue is empty, so each op is exactly
+// one decode iteration and nothing else.
 func TestAllocBudgetDecodeIteration(t *testing.T) {
-	plat := platform.GenA()
-	m := machine.New(plat)
-	eng := serve.NewEngine(serve.Config{Model: llm.Llama2_7B(), SLO: trace.Chatbot().SLO})
-	half := plat.Cores / 2
-	if _, err := m.AddTask(eng.PrefillWorker(), machine.Placement{CoreLo: 0, CoreHi: half - 1, SMTSlot: 0, COS: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AddTask(eng.DecodeWorker(), machine.Placement{CoreLo: half, CoreHi: plat.Cores - 1, SMTSlot: 0, COS: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < eng.Config().MaxBatch; i++ {
+	m, eng := servingMachine(t)
+	for i := 0; i < serve.MaxBatch; i++ {
 		if err := eng.Submit(&serve.Request{ID: i + 1, PromptLen: 512, OutputLen: 1 << 30}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	const dt = 1e-3
-	for eng.DecodeBatch() < eng.Config().MaxBatch {
-		m.Step(dt)
+	for eng.DecodeBatch() < serve.MaxBatch {
+		m.Step(1e-3)
 	}
-	dec := eng.DecodeWorker()
-	iteration := func() {
-		for n := dec.Completed(); dec.Completed() == n; {
-			m.Step(dt)
+	allocBudget(t, "serve decode iteration", 0, 10, iterationOf(m, eng.DecodeWorker()))
+}
+
+// TestAllocBudgetPrefillIteration pins one complete prefill pass —
+// every machine step from one prefill boundary to the next — at zero
+// allocations: the engine re-forms its one prefill job in place. The
+// queued requests retire at their first token and the queue outlasts
+// the measurement, so each op is exactly one prefill and nothing else.
+func TestAllocBudgetPrefillIteration(t *testing.T) {
+	m, eng := servingMachine(t)
+	for i := 0; i < 512; i++ {
+		if err := eng.Submit(&serve.Request{ID: i + 1, PromptLen: 512, OutputLen: 1}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	allocBudget(t, "serve decode iteration", 0, 10, iteration)
+	allocBudget(t, "serve prefill iteration", 0, 10, iterationOf(m, eng.PrefillWorker()))
+	if eng.QueueLen() == 0 {
+		t.Fatal("prefill queue ran dry during the measurement")
+	}
 }
 
 // TestAllocBudgetColoStep pins the full step under every paper table —
@@ -186,7 +206,6 @@ func TestAllocBudgetReqTraceDisabled(t *testing.T) {
 	allocBudget(t, "reqtrace disabled hooks", 0, 10, func() {
 		tr.Submitted(tid, 0, 0)
 		tr.PrefillStart(tid, 0.1, 0)
-		tr.ChunkDone(tid, 0.2, 0.1, 0.1, 0)
 		tr.FirstToken(tid, 0.3, true, 0, 0, 0)
 		tr.Token(tid, 0.4, 0.1, true, 0.05, 0, 0)
 		tr.Retire(tid, 0.4, 0)

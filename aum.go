@@ -89,8 +89,10 @@ type (
 	ChaosSchedule = chaos.Schedule
 	// ChaosEvent is one scheduled fault in a ChaosSchedule.
 	ChaosEvent = chaos.Event
-	// Admission bounds the serving engine's queue and backlog (set
-	// RunConfig.Admission).
+	// Admission is the serving engine's overload policy (set
+	// RunConfig.Admission or FleetConfig.Admission): MaxQueue sheds
+	// arrivals at a full prefill queue. The decode backlog is always
+	// bounded at four batches of 16.
 	Admission = serve.Admission
 	// ViolationWindow is one contiguous span of measured SLO violation
 	// in a RunResult.
@@ -119,7 +121,9 @@ type (
 // The fleet layer (DESIGN.md §8): a cluster of simulated machines with
 // AUV-aware balancing, autoscaling, and disaggregated serving.
 type (
-	// FleetConfig parameterizes one fleet simulation.
+	// FleetConfig parameterizes one fleet simulation. Its Faults field
+	// takes a *FleetSchedule (CrashStorm, or explicit FleetEvents); the
+	// failover timings it enables are fixed (DESIGN.md §10).
 	FleetConfig = cluster.Config
 	// FleetResult summarizes one fleet simulation.
 	FleetResult = cluster.Result
@@ -140,13 +144,10 @@ type (
 	// LinkConfig models the KV-transfer interconnect between
 	// disaggregated prefill and decode machines.
 	LinkConfig = cluster.LinkConfig
-	// FaultConfig parameterizes fleet fault tolerance: the fault
-	// schedule plus detection, retry/backoff, recovery, and circuit
-	// breaker knobs (set FleetConfig.Faults).
-	FaultConfig = cluster.FaultConfig
 	// HealthEvent is one node health transition in a FleetResult.
 	HealthEvent = cluster.HealthEvent
-	// FleetSchedule is a deterministic fleet-level fault plan.
+	// FleetSchedule is a deterministic fleet-level fault plan (set
+	// FleetConfig.Faults).
 	FleetSchedule = chaos.FleetSchedule
 	// FleetEvent is one scheduled fleet fault in a FleetSchedule.
 	FleetEvent = chaos.FleetEvent
@@ -345,7 +346,8 @@ func PhaseFlipCoreLoss(at float64, cores int, outageS float64) ChaosSchedule {
 
 // CrashStorm returns a seeded, deterministic fleet crash schedule:
 // crashes machine outages of downS seconds each, spread over the middle
-// two-thirds of a horizonS-second run (set FaultConfig.Schedule).
+// two-thirds of a horizonS-second run (set FleetConfig.Faults to its
+// address).
 func CrashStorm(machines, crashes int, horizonS, downS float64, seed uint64) FleetSchedule {
 	return chaos.CrashStorm(machines, crashes, horizonS, downS, seed)
 }
@@ -416,12 +418,6 @@ func NewRequestTracer(cfg ReqTraceConfig) *RequestTracer { return reqtrace.New(c
 // BlameCategories returns the blame taxonomy in canonical order —
 // the category strings used by RequestTrace and CategoryBlame.
 func BlameCategories() []string { return reqtrace.Categories() }
-
-// SetRequestTracingForced globally forces request tracing on for runs
-// that did not wire a tracer, exercising every hook with an invisible
-// private tracer. Neutrality harness only: results and trace files stay
-// byte-identical (the tracing determinism contract, DESIGN.md §12).
-func SetRequestTracingForced(on bool) { reqtrace.SetForced(on) }
 
 // ValidateBlameSeries checks the aum_blame_* and aum_slo_burn_rate
 // series of a Prometheus exposition against the blame taxonomy (the

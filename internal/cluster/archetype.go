@@ -187,11 +187,11 @@ func (s *session) stepArch() error {
 		if !n.env.Engine.Idle() || n.undelivered() != 0 {
 			continue
 		}
-		if !n.env.M.CoarseReady(cfg.DT) {
+		if !n.env.M.CoarseReady(machine.DT) {
 			continue
 		}
 		if id := a.archOf[i]; !a.caps[id].Valid() {
-			if c, ok := n.env.M.CloneCapture(cfg.DT); ok {
+			if c, ok := n.env.M.CloneCapture(machine.DT); ok {
 				a.caps[id] = c
 			}
 		}
@@ -276,10 +276,10 @@ func (s *session) archSpan(i, fromB, kb int) error {
 	n := s.nodes[i]
 	m := n.env.M
 	if n.state == stateStandby || n.dead() {
-		m.AdvanceIdle(float64(kb*s.steps) * cfg.DT)
+		m.AdvanceIdle(float64(kb*s.steps) * machine.DT)
 		return nil
 	}
-	if m.SkipQuiescent(cfg.DT, kb*s.steps) {
+	if m.SkipQuiescent(machine.DT, kb*s.steps) {
 		if a.adopted[i] {
 			a.cHits.Inc()
 		}
@@ -287,7 +287,7 @@ func (s *session) archSpan(i, fromB, kb int) error {
 	}
 	if c := a.caps[a.archOf[i]]; c.Valid() && m.AdoptCapture(c) {
 		a.adopted[i] = true
-		if m.SkipQuiescent(cfg.DT, kb*s.steps) {
+		if m.SkipQuiescent(machine.DT, kb*s.steps) {
 			a.cHits.Inc()
 			return nil
 		}

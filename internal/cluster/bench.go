@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"aum/internal/chaos"
 	"aum/internal/colo"
 	"aum/internal/llm"
+	"aum/internal/machine"
 	"aum/internal/platform"
 	"aum/internal/serve"
 )
@@ -23,7 +25,7 @@ func NodeReplayBenchLoop(mgr colo.Manager, k int) func() {
 		panic(err)
 	}
 	m := s.nodes[0].env.M
-	return func() { m.StepN(cfg.DT, k) }
+	return func() { m.StepN(machine.DT, k) }
 }
 
 // FailoverBenchLoop returns a closure that exercises the fleet
@@ -35,14 +37,9 @@ func NodeReplayBenchLoop(mgr colo.Manager, k int) func() {
 func FailoverBenchLoop() func() {
 	cfg := Config{
 		Machines: make([]MachineSpec, 2),
-		Faults:   &FaultConfig{},
+		Faults:   &chaos.FleetSchedule{},
 		Seed:     1,
 	}
-	f, err := cfg.Faults.withDefaults()
-	if err != nil {
-		panic(err)
-	}
-	cfg.Faults = &f
 	fe, err := newFaultEngine(cfg)
 	if err != nil {
 		panic(err)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"aum/internal/chaos"
 	"aum/internal/colo"
 	"aum/internal/llm"
 	"aum/internal/machine"
@@ -96,11 +97,10 @@ type Config struct {
 
 	HorizonS float64 // simulated duration (default 40)
 	WarmupS  float64 // excluded from measurement (default HorizonS/6)
-	DT       float64 // machine time step (default 1 ms)
 	// BarrierS is the tick-barrier interval: machines step
 	// independently for this long between the single-threaded
 	// routing/handoff/autoscale points (default 50 ms; rounded to a
-	// whole number of DT steps).
+	// whole number of machine.DT steps).
 	BarrierS float64
 	Seed     uint64
 	// RatePerS is the fleet's aggregate offered rate (0 = the sum of
@@ -127,10 +127,12 @@ type Config struct {
 	Autoscale *AutoscaleConfig
 	// Link prices KV-cache transfers between prefill and decode tiers.
 	Link LinkConfig
-	// Faults, when set, injects fleet-level failures (machine crashes,
-	// link partitions/brownouts, stragglers) and enables the failover
-	// machinery: health states, retry with backoff, KV re-handoff.
-	Faults *FaultConfig
+	// Faults, when set, injects this fleet-level failure plan (machine
+	// crashes, link partitions/brownouts, stragglers) and enables the
+	// failover machinery: health states, retry with backoff, KV
+	// re-handoff, circuit breaker (DESIGN.md §10; its timings are the
+	// constants in failover.go).
+	Faults *chaos.FleetSchedule
 	// Trace, when set, receives failover spans (outages, redispatches)
 	// in Chrome trace_event form.
 	Trace *telemetry.Trace
@@ -215,29 +217,26 @@ func (c Config) withDefaults() (Config, error) {
 	if c.HorizonS == 0 {
 		c.HorizonS = 40
 	}
+	if c.HorizonS < machine.DT {
+		return c, vcfg.Bad(pkg, "Config.HorizonS", c.HorizonS, ">= machine.DT (one 1 ms step)")
+	}
 	if c.WarmupS < 0 || c.WarmupS >= c.HorizonS {
 		return c, vcfg.Bad(pkg, "Config.WarmupS", c.WarmupS, "in [0, HorizonS) (0 selects HorizonS/6)")
 	}
 	if c.WarmupS == 0 {
 		c.WarmupS = c.HorizonS / 6
 	}
-	if c.DT < 0 || c.DT > c.HorizonS {
-		return c, vcfg.Bad(pkg, "Config.DT", c.DT, "in (0, HorizonS] (0 selects the 1 ms default)")
-	}
-	if c.DT == 0 {
-		c.DT = 1e-3
-	}
 	if c.BarrierS < 0 {
-		return c, vcfg.Bad(pkg, "Config.BarrierS", c.BarrierS, ">= Config.DT (0 selects the 50 ms default)")
+		return c, vcfg.Bad(pkg, "Config.BarrierS", c.BarrierS, ">= machine.DT (0 selects the 50 ms default)")
 	}
 	if c.BarrierS == 0 {
 		c.BarrierS = 0.05
 	}
-	if c.BarrierS < c.DT {
-		return c, vcfg.Bad(pkg, "Config.BarrierS", c.BarrierS, ">= Config.DT (0 selects the 50 ms default)")
+	if c.BarrierS < machine.DT {
+		return c, vcfg.Bad(pkg, "Config.BarrierS", c.BarrierS, ">= machine.DT (0 selects the 50 ms default)")
 	}
 	// Epochs must tile the horizon in whole DT steps.
-	c.BarrierS = math.Round(c.BarrierS/c.DT) * c.DT
+	c.BarrierS = math.Round(c.BarrierS/machine.DT) * machine.DT
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
@@ -280,12 +279,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Admission.MaxQueue < 0 {
 		return c, vcfg.Bad(pkg, "Config.Admission.MaxQueue", c.Admission.MaxQueue, ">= 0 (0 = unbounded)")
 	}
-	if c.Admission.MaxHeadWait < 0 {
-		return c, vcfg.Bad(pkg, "Config.Admission.MaxHeadWait", c.Admission.MaxHeadWait, ">= 0 seconds (0 = disabled)")
-	}
-	if c.Admission.QueueDeadline < 0 {
-		return c, vcfg.Bad(pkg, "Config.Admission.QueueDeadline", c.Admission.QueueDeadline, ">= 0 seconds (0 = no deadline)")
-	}
 	if c.Source != nil && len(classes) > 1 {
 		return c, vcfg.Bad(pkg, "Config.Source", len(classes), "a single scenario class (a live source feeds one class)")
 	}
@@ -294,14 +287,9 @@ func (c Config) withDefaults() (Config, error) {
 		return c, err
 	}
 	if c.Faults != nil {
-		f, err := c.Faults.withDefaults()
-		if err != nil {
-			return c, err
+		if err := c.Faults.Validate(len(c.Machines)); err != nil {
+			return c, vcfg.Bad(pkg, "Config.Faults", err, "a fleet fault schedule valid for this machine list")
 		}
-		if err := f.Schedule.Validate(len(c.Machines)); err != nil {
-			return c, vcfg.Bad(pkg, "Config.Faults.Schedule", err, "a fleet fault schedule valid for this machine list")
-		}
-		c.Faults = &f
 	}
 	if c.Autoscale != nil {
 		a, err := c.Autoscale.withDefaults()
@@ -581,24 +569,24 @@ func stepEpoch(cfg Config, n *node, start float64, steps int) error {
 	if n.state == stateStandby || n.dead() {
 		// Powered off (standby) or crashed (suspect/down): the clock
 		// advances, nothing runs, no energy accrues.
-		n.env.M.AdvanceIdle(float64(steps) * cfg.DT)
+		n.env.M.AdvanceIdle(float64(steps) * machine.DT)
 		n.maybeSnapshot(cfg.WarmupS, n.env.M.Now())
 		return nil
 	}
 	eng := n.env.Engine
 	iv := n.spec.Mgr.Interval() // invariant across the epoch; hoisted
-	end := start + float64(steps)*cfg.DT
+	end := start + float64(steps)*machine.DT
 	ri := 0
 	for k := 0; k < steps; {
-		now := start + float64(k)*cfg.DT
-		for ri < len(n.inbox) && n.inbox[ri].Arrival <= now+cfg.DT {
+		now := start + float64(k)*machine.DT
+		for ri < len(n.inbox) && n.inbox[ri].Arrival <= now+machine.DT {
 			if err := eng.Submit(n.inbox[ri]); err != nil {
 				return err
 			}
 			ri++
 		}
-		for n.handIdx < len(n.pending) && n.pending[n.handIdx].deliverAt <= now+cfg.DT {
-			if err := eng.InjectDecode(n.pending[n.handIdx].req, now+cfg.DT); err != nil {
+		for n.handIdx < len(n.pending) && n.pending[n.handIdx].deliverAt <= now+machine.DT {
+			if err := eng.InjectDecode(n.pending[n.handIdx].req, now+machine.DT); err != nil {
 				return fmt.Errorf("cluster: %s: %w", n.name, err)
 			}
 			n.handIdx++
@@ -617,11 +605,11 @@ func stepEpoch(cfg Config, n *node, start float64, steps int) error {
 		// cannot fire before the bound.
 		stop := end
 		if ri < len(n.inbox) {
-			if t := n.inbox[ri].Arrival - cfg.DT; t < stop {
+			if t := n.inbox[ri].Arrival - machine.DT; t < stop {
 				stop = t
 			}
 		}
-		if t := n.nextDeliveryAt() - cfg.DT; t < stop {
+		if t := n.nextDeliveryAt() - machine.DT; t < stop {
 			stop = t
 		}
 		if iv > 0 && n.nextTick < stop {
@@ -630,8 +618,8 @@ func stepEpoch(cfg Config, n *node, start float64, steps int) error {
 		if !n.measured && cfg.WarmupS < stop {
 			stop = cfg.WarmupS
 		}
-		nSteps := min(machine.StepsBefore(now, stop, cfg.DT), steps-k)
-		n.env.M.StepN(cfg.DT, nSteps)
+		nSteps := min(machine.StepsBefore(now, stop, machine.DT), steps-k)
+		n.env.M.StepN(machine.DT, nSteps)
 		k += nSteps
 	}
 	n.inbox = n.inbox[:0]

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aum/internal/llm"
+	"aum/internal/machine"
 	"aum/internal/manager"
 	"aum/internal/platform"
 	"aum/internal/trace"
@@ -54,7 +55,8 @@ func TestConfigValidation(t *testing.T) {
 		{"bad policy", func(c *Config) { c.Policy = 99 }, "Config.Policy"},
 		{"negative horizon", func(c *Config) { c.HorizonS = -1 }, "Config.HorizonS"},
 		{"warmup past horizon", func(c *Config) { c.WarmupS = 20 }, "Config.WarmupS"},
-		{"barrier under dt", func(c *Config) { c.DT = 0.01; c.BarrierS = 0.001 }, "Config.BarrierS"},
+		{"horizon under dt", func(c *Config) { c.HorizonS = machine.DT / 2 }, "Config.HorizonS"},
+		{"barrier under dt", func(c *Config) { c.BarrierS = machine.DT / 2 }, "Config.BarrierS"},
 		{"negative rate", func(c *Config) { c.RatePerS = -2 }, "Config.RatePerS"},
 		{"qps not increasing", func(c *Config) {
 			c.QPS = []RatePoint{{At: 5, RatePerS: 1}, {At: 5, RatePerS: 2}}

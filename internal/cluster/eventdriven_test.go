@@ -69,7 +69,7 @@ func diffFixtures() map[string]Config {
 			Model: model, Scen: scen, Policy: AUVAware,
 			HorizonS: 24, Seed: 7, RatePerS: 2.0,
 			Autoscale: &AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1},
-			Faults:    &FaultConfig{Schedule: chaos.CrashStorm(4, 2, 24, 3, 7)},
+			Faults:    stormOf(chaos.CrashStorm(4, 2, 24, 3, 7)),
 		},
 		// Sparse traffic: mean arrival gap of ~20 barriers, so most
 		// barriers are inert. This is the row that proves elided spans
@@ -198,7 +198,7 @@ func TestArchetypesEnvelope(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Policy = AUVAware },
 		func(c *Config) { c.Autoscale = &AutoscaleConfig{} },
-		func(c *Config) { c.Faults = &FaultConfig{Schedule: chaos.CrashStorm(2, 1, 48, 3, 7)} },
+		func(c *Config) { c.Faults = stormOf(chaos.CrashStorm(2, 1, 48, 3, 7)) },
 		func(c *Config) { c.Machines[0].Role = RolePrefill },
 		func(c *Config) { c.Source = trace.NewLiveSource() },
 		func(c *Config) { c.ReqTrace = reqtrace.New(reqtrace.Config{}) },

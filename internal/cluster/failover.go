@@ -16,99 +16,40 @@ import (
 	"aum/internal/rng"
 	"aum/internal/serve"
 	"aum/internal/telemetry"
-	"aum/internal/vcfg"
 )
 
-// FaultConfig enables fleet-level fault injection and parameterizes the
-// failover machinery. The zero value of every field selects a
-// documented default, matching the Config idiom.
-type FaultConfig struct {
-	// Schedule is the deterministic fleet fault plan; validated against
-	// the machine list by Config.withDefaults.
-	Schedule chaos.FleetSchedule
-	// ConfirmDownS is the detection delay between a machine dying
+// Failover timings (DESIGN.md §10). Every faulted fleet runs with
+// these values.
+const (
+	// confirmDownS is the detection delay between a machine dying
 	// (Suspect) and the fleet confirming the loss (Down) — only at the
 	// Down transition are its in-flight requests harvested and
-	// re-dispatched (default 0.2 s).
-	ConfirmDownS float64
-	// RecoveryWarmupS is the reboot-and-rewarm time between a fault
+	// re-dispatched.
+	confirmDownS = 0.2
+	// recoveryWarmupS is the reboot-and-rewarm time between a fault
 	// expiring and the machine serving again; the machine burns power
-	// but takes no traffic, like an autoscaler warmup (default 2 s).
-	RecoveryWarmupS float64
-	// RetryBudget caps how many times one request may be re-dispatched
-	// after crashes before it is failed outright (default 3).
-	RetryBudget int
-	// BackoffBaseS is the first retry delay; attempt k waits
-	// min(BackoffBaseS·2^(k-1), BackoffCapS), jittered (default 50 ms).
-	BackoffBaseS float64
-	// BackoffCapS caps the exponential backoff (default 1 s).
-	BackoffCapS float64
-	// JitterFrac spreads each backoff uniformly over ±this fraction,
+	// but takes no traffic, like an autoscaler warmup.
+	recoveryWarmupS = 2.0
+	// retryBudget caps how many times one request may be re-dispatched
+	// after crashes before it is failed outright.
+	retryBudget = 3
+	// backoffBaseS is the first retry delay; attempt k waits
+	// min(backoffBaseS·2^(k-1), backoffCapS), jittered.
+	backoffBaseS = 0.05
+	// backoffCapS caps the exponential backoff.
+	backoffCapS = 1.0
+	// jitterFrac spreads each backoff uniformly over ±this fraction,
 	// drawn from a stream derived from (Seed, class, request ID,
-	// attempt) — pure data, so jitter cannot break width determinism
-	// (default 0.2).
-	JitterFrac float64
-	// BreakerThreshold is the per-node circuit breaker: once a machine
+	// attempt) — pure data, so jitter cannot break width determinism.
+	jitterFrac = 0.2
+	// breakerThreshold is the per-node circuit breaker: once a machine
 	// has crashed this many times, its next rejoin is delayed by
-	// BreakerHoldS on top of the recovery warmup (default 3).
-	BreakerThreshold int
-	// BreakerHoldS is the extra quarantine a tripped breaker adds
-	// before the machine may serve again (default 10 s).
-	BreakerHoldS float64
-}
-
-func (f FaultConfig) withDefaults() (FaultConfig, error) {
-	const pkg = "cluster"
-	if f.ConfirmDownS == 0 {
-		f.ConfirmDownS = 0.2
-	}
-	if f.ConfirmDownS < 0 {
-		return f, vcfg.Bad(pkg, "Config.Faults.ConfirmDownS", f.ConfirmDownS, ">= 0 (0 selects the 0.2 s default)")
-	}
-	if f.RecoveryWarmupS == 0 {
-		f.RecoveryWarmupS = 2
-	}
-	if f.RecoveryWarmupS < 0 {
-		return f, vcfg.Bad(pkg, "Config.Faults.RecoveryWarmupS", f.RecoveryWarmupS, ">= 0 (0 selects the 2 s default)")
-	}
-	if f.RetryBudget == 0 {
-		f.RetryBudget = 3
-	}
-	if f.RetryBudget < 1 {
-		return f, vcfg.Bad(pkg, "Config.Faults.RetryBudget", f.RetryBudget, ">= 1 (0 selects the default of 3; a zero budget would silently drop every crashed request)")
-	}
-	if f.BackoffBaseS == 0 {
-		f.BackoffBaseS = 0.05
-	}
-	if f.BackoffBaseS < 0 {
-		return f, vcfg.Bad(pkg, "Config.Faults.BackoffBaseS", f.BackoffBaseS, "> 0 (0 selects the 50 ms default)")
-	}
-	if f.BackoffCapS == 0 {
-		f.BackoffCapS = 1
-	}
-	if f.BackoffCapS < f.BackoffBaseS {
-		return f, vcfg.Bad(pkg, "Config.Faults.BackoffCapS", f.BackoffCapS, ">= BackoffBaseS (0 selects the 1 s default)")
-	}
-	if f.JitterFrac == 0 {
-		f.JitterFrac = 0.2
-	}
-	if f.JitterFrac < 0 || f.JitterFrac >= 1 {
-		return f, vcfg.Bad(pkg, "Config.Faults.JitterFrac", f.JitterFrac, "in [0, 1) (0 selects the 0.2 default)")
-	}
-	if f.BreakerThreshold == 0 {
-		f.BreakerThreshold = 3
-	}
-	if f.BreakerThreshold < 1 {
-		return f, vcfg.Bad(pkg, "Config.Faults.BreakerThreshold", f.BreakerThreshold, ">= 1 (0 selects the default of 3)")
-	}
-	if f.BreakerHoldS == 0 {
-		f.BreakerHoldS = 10
-	}
-	if f.BreakerHoldS < 0 {
-		return f, vcfg.Bad(pkg, "Config.Faults.BreakerHoldS", f.BreakerHoldS, ">= 0 (0 selects the 10 s default)")
-	}
-	return f, nil
-}
+	// breakerHoldS on top of the recovery warmup.
+	breakerThreshold = 3
+	// breakerHoldS is the extra quarantine a tripped breaker adds
+	// before the machine may serve again.
+	breakerHoldS = 10.0
+)
 
 // HealthEvent is one node health transition, in fleet time.
 type HealthEvent struct {
@@ -131,7 +72,6 @@ type retryEntry struct {
 // faultEngine owns the fleet's failover state. All its methods are
 // called from the single-threaded barrier code.
 type faultEngine struct {
-	cfg  FaultConfig
 	inj  *chaos.FleetInjector
 	seed uint64
 
@@ -164,13 +104,12 @@ type faultEngine struct {
 }
 
 func newFaultEngine(cfg Config) (*faultEngine, error) {
-	inj, err := chaos.NewFleetInjector(cfg.Faults.Schedule, len(cfg.Machines))
+	inj, err := chaos.NewFleetInjector(*cfg.Faults, len(cfg.Machines))
 	if err != nil {
 		return nil, err
 	}
 	reg := cfg.Telemetry
 	return &faultEngine{
-		cfg:           *cfg.Faults,
 		inj:           inj,
 		seed:          cfg.Seed,
 		attempts:      make(map[*serve.Request]int),
@@ -266,7 +205,7 @@ func (fe *faultEngine) crash(now float64, n *node) {
 		// Crashed again mid-reboot: back to Suspect; the original
 		// downSince stands so MTTR spans the whole compound outage.
 		n.state = stateSuspect
-		n.confirmAt = now + fe.cfg.ConfirmDownS
+		n.confirmAt = now + confirmDownS
 		n.crashes++
 		fe.crashes++
 		fe.cCrashes.Inc()
@@ -275,7 +214,7 @@ func (fe *faultEngine) crash(now float64, n *node) {
 	}
 	n.state = stateSuspect
 	n.downSince = now
-	n.confirmAt = now + fe.cfg.ConfirmDownS
+	n.confirmAt = now + confirmDownS
 	n.crashes++
 	fe.crashes++
 	fe.cCrashes.Inc()
@@ -286,7 +225,7 @@ func (fe *faultEngine) crash(now float64, n *node) {
 }
 
 // beginRecovery handles a crash expiry: the machine starts rebooting.
-// If the loss was never confirmed (outage shorter than ConfirmDownS),
+// If the loss was never confirmed (outage shorter than confirmDownS),
 // the in-flight state is still gone — a blip loses memory contents just
 // as thoroughly — so the harvest happens now instead.
 func (fe *faultEngine) beginRecovery(now float64, cfg Config, nodes []*node, link *kvLink, n *node) {
@@ -299,10 +238,10 @@ func (fe *faultEngine) beginRecovery(now float64, cfg Config, nodes []*node, lin
 		return // crash never applied (standby at injection time)
 	}
 	n.state = stateRecovering
-	rejoin := now + fe.cfg.RecoveryWarmupS
-	if n.crashes >= fe.cfg.BreakerThreshold && !n.breakerOpen {
+	rejoin := now + recoveryWarmupS
+	if n.crashes >= breakerThreshold && !n.breakerOpen {
 		n.breakerOpen = true
-		rejoin += fe.cfg.BreakerHoldS
+		rejoin += breakerHoldS
 		fe.event(now, n, "breaker-open")
 	}
 	n.activeAt = rejoin
@@ -368,7 +307,7 @@ func (fe *faultEngine) harvest(now float64, cfg Config, nodes []*node, link *kvL
 // an error, and counted as such.
 func (fe *faultEngine) scheduleRetry(now float64, r *serve.Request, class int) {
 	attempt := fe.attempts[r] + 1
-	if attempt > fe.cfg.RetryBudget {
+	if attempt > retryBudget {
 		r.Done = true
 		fe.failed++
 		fe.cFailed.Inc()
@@ -376,15 +315,15 @@ func (fe *faultEngine) scheduleRetry(now float64, r *serve.Request, class int) {
 		return
 	}
 	fe.attempts[r] = attempt
-	backoff := fe.cfg.BackoffBaseS * math.Pow(2, float64(attempt-1))
-	if backoff > fe.cfg.BackoffCapS {
-		backoff = fe.cfg.BackoffCapS
+	backoff := backoffBaseS * math.Pow(2, float64(attempt-1))
+	if backoff > backoffCapS {
+		backoff = backoffCapS
 	}
 	// The jitter stream is a pure function of (seed, class, ID,
 	// attempt): no shared generator, so neither worker width nor
 	// harvest order can perturb it (DESIGN.md §10).
 	u := rng.DeriveUniform(fe.seed, 0x8e77, uint64(class), uint64(r.ID), uint64(attempt))
-	backoff *= 1 + fe.cfg.JitterFrac*(2*u-1)
+	backoff *= 1 + jitterFrac*(2*u-1)
 	r.ResetForRetry()
 	fe.retried++
 	fe.cRetries.Inc()

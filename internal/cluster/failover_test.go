@@ -27,11 +27,9 @@ func faultedConfig() Config {
 		},
 		Model: llm.Llama2_7B(), Scen: trace.Chatbot(), Policy: AUVAware,
 		HorizonS: 12, Seed: 9, RatePerS: 2.0,
-		Faults: &FaultConfig{
-			Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
-				{At: 4, Kind: chaos.MachineCrash, Machine: 0, Duration: 2},
-			}},
-		},
+		Faults: &chaos.FleetSchedule{Events: []chaos.FleetEvent{
+			{At: 4, Kind: chaos.MachineCrash, Machine: 0, Duration: 2},
+		}},
 	}
 }
 
@@ -102,13 +100,11 @@ func TestFleetChaosWidthDeterminism(t *testing.T) {
 			Model: llm.Llama2_7B(), Scen: trace.Chatbot(), Policy: AUVAware,
 			HorizonS: 10, Seed: 17, Workers: w, RatePerS: 2.0,
 			Autoscale: &AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 0.5},
-			Faults: &FaultConfig{
-				Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
-					{At: 3, Kind: chaos.MachineCrash, Machine: 0, Duration: 1.5},
-					{At: 4, Kind: chaos.Straggler, Machine: 1, Duration: 3, Factor: 0.6},
-					{At: 6, Kind: chaos.LinkBrownout, Machine: 1, Duration: 2, Factor: 0.4},
-				}},
-			},
+			Faults: &chaos.FleetSchedule{Events: []chaos.FleetEvent{
+				{At: 3, Kind: chaos.MachineCrash, Machine: 0, Duration: 1.5},
+				{At: 4, Kind: chaos.Straggler, Machine: 1, Duration: 3, Factor: 0.6},
+				{At: 6, Kind: chaos.LinkBrownout, Machine: 1, Duration: 2, Factor: 0.4},
+			}},
 		}
 		res, err := Run(cfg)
 		if err != nil {
@@ -178,36 +174,18 @@ func TestRoutingSkipsUnhealthyNodes(t *testing.T) {
 
 func TestFaultConfigValidation(t *testing.T) {
 	cases := []struct {
-		name  string
-		mut   func(*FaultConfig)
-		field string
+		name   string
+		events []chaos.FleetEvent
 	}{
-		{"negative backoff", func(f *FaultConfig) { f.BackoffBaseS = -0.1 }, "Config.Faults.BackoffBaseS"},
-		{"cap under base", func(f *FaultConfig) { f.BackoffBaseS = 2; f.BackoffCapS = 1 }, "Config.Faults.BackoffCapS"},
-		{"negative retry budget", func(f *FaultConfig) { f.RetryBudget = -1 }, "Config.Faults.RetryBudget"},
-		{"jitter out of range", func(f *FaultConfig) { f.JitterFrac = 1.5 }, "Config.Faults.JitterFrac"},
-		{"negative confirmation", func(f *FaultConfig) { f.ConfirmDownS = -1 }, "Config.Faults.ConfirmDownS"},
-		{"negative recovery", func(f *FaultConfig) { f.RecoveryWarmupS = -1 }, "Config.Faults.RecoveryWarmupS"},
-		{"negative breaker threshold", func(f *FaultConfig) { f.BreakerThreshold = -2 }, "Config.Faults.BreakerThreshold"},
-		{"negative breaker hold", func(f *FaultConfig) { f.BreakerHoldS = -1 }, "Config.Faults.BreakerHoldS"},
-		{"crash before start", func(f *FaultConfig) {
-			f.Schedule.Events = []chaos.FleetEvent{{At: -1, Kind: chaos.MachineCrash}}
-		}, "Config.Faults.Schedule"},
-		{"machine out of range", func(f *FaultConfig) {
-			f.Schedule.Events = []chaos.FleetEvent{{At: 1, Kind: chaos.MachineCrash, Machine: 5}}
-		}, "Config.Faults.Schedule"},
-		{"negative fault duration", func(f *FaultConfig) {
-			f.Schedule.Events = []chaos.FleetEvent{{At: 1, Kind: chaos.MachineCrash, Duration: -2}}
-		}, "Config.Faults.Schedule"},
-		{"brownout factor out of range", func(f *FaultConfig) {
-			f.Schedule.Events = []chaos.FleetEvent{{At: 1, Kind: chaos.LinkBrownout, Factor: 1.5}}
-		}, "Config.Faults.Schedule"},
+		{"crash before start", []chaos.FleetEvent{{At: -1, Kind: chaos.MachineCrash}}},
+		{"machine out of range", []chaos.FleetEvent{{At: 1, Kind: chaos.MachineCrash, Machine: 5}}},
+		{"negative fault duration", []chaos.FleetEvent{{At: 1, Kind: chaos.MachineCrash, Duration: -2}}},
+		{"brownout factor out of range", []chaos.FleetEvent{{At: 1, Kind: chaos.LinkBrownout, Factor: 1.5}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := twoNodeConfig(RoundRobin)
-			cfg.Faults = &FaultConfig{}
-			tc.mut(cfg.Faults)
+			cfg.Faults = &chaos.FleetSchedule{Events: tc.events}
 			_, err := Run(cfg)
 			if err == nil {
 				t.Fatal("accepted")
@@ -216,26 +194,15 @@ func TestFaultConfigValidation(t *testing.T) {
 			if !errors.As(err, &fe) {
 				t.Fatalf("not a FieldError: %v", err)
 			}
-			if !strings.Contains(err.Error(), tc.field) {
-				t.Fatalf("error %q does not name %s", err, tc.field)
+			if !strings.Contains(err.Error(), "Config.Faults") {
+				t.Fatalf("error %q does not name Config.Faults", err)
 			}
 		})
 	}
-	// The zero value selects the documented defaults — in particular a
-	// zero retry budget means "default of 3", never "drop everything".
-	cfg := twoNodeConfig(RoundRobin)
-	cfg.Faults = &FaultConfig{}
-	v, err := cfg.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := v.Faults
-	if f.RetryBudget != 3 || f.BackoffBaseS != 0.05 || f.BackoffCapS != 1 ||
-		f.ConfirmDownS != 0.2 || f.RecoveryWarmupS != 2 || f.JitterFrac != 0.2 ||
-		f.BreakerThreshold != 3 || f.BreakerHoldS != 10 {
-		t.Fatalf("fault defaults: %+v", f)
-	}
 }
+
+// stormOf returns the address of a copy of s, for Config.Faults.
+func stormOf(s chaos.FleetSchedule) *chaos.FleetSchedule { return &s }
 
 // TestAutoscalerReplacesDownNode: a permanent crash of the only active
 // machine is a capacity loss the autoscaler must replace from the
@@ -252,12 +219,10 @@ func TestAutoscalerReplacesDownNode(t *testing.T) {
 		// the fleet's routable capacity.
 		HorizonS: 14, Seed: 7, RatePerS: 1.2,
 		Autoscale: &AutoscaleConfig{HighUtil: 1.9, HoldBarriers: 2, WarmupDelayS: 0.5},
-		Faults: &FaultConfig{
-			Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
-				// Duration 0: the machine never comes back.
-				{At: 5, Kind: chaos.MachineCrash, Machine: 0},
-			}},
-		},
+		Faults: &chaos.FleetSchedule{Events: []chaos.FleetEvent{
+			// Duration 0: the machine never comes back.
+			{At: 5, Kind: chaos.MachineCrash, Machine: 0},
+		}},
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -302,11 +267,9 @@ func TestDownNodeDuringDrain(t *testing.T) {
 		HorizonS: 12, Seed: 7, RatePerS: 1.6,
 		QPS:       []RatePoint{{At: 2, RatePerS: 0.05}},
 		Autoscale: &AutoscaleConfig{HighUtil: 1.2, HoldBarriers: 2, WarmupDelayS: 0.5},
-		Faults: &FaultConfig{
-			Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
-				{At: 2.3, Kind: chaos.MachineCrash, Machine: 0, Duration: 2},
-			}},
-		},
+		Faults: &chaos.FleetSchedule{Events: []chaos.FleetEvent{
+			{At: 2.3, Kind: chaos.MachineCrash, Machine: 0, Duration: 2},
+		}},
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -354,11 +317,9 @@ func TestFlashCrowdWhileReplacementWarms(t *testing.T) {
 		HorizonS: 14, Seed: 7, RatePerS: 0.8,
 		QPS:       []RatePoint{{At: 3, RatePerS: 5}},
 		Autoscale: &AutoscaleConfig{HighUtil: 1.5, HoldBarriers: 2, WarmupDelayS: 3},
-		Faults: &FaultConfig{
-			Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
-				{At: 4, Kind: chaos.MachineCrash, Machine: 0, Duration: 4},
-			}},
-		},
+		Faults: &chaos.FleetSchedule{Events: []chaos.FleetEvent{
+			{At: 4, Kind: chaos.MachineCrash, Machine: 0, Duration: 4},
+		}},
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -378,18 +339,16 @@ func TestFlashCrowdWhileReplacementWarms(t *testing.T) {
 func TestRetryBudgetExhaustion(t *testing.T) {
 	cfg := faultedConfig()
 	cfg.Machines = cfg.Machines[:2]
-	cfg.Faults = &FaultConfig{
-		RetryBudget: 1,
-		Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
-			// Alternating crashes chase the retried requests across the
-			// fleet; with a budget of 1 the second harvest of a request
-			// fails it outright.
-			{At: 3, Kind: chaos.MachineCrash, Machine: 0, Duration: 1},
-			{At: 3.5, Kind: chaos.MachineCrash, Machine: 1, Duration: 1},
-			{At: 7, Kind: chaos.MachineCrash, Machine: 0, Duration: 1},
-			{At: 7.5, Kind: chaos.MachineCrash, Machine: 1, Duration: 1},
-		}},
-	}
+	// Alternating crashes chase the retried requests across the fleet:
+	// each lands after the other machine has rebooted, so its retries
+	// sit on the next machine to die. With the budget of 3, the fourth
+	// harvest of a request fails it outright.
+	cfg.Faults = &chaos.FleetSchedule{Events: []chaos.FleetEvent{
+		{At: 3, Kind: chaos.MachineCrash, Machine: 0, Duration: 0.5},
+		{At: 4.5, Kind: chaos.MachineCrash, Machine: 1, Duration: 0.5},
+		{At: 6.5, Kind: chaos.MachineCrash, Machine: 0, Duration: 0.5},
+		{At: 8, Kind: chaos.MachineCrash, Machine: 1, Duration: 0.5},
+	}}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -417,11 +376,9 @@ func TestKVHandoffFailover(t *testing.T) {
 		// A slow link keeps transfers in flight long enough for the
 		// crash to catch some mid-air.
 		Link: LinkConfig{GBps: 0.5},
-		Faults: &FaultConfig{
-			Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
-				{At: 4, Kind: chaos.MachineCrash, Machine: 1, Duration: 3},
-			}},
-		},
+		Faults: &chaos.FleetSchedule{Events: []chaos.FleetEvent{
+			{At: 4, Kind: chaos.MachineCrash, Machine: 1, Duration: 3},
+		}},
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -446,11 +403,9 @@ func TestLinkPartitionRecompute(t *testing.T) {
 		},
 		Model: llm.Llama2_7B(), Scen: trace.Chatbot(), Policy: RoundRobin,
 		HorizonS: 12, Seed: 9, RatePerS: 1.0,
-		Faults: &FaultConfig{
-			Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
-				{At: 4, Kind: chaos.LinkDown, Machine: 0, Duration: 2},
-			}},
-		},
+		Faults: &chaos.FleetSchedule{Events: []chaos.FleetEvent{
+			{At: 4, Kind: chaos.LinkDown, Machine: 0, Duration: 2},
+		}},
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -474,18 +429,16 @@ func TestLinkPartitionRecompute(t *testing.T) {
 }
 
 // TestCircuitBreakerQuarantine: a machine over the crash threshold is
-// quarantined for BreakerHoldS beyond the normal reboot.
+// quarantined for breakerHoldS beyond the normal reboot.
 func TestCircuitBreakerQuarantine(t *testing.T) {
 	cfg := faultedConfig()
-	cfg.HorizonS = 16
-	cfg.Faults = &FaultConfig{
-		RecoveryWarmupS: 1, BreakerThreshold: 3, BreakerHoldS: 3,
-		Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
-			{At: 2, Kind: chaos.MachineCrash, Machine: 0, Duration: 0.5},
-			{At: 5.5, Kind: chaos.MachineCrash, Machine: 0, Duration: 0.5},
-			{At: 9, Kind: chaos.MachineCrash, Machine: 0, Duration: 0.5},
-		}},
+	cfg.HorizonS = 24
+	var events []chaos.FleetEvent
+	for k := 0; k < breakerThreshold; k++ {
+		events = append(events, chaos.FleetEvent{At: 2 + 3.5*float64(k), Kind: chaos.MachineCrash, Machine: 0, Duration: 0.5})
 	}
+	last := events[len(events)-1].At
+	cfg.Faults = &chaos.FleetSchedule{Events: events}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -503,15 +456,18 @@ func TestCircuitBreakerQuarantine(t *testing.T) {
 	if !opened {
 		t.Fatalf("breaker never opened: %+v", res.HealthEvents)
 	}
-	if len(readyAts) != 3 {
-		t.Fatalf("ready events %v, want 3", readyAts)
+	if len(readyAts) != breakerThreshold {
+		t.Fatalf("ready events %v, want %d", readyAts, breakerThreshold)
 	}
-	// First two outages: ~0.5 fault + 1 reboot. Third adds the 3 s hold.
-	if gap := readyAts[2] - 9; gap < 4 {
-		t.Fatalf("quarantined rejoin after %.2fs, want >= 4 s (reboot + hold)", gap)
+	// Earlier outages: 0.5 s fault + reboot. The last adds the hold.
+	if gap := readyAts[0] - 2; gap > 0.5+recoveryWarmupS+0.1 {
+		t.Fatalf("first rejoin after %.2fs, want the unquarantined %.1f s", gap, 0.5+recoveryWarmupS)
 	}
-	if res.PerNode[0].Crashes != 3 {
-		t.Fatalf("node crash count %d, want 3", res.PerNode[0].Crashes)
+	if gap := readyAts[len(readyAts)-1] - last; gap < recoveryWarmupS+breakerHoldS {
+		t.Fatalf("quarantined rejoin after %.2fs, want >= %.0f s (reboot + hold)", gap, recoveryWarmupS+breakerHoldS)
+	}
+	if res.PerNode[0].Crashes != breakerThreshold {
+		t.Fatalf("node crash count %d, want %d", res.PerNode[0].Crashes, breakerThreshold)
 	}
 }
 
@@ -525,11 +481,9 @@ func TestStragglerDegradesWithoutOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := faultedConfig()
-	slow.Faults = &FaultConfig{
-		Schedule: chaos.FleetSchedule{Events: []chaos.FleetEvent{
-			{At: 3, Kind: chaos.Straggler, Machine: 0, Duration: 6, Factor: 0.4},
-		}},
-	}
+	slow.Faults = &chaos.FleetSchedule{Events: []chaos.FleetEvent{
+		{At: 3, Kind: chaos.Straggler, Machine: 0, Duration: 6, Factor: 0.4},
+	}}
 	res, err := Run(slow)
 	if err != nil {
 		t.Fatal(err)

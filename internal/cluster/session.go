@@ -166,7 +166,7 @@ func newSession(cfg Config) (*session, error) {
 
 		ctx:   context.Background(),
 		ropt:  runner.Options{Workers: cfg.Workers, Seed: cfg.Seed},
-		steps: int(math.Round(cfg.BarrierS / cfg.DT)),
+		steps: int(math.Round(cfg.BarrierS / machine.DT)),
 		rate:  cfg.RatePerS,
 		ev:    eventState{cElided: cfg.Telemetry.Counter("aum_cluster_barriers_elided_total")},
 	}

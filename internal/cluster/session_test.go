@@ -140,22 +140,6 @@ func TestAdmissionValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative Admission.MaxQueue validated; want error")
 	}
-	cfg = sessionTestConfig()
-	cfg.Admission = serve.Admission{MaxHeadWait: -1}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative Admission.MaxHeadWait validated; want error")
-	}
-	cfg = sessionTestConfig()
-	cfg.Admission = serve.Admission{QueueDeadline: -0.5}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative Admission.QueueDeadline validated; want error")
-	}
-	// Negative MaxBacklog stays legal: it means unbounded.
-	cfg = sessionTestConfig()
-	cfg.Admission = serve.Admission{MaxBacklog: -1}
-	if _, err := cfg.withDefaults(); err != nil {
-		t.Fatalf("MaxBacklog -1 (unbounded) rejected: %v", err)
-	}
 }
 
 // failTick is an exclusive-baseline manager whose control tick always

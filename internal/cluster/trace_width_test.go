@@ -33,9 +33,7 @@ func TestTraceBytesWidthDeterminism(t *testing.T) {
 			},
 			Model: llm.Llama2_7B(), Scen: trace.Chatbot(),
 			Policy: LeastQueued, HorizonS: 24, Seed: 11, RatePerS: 1.5,
-			Faults: &FaultConfig{
-				Schedule: chaos.CrashStorm(4, 2, 24, 3, 11),
-			},
+			Faults:   stormOf(chaos.CrashStorm(4, 2, 24, 3, 11)),
 			Workers:  width,
 			Trace:    sink,
 			ReqTrace: rt,

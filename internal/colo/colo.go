@@ -92,7 +92,6 @@ type Config struct {
 
 	HorizonS float64 // simulated duration (default 60)
 	WarmupS  float64 // excluded from measurements (default HorizonS/6)
-	DT       float64 // time step (default 1 ms)
 	Seed     uint64
 	RatePerS float64 // arrival-rate override (0 = scenario default)
 
@@ -143,17 +142,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.HorizonS == 0 {
 		c.HorizonS = 60
 	}
+	if c.HorizonS < machine.DT {
+		return c, vcfg.Bad(pkg, "Config.HorizonS", c.HorizonS, ">= machine.DT (one 1 ms step)")
+	}
 	if c.WarmupS < 0 || c.WarmupS >= c.HorizonS {
 		return c, vcfg.Bad(pkg, "Config.WarmupS", c.WarmupS, "in [0, HorizonS) (0 selects HorizonS/6)")
 	}
 	if c.WarmupS == 0 {
 		c.WarmupS = c.HorizonS / 6
-	}
-	if c.DT < 0 || c.DT > c.HorizonS {
-		return c, vcfg.Bad(pkg, "Config.DT", c.DT, "in (0, HorizonS] (0 selects the 1 ms default)")
-	}
-	if c.DT == 0 {
-		c.DT = 1e-3
 	}
 	if c.RatePerS < 0 {
 		return c, vcfg.Bad(pkg, "Config.RatePerS", c.RatePerS, ">= 0 (0 selects the scenario default)")
@@ -163,12 +159,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Admission.MaxQueue < 0 {
 		return c, vcfg.Bad(pkg, "Config.Admission.MaxQueue", c.Admission.MaxQueue, ">= 0 (0 = unbounded)")
-	}
-	if c.Admission.MaxHeadWait < 0 {
-		return c, vcfg.Bad(pkg, "Config.Admission.MaxHeadWait", c.Admission.MaxHeadWait, ">= 0 seconds (0 = disabled)")
-	}
-	if c.Admission.QueueDeadline < 0 {
-		return c, vcfg.Bad(pkg, "Config.Admission.QueueDeadline", c.Admission.QueueDeadline, ">= 0 seconds (0 = no deadline)")
 	}
 	return c, nil
 }
@@ -238,7 +228,6 @@ type Result struct {
 	Recovered bool
 
 	Rejected       int // requests shed at admission
-	TimedOut       int // requests dropped past their queue deadline
 	BacklogDropped int // prefilled requests shed at the decode backlog
 }
 
@@ -443,7 +432,7 @@ func Run(cfg Config) (Result, error) {
 
 	for m.Now() < cfg.HorizonS {
 		now := m.Now()
-		for _, r := range src.Emit(now, cfg.DT) {
+		for _, r := range src.Emit(now, machine.DT) {
 			if err := submit(r); err != nil {
 				return Result{}, err
 			}
@@ -500,7 +489,7 @@ func Run(cfg Config) (Result, error) {
 		stop := cfg.HorizonS
 		// Emit's guard fires at nextAt <= now+dt, so the last safe
 		// tick start is one dt before the arrival.
-		if t := src.NextEventAt(now) - cfg.DT; t < stop {
+		if t := src.NextEventAt(now) - machine.DT; t < stop {
 			stop = t
 		}
 		if inj != nil {
@@ -517,7 +506,7 @@ func Run(cfg Config) (Result, error) {
 		if !measured && cfg.WarmupS < stop {
 			stop = cfg.WarmupS
 		}
-		m.StepN(cfg.DT, machine.StepsBefore(now, stop, cfg.DT))
+		m.StepN(machine.DT, machine.StepsBefore(now, stop, machine.DT))
 	}
 	if !measured {
 		snapshot()
@@ -533,7 +522,7 @@ func Run(cfg Config) (Result, error) {
 
 	elapsed := m.Now() - baseTime
 	if elapsed <= 0 {
-		elapsed = cfg.DT
+		elapsed = machine.DT
 	}
 	curPrefill, _ := m.Stats(env.PrefillID)
 	curDecode, _ := m.Stats(env.DecodeID)
@@ -593,7 +582,6 @@ func Run(cfg Config) (Result, error) {
 		Prices: prices,
 
 		Rejected:       st.Rejected - baseStats.Rejected,
-		TimedOut:       st.TimedOut - baseStats.TimedOut,
 		BacklogDropped: st.BacklogDropped - baseStats.BacklogDropped,
 		RecoveryS:      -1,
 	}

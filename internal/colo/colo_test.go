@@ -336,7 +336,7 @@ func TestConfigValidationNamesFields(t *testing.T) {
 		{"no manager", func(c *Config) { c.Manager = nil }, "Config.Manager"},
 		{"negative horizon", func(c *Config) { c.HorizonS = -4 }, "Config.HorizonS"},
 		{"warmup past horizon", func(c *Config) { c.WarmupS = 99 }, "Config.WarmupS"},
-		{"dt past horizon", func(c *Config) { c.DT = 20 }, "Config.DT"},
+		{"dt past horizon", func(c *Config) { c.HorizonS = machine.DT / 2 }, "Config.HorizonS"},
 		{"negative rate", func(c *Config) { c.RatePerS = -1 }, "Config.RatePerS"},
 	}
 	for _, tc := range cases {

@@ -41,7 +41,7 @@ func NewAUUP(model *Model, opt Options) (*AUUP, error) {
 func (a *AUUP) Name() string { return "AU-UP" }
 
 // Interval implements colo.Manager.
-func (a *AUUP) Interval() float64 { return a.opt.IntervalS }
+func (a *AUUP) Interval() float64 { return intervalS }
 
 // fullShareConfig returns the no-partitioning allocation: the shared
 // class gets as many ways and as much bandwidth as the knobs allow.
@@ -80,7 +80,7 @@ func (a *AUUP) Setup(e *colo.Env) error {
 // against the runtime slack; never touch CAT/MBA.
 func (a *AUUP) Tick(e *colo.Env, now float64) error {
 	a.tick++
-	if a.tick%a.opt.DivisionTicks != 0 {
+	if a.tick%divisionTicks != 0 {
 		return nil
 	}
 	sloH, sloL := e.Engine.RuntimeSLOs(now)
@@ -172,7 +172,7 @@ func NewAURB(model *Model, opt Options) (*AURB, error) {
 func (a *AURB) Name() string { return "AU-RB" }
 
 // Interval implements colo.Manager.
-func (a *AURB) Interval() float64 { return a.opt.IntervalS }
+func (a *AURB) Interval() float64 { return intervalS }
 
 // balancedDivision is the static middle division.
 const balancedDivision = 1

@@ -12,21 +12,34 @@ import (
 	"aum/internal/telemetry"
 )
 
+// Controller tunables. Every run uses these values.
+const (
+	// deltaThreshold is the deviation above which the controller
+	// switches the processor division (Algorithm 1 line 16).
+	deltaThreshold = 2.0
+	// intervalS is the control period.
+	intervalS = 0.05
+	// divisionTicks is how many control intervals pass between core-
+	// switcher evaluations (division moves are coarse: once per
+	// second).
+	divisionTicks = 20
+	// watchdogN is the violation streak that trips the watchdog
+	// (200 ms at the control period).
+	watchdogN = 4
+	// watchdogHoldTicks is the initial safe-mode hold, in control
+	// intervals (1 s). Each unsuccessful re-probe doubles the hold,
+	// capped at 16x.
+	watchdogHoldTicks = 20
+	// refineAlpha is the EMA blend weight of online refinement.
+	refineAlpha = 0.05
+)
+
 // Options tune the runtime controller.
 type Options struct {
 	// Alpha and Beta are the prefill/decode token prices of the
 	// efficiency objective (defaults 1.8 / 0.2, Section VII-A1).
 	Alpha, Beta float64
-	// DeltaThreshold is the deviation above which the controller
-	// switches the processor division (Algorithm 1 line 16; default 2).
-	DeltaThreshold float64
-	// IntervalS is the control period (default 50 ms).
-	IntervalS float64
-	// DivisionTicks is how many control intervals pass between core-
-	// switcher evaluations (division moves are coarse; default 20,
-	// i.e. once per second).
-	DivisionTicks int
-	// Watchdog enables the SLO watchdog: after WatchdogN consecutive
+	// Watchdog enables the SLO watchdog: after watchdogN consecutive
 	// control intervals of violation it abandons fine-grained tuning,
 	// falls back to the AU-exclusive safe division with the co-runner at
 	// its floor allocation, and holds there — re-probing normal control
@@ -36,13 +49,6 @@ type Options struct {
 	// is structurally infeasible (the paper's cc scenario) it would
 	// otherwise pin the machine in safe mode forever.
 	Watchdog bool
-	// WatchdogN is the violation streak that trips the watchdog
-	// (default 4 intervals, i.e. 200 ms at the default period).
-	WatchdogN int
-	// WatchdogHoldTicks is the initial safe-mode hold, in control
-	// intervals (default 20, i.e. 1 s). Each unsuccessful re-probe
-	// doubles the hold, capped at 16x.
-	WatchdogHoldTicks int
 	// Telemetry, when set, receives the controller's decision audit log
 	// (inputs -> delta -> action events), allocation gauges, and
 	// watchdog state. Nil disables recording.
@@ -59,8 +65,6 @@ type Options struct {
 	// average, so the model tracks co-runners whose behaviour drifted
 	// after profiling.
 	OnlineRefine bool
-	// RefineAlpha is the EMA blend weight (default 0.05).
-	RefineAlpha float64
 }
 
 func (o Options) withDefaults() Options {
@@ -69,24 +73,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Beta == 0 {
 		o.Beta = 0.2
-	}
-	if o.DeltaThreshold == 0 {
-		o.DeltaThreshold = 2
-	}
-	if o.IntervalS == 0 {
-		o.IntervalS = 0.05
-	}
-	if o.DivisionTicks == 0 {
-		o.DivisionTicks = 20
-	}
-	if o.RefineAlpha == 0 {
-		o.RefineAlpha = 0.05
-	}
-	if o.WatchdogN == 0 {
-		o.WatchdogN = 4
-	}
-	if o.WatchdogHoldTicks == 0 {
-		o.WatchdogHoldTicks = 20
 	}
 	return o
 }
@@ -158,7 +144,7 @@ func NewAUM(model *Model, opt Options) (*AUM, error) {
 		return nil, err
 	}
 	opt = opt.withDefaults()
-	a := &AUM{model: model, opt: opt, wdBackoff: opt.WatchdogHoldTicks}
+	a := &AUM{model: model, opt: opt, wdBackoff: watchdogHoldTicks}
 	a.tel = newCtrlTelemetry(opt.Telemetry, opt.Trace)
 	return a, nil
 }
@@ -167,7 +153,7 @@ func NewAUM(model *Model, opt Options) (*AUM, error) {
 func (a *AUM) Name() string { return "AUM" }
 
 // Interval implements colo.Manager.
-func (a *AUM) Interval() float64 { return a.opt.IntervalS }
+func (a *AUM) Interval() float64 { return intervalS }
 
 // Division returns the current division index.
 func (a *AUM) Division() int { return a.curDiv }
@@ -354,7 +340,7 @@ func (a *AUM) Tick(e *colo.Env, now float64) error {
 		}
 	}
 
-	if a.tick%a.opt.DivisionTicks == 0 || (!meets && delta > a.opt.DeltaThreshold) {
+	if a.tick%divisionTicks == 0 || (!meets && delta > deltaThreshold) {
 		// Division feasibility is judged against the *scenario* SLOs:
 		// the wait-shrunk runtime slack drives the fine-grained tuner,
 		// but letting it redefine structural feasibility would flip
@@ -432,7 +418,7 @@ func (a *AUM) Tick(e *colo.Env, now float64) error {
 // this tick and the caller must skip normal division/allocation
 // control.
 //
-// Armed: WatchdogN consecutive violating intervals trip it — the
+// Armed: watchdogN consecutive violating intervals trip it — the
 // controller switches to division 0 (the AU-heavy safe division, most
 // protective of the LLM), floors the co-runner at 1 way / 10% MBA, and
 // holds for wdBackoff intervals. After the hold it re-probes: a
@@ -450,7 +436,7 @@ func (a *AUM) watchdog(e *colo.Env, now float64, meets bool) (engaged bool, err 
 			return false, nil
 		}
 		a.wdViolations++
-		if a.wdViolations < a.opt.WatchdogN {
+		if a.wdViolations < watchdogN {
 			return false, nil
 		}
 		// Trip: safe division, co-runner floored.
@@ -478,13 +464,13 @@ func (a *AUM) watchdog(e *colo.Env, now float64, meets bool) (engaged bool, err 
 		// Recovered: resume normal control immediately (this tick).
 		a.wdActive = false
 		a.wdViolations = 0
-		a.wdBackoff = a.opt.WatchdogHoldTicks
+		a.wdBackoff = watchdogHoldTicks
 		a.tel.event(now, "watchdog-recovered")
 		return false, nil
 	}
 	// Still violating after the hold: back off exponentially.
 	a.wdBackoff *= 2
-	if max := 16 * a.opt.WatchdogHoldTicks; a.wdBackoff > max {
+	if max := 16 * watchdogHoldTicks; a.wdBackoff > max {
 		a.wdBackoff = max
 	}
 	a.wdHold = a.wdBackoff
@@ -502,7 +488,7 @@ func (a *AUM) refine(e *colo.Env, now, mTTFT, mTPOT float64) {
 	if b == nil {
 		return
 	}
-	al := a.opt.RefineAlpha
+	al := refineAlpha
 	if mTTFT > 0 {
 		b.TTFTTail += al * (mTTFT - b.TTFTTail)
 	}

@@ -245,7 +245,7 @@ func TestFeasibleBounds(t *testing.T) {
 
 func TestOptionDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Alpha != 1.8 || o.Beta != 0.2 || o.DeltaThreshold != 2 || o.IntervalS != 0.05 {
+	if o.Alpha != 1.8 || o.Beta != 0.2 {
 		t.Fatalf("defaults diverge from Section VII-A1: %+v", o)
 	}
 }
@@ -271,7 +271,7 @@ func watchdogEnv(t *testing.T, a *AUM) *colo.Env {
 
 func TestWatchdogTripHoldBackoffRecover(t *testing.T) {
 	m := smallProfile(t)
-	aum, err := NewAUM(m, Options{Watchdog: true, WatchdogN: 3, WatchdogHoldTicks: 2})
+	aum, err := NewAUM(m, Options{Watchdog: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,12 +284,19 @@ func TestWatchdogTripHoldBackoffRecover(t *testing.T) {
 		}
 		return engaged
 	}
-
-	// Two violating intervals arm but do not trip.
-	if step(false) || step(false) {
-		t.Fatal("watchdog tripped before the streak threshold")
+	violate := func(n int) {
+		for i := 0; i < n; i++ {
+			step(false)
+		}
 	}
-	if ws := aum.WatchdogState(); ws.Active || ws.Violations != 2 {
+
+	// A streak one short of the threshold arms but does not trip.
+	for i := 0; i < watchdogN-1; i++ {
+		if step(false) {
+			t.Fatal("watchdog tripped before the streak threshold")
+		}
+	}
+	if ws := aum.WatchdogState(); ws.Active || ws.Violations != watchdogN-1 {
 		t.Fatalf("pre-trip state: %+v", ws)
 	}
 	// A compliant interval resets the streak.
@@ -298,14 +305,14 @@ func TestWatchdogTripHoldBackoffRecover(t *testing.T) {
 		t.Fatalf("streak not reset: %+v", ws)
 	}
 
-	// Three consecutive violations trip it: safe division, floored grant.
-	step(false)
-	step(false)
+	// watchdogN consecutive violations trip it: safe division, floored
+	// grant.
+	violate(watchdogN - 1)
 	if !step(false) {
 		t.Fatal("watchdog did not trip at the threshold")
 	}
 	ws := aum.WatchdogState()
-	if !ws.Active || ws.Trips != 1 || ws.HoldRemaining != 2 {
+	if !ws.Active || ws.Trips != 1 || ws.HoldRemaining != watchdogHoldTicks {
 		t.Fatalf("post-trip state: %+v", ws)
 	}
 	if aum.Division() != 0 {
@@ -316,19 +323,19 @@ func TestWatchdogTripHoldBackoffRecover(t *testing.T) {
 	}
 
 	// The hold keeps the machine parked regardless of measurements.
-	if !step(true) || !step(true) {
-		t.Fatal("watchdog released during the hold")
+	for i := 0; i < watchdogHoldTicks; i++ {
+		if !step(true) {
+			t.Fatalf("watchdog released during the hold (tick %d)", i)
+		}
 	}
 	// Hold expired but still violating: back off exponentially.
 	if !step(false) {
 		t.Fatal("watchdog released while still violating")
 	}
-	if ws := aum.WatchdogState(); ws.HoldRemaining != 4 {
-		t.Fatalf("backoff hold = %d, want doubled to 4", ws.HoldRemaining)
+	if ws := aum.WatchdogState(); ws.HoldRemaining != 2*watchdogHoldTicks {
+		t.Fatalf("backoff hold = %d, want doubled to %d", ws.HoldRemaining, 2*watchdogHoldTicks)
 	}
-	for i := 0; i < 4; i++ {
-		step(false)
-	}
+	violate(2 * watchdogHoldTicks)
 	// Recovery after the hold releases control and resets the backoff.
 	if step(true) {
 		t.Fatal("watchdog held after recovery")
@@ -338,35 +345,37 @@ func TestWatchdogTripHoldBackoffRecover(t *testing.T) {
 		t.Fatalf("post-recovery state: %+v", ws)
 	}
 	// A fresh trip starts from the base hold again.
-	step(false)
-	step(false)
-	step(false)
-	if ws := aum.WatchdogState(); ws.HoldRemaining != 2 || ws.Trips != 2 {
+	violate(watchdogN)
+	if ws := aum.WatchdogState(); ws.HoldRemaining != watchdogHoldTicks || ws.Trips != 2 {
 		t.Fatalf("backoff not reset after recovery: %+v", ws)
 	}
 }
 
 func TestWatchdogBackoffCap(t *testing.T) {
 	m := smallProfile(t)
-	aum, err := NewAUM(m, Options{Watchdog: true, WatchdogN: 1, WatchdogHoldTicks: 2})
+	aum, err := NewAUM(m, Options{Watchdog: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := watchdogEnv(t, aum)
-	// Never recover: the hold must saturate at 16x the base.
-	for i := 0; i < 500; i++ {
+	// Never recover: the hold must saturate at 16x the base. Doubling
+	// from the base reaches the cap after four failed re-probes, which
+	// takes (1+2+4+8)x the base hold plus the trip streak.
+	maxHold := 0
+	for i := 0; i < watchdogN+40*watchdogHoldTicks; i++ {
 		if _, err := aum.watchdog(env, 0, false); err != nil {
 			t.Fatal(err)
 		}
+		maxHold = max(maxHold, aum.WatchdogState().HoldRemaining)
 	}
-	if ws := aum.WatchdogState(); ws.HoldRemaining > 32 {
-		t.Fatalf("hold %d exceeds the 16x cap", ws.HoldRemaining)
+	if maxHold != 16*watchdogHoldTicks {
+		t.Fatalf("longest hold %d, want the 16x cap %d", maxHold, 16*watchdogHoldTicks)
 	}
 }
 
 func TestWatchdogStateConcurrentRead(t *testing.T) {
 	m := smallProfile(t)
-	aum, err := NewAUM(m, Options{Watchdog: true, WatchdogN: 1, WatchdogHoldTicks: 2})
+	aum, err := NewAUM(m, Options{Watchdog: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +387,10 @@ func TestWatchdogStateConcurrentRead(t *testing.T) {
 			aum.WatchdogState()
 		}
 	}()
+	// Mostly violating, so the writer trips, holds and re-probes while
+	// the reader polls.
 	for i := 0; i < 200; i++ {
-		if _, err := aum.watchdog(env, 0, i%2 == 0); err != nil {
+		if _, err := aum.watchdog(env, 0, i%64 == 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,9 +401,6 @@ func TestWatchdogOffByDefault(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Watchdog {
 		t.Fatal("watchdog must be opt-in")
-	}
-	if o.WatchdogN != 4 || o.WatchdogHoldTicks != 20 {
-		t.Fatalf("watchdog defaults: %+v", o)
 	}
 }
 

@@ -76,6 +76,12 @@ func ClassifyPlan(p llm.IterationPlan) UsageLevel {
 	return ClassifyARI((ari + qkv) / 2)
 }
 
+// sigmaScale shrinks the request-length variance during profiling: the
+// profiler characterizes configurations with a controlled workload,
+// like the paper's dedicated-node runs, so the buckets reflect
+// configuration differences rather than trace tails.
+const sigmaScale = 0.85
+
 // ProfilerOptions control the offline sweep cost/fidelity trade-off.
 type ProfilerOptions struct {
 	// Reps is the number of repetitions per bucket (the paper uses 10).
@@ -84,13 +90,7 @@ type ProfilerOptions struct {
 	HorizonS float64
 	// RatePerS overrides the scenario arrival rate (0 = default).
 	RatePerS float64
-	// SigmaScale shrinks the request-length variance during profiling
-	// (default 0.85): the profiler characterizes configurations with a
-	// controlled workload, like the paper's dedicated-node runs, so the
-	// buckets reflect configuration differences rather than trace
-	// tails.
-	SigmaScale float64
-	Seed       uint64
+	Seed     uint64
 	// Workers bounds the bucket-sweep fan-out (<= 0 = GOMAXPROCS). The
 	// width never changes the resulting model: every rep's seed is an
 	// explicit function of (Seed, bucket, rep).
@@ -103,9 +103,6 @@ func (o ProfilerOptions) withDefaults() ProfilerOptions {
 	}
 	if o.HorizonS <= 0 {
 		o.HorizonS = 10
-	}
-	if o.SigmaScale <= 0 {
-		o.SigmaScale = 0.85
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -182,8 +179,8 @@ func Profile(plat platform.Platform, model llm.Model, scen trace.Scenario, be wo
 	}
 
 	profScen := scen
-	profScen.SigmaInput *= opt.SigmaScale
-	profScen.SigmaOutput *= opt.SigmaScale
+	profScen.SigmaInput *= sigmaScale
+	profScen.SigmaOutput *= sigmaScale
 
 	// Buckets are independent dedicated-node runs; sweep them across the
 	// runner pool. Every rep's seed is an explicit function of (root

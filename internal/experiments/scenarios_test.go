@@ -59,7 +59,7 @@ func TestScenarioFilesAtBothHorizons(t *testing.T) {
 				t.Errorf("crashes=0 attached faults: %+v", cfg.Faults)
 			}
 			for _, n := range []int{1, 2, 4} {
-				got := compile(t, stormRow(n), o).Faults.Schedule
+				got := *compile(t, stormRow(n), o).Faults
 				if want := chaos.CrashStorm(4, n, h, h/8, o.Seed); !reflect.DeepEqual(got, want) {
 					t.Errorf("crashes=%d storm\n got: %+v\nwant: %+v", n, got, want)
 				}

@@ -128,7 +128,7 @@ type liveReq struct {
 
 type outcomeEvent struct {
 	simT    float64
-	outcome string // done | shed | timeout | dropped | failed
+	outcome string // done | shed | dropped | failed
 }
 
 // Gateway owns a live fleet session, the arrival source feeding it,

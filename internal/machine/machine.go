@@ -25,6 +25,11 @@ import (
 	"aum/internal/topdown"
 )
 
+// DT is the simulator's fixed time step, 1 ms (DESIGN.md §4, decision
+// 2): fine against the controller's 50 ms interval and ~100 ms token
+// SLOs. The colo and cluster run loops both step machines by it.
+const DT = 1e-3
+
 // Env is the execution environment the machine grants a task for one
 // step.
 type Env struct {

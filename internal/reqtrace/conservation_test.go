@@ -85,12 +85,11 @@ func TestConservationFleetFaults(t *testing.T) {
 		{Plat: platform.GenA(), Mgr: manager.AllAU{}},
 		{Plat: platform.GenA(), Mgr: manager.AllAU{}},
 	}
+	storm := chaos.CrashStorm(3, 4, 72, 3, 7)
 	cfg := cluster.Config{
 		Machines: fleet, Model: llm.Llama2_7B(), Scen: trace.Chatbot(),
 		Policy: cluster.LeastQueued, HorizonS: 72, Seed: 7, RatePerS: 1.0,
-		Faults: &cluster.FaultConfig{
-			Schedule: chaos.CrashStorm(3, 4, 72, 3, 7),
-		},
+		Faults:   &storm,
 		ReqTrace: rt,
 	}
 	if _, err := cluster.Run(cfg); err != nil {

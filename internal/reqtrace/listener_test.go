@@ -59,7 +59,7 @@ func TestListenerLifecycleCallbacks(t *testing.T) {
 	}
 }
 
-func TestListenerShedAndTimeout(t *testing.T) {
+func TestListenerShedAndDropped(t *testing.T) {
 	tr := New(Config{})
 	l := newRecListener()
 	tr.SetListener(l)
@@ -70,11 +70,13 @@ func TestListenerShedAndTimeout(t *testing.T) {
 		t.Fatalf("shed outcome = %q, want shed", l.outcomes[shedID])
 	}
 
-	toID := MakeTraceID(0, 2)
-	tr.Submitted(toID, 0.1, 0)
-	tr.TimedOut(toID, 0.5, 0)
-	if l.outcomes[toID] != "timeout" {
-		t.Fatalf("timeout outcome = %q, want timeout", l.outcomes[toID])
+	dropID := MakeTraceID(0, 2)
+	tr.Submitted(dropID, 0.1, 0)
+	tr.PrefillStart(dropID, 0.2, 0)
+	tr.FirstToken(dropID, 0.3, true, 0, 0, 0)
+	tr.Dropped(dropID, 0.3, 0)
+	if l.outcomes[dropID] != "dropped" {
+		t.Fatalf("backlog-drop outcome = %q, want dropped", l.outcomes[dropID])
 	}
 }
 

@@ -93,7 +93,6 @@ type BlameReport struct {
 	Sampled     int             `json:"sampled"`
 	Completed   int             `json:"completed"`
 	Shed        int             `json:"shed"`
-	TimedOut    int             `json:"timed_out"`
 	Dropped     int             `json:"dropped"`
 	Failed      int             `json:"failed"`
 	InFlight    int             `json:"in_flight"`
@@ -178,7 +177,6 @@ func (t *Tracer) Report() BlameReport {
 		Sampled:     t.sampled,
 		Completed:   t.agg.completed,
 		Shed:        t.agg.shed,
-		TimedOut:    t.agg.timedOut,
 		Dropped:     t.agg.dropped,
 		Failed:      t.agg.failed,
 		InFlight:    len(t.live),

@@ -1,7 +1,7 @@
 // Package reqtrace is the per-request causal tracer: a deterministic,
 // nil-safe, sampling-capable recorder of each request's lifecycle —
-// arrival, admission or shed, queueing, prefill (with chunk boundaries
-// and membw/throttle stall attribution), KV handoff, decode iterations,
+// arrival, admission or shed, queueing, prefill (with membw/throttle
+// stall attribution), KV handoff, decode iterations,
 // and retry/failover hops across machines — in simulated time only.
 //
 // On top of the span tree it runs a critical-path analyzer: every
@@ -150,7 +150,7 @@ type Span struct {
 type rec struct {
 	tid      uint64
 	arrival  float64
-	outcome  string // "" while in flight; done|shed:*|timeout|dropped|failed
+	outcome  string // "" while in flight; done|shed|dropped|failed
 	attempts int
 	tokens   int
 
@@ -187,7 +187,6 @@ type aggregate struct {
 	blameH, blameL [NumCategories]float64
 	completed      int
 	shed           int
-	timedOut       int
 	dropped        int
 	failed         int
 	ttftSum        float64
@@ -210,7 +209,7 @@ type Listener interface {
 	// count (the first token is OnFirstToken's, not counted here).
 	OnToken(tid uint64, simNow float64, tokens int)
 	// OnOutcome fires exactly once when the request leaves the live
-	// set: done | shed | timeout | dropped | failed.
+	// set: done | shed | dropped | failed.
 	OnOutcome(tid uint64, simNow float64, outcome string)
 }
 
@@ -353,28 +352,9 @@ func (t *Tracer) Shed(tid uint64, now float64, reason string, node int) {
 	}
 }
 
-// TimedOut records a queue-deadline drop.
-func (t *Tracer) TimedOut(tid uint64, now float64, node int) {
-	if !t.Sampled(tid) {
-		return
-	}
-	t.mu.Lock()
-	var l Listener
-	if r := t.get(tid); r != nil {
-		r.blameH[CatQueue] += now - r.lastReady
-		r.spans = append(r.spans, Span{Name: "queue", Node: node, Start: r.lastReady, End: now})
-		t.finish(r, "timeout")
-		l = t.listener
-	}
-	t.mu.Unlock()
-	if l != nil {
-		l.OnOutcome(tid, now, "timeout")
-	}
-}
-
 // PrefillStart records the request being popped from the queue into a
-// prefill job (one call per chunk in chunked mode). The queue wait
-// since the request last became schedulable is charged here.
+// prefill job. The queue wait since the request last became
+// schedulable is charged here.
 func (t *Tracer) PrefillStart(tid uint64, now float64, node int) {
 	if !t.Sampled(tid) {
 		return
@@ -399,22 +379,6 @@ func chargeExec(v *[NumCategories]float64, execS, membwFrac, throttleFrac float6
 	v[CatMembw] += mb
 	v[CatThrottle] += th
 	v[CatCompute] += execS - mb - th
-}
-
-// ChunkDone records a prefill chunk boundary: the request's prompt is
-// not finished, so it rotates to the back of the queue.
-func (t *Tracer) ChunkDone(tid uint64, now float64, membwFrac, throttleFrac float64, node int) {
-	if !t.Sampled(tid) {
-		return
-	}
-	t.mu.Lock()
-	if r := t.get(tid); r != nil && r.popAt >= 0 {
-		chargeExec(&r.blameH, now-r.popAt, membwFrac, throttleFrac)
-		r.spans = append(r.spans, Span{Name: "prefill-chunk", Node: node, Start: r.popAt, End: now})
-		r.popAt = -1
-		r.lastReady = now
-	}
-	t.mu.Unlock()
 }
 
 // FirstToken records prefill completion. The burn-rate TTFT counters
@@ -640,8 +604,6 @@ func (t *Tracer) fold() {
 			}
 		case "shed":
 			t.agg.shed++
-		case "timeout":
-			t.agg.timedOut++
 		case "dropped":
 			t.agg.dropped++
 		case "failed":

@@ -66,9 +66,7 @@ func TestNilSafety(t *testing.T) {
 	for _, tr := range []*Tracer{nil, New(Config{})} {
 		tid := MakeTraceID(0, 99)
 		tr.Shed(0, 0, "max-queue", 0) // tid 0: untraced
-		tr.TimedOut(tid, 1, 0)
 		tr.PrefillStart(tid, 1, 0)
-		tr.ChunkDone(tid, 1, 0, 0, 0)
 		tr.FirstToken(tid, 1, true, 0, 0, 0)
 		tr.HandoffReady(tid, 1, 0)
 		tr.Injected(tid, 1, 0)
@@ -94,17 +92,17 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestLifecycleBlame walks one request through a full hand-built
-// lifecycle — queue, chunked prefill, handoff, decode, crash, backoff,
-// retry — and checks the blame vector against the arithmetic.
+// lifecycle — queue, prefill, decode, crash, backoff, retry — and
+// checks the blame vector against the arithmetic.
 func TestLifecycleBlame(t *testing.T) {
 	tr := New(Config{})
 	tid := MakeTraceID(1, 1)
 	tr.Submitted(tid, 10.0, 0)
-	tr.PrefillStart(tid, 10.5, 0)         // 0.5 queue
-	tr.ChunkDone(tid, 11.0, 0.5, 0.25, 0) // 0.25 membw, 0.125 throttle, 0.125 compute
-	tr.CrashLost(tid, 12.0, 0)            // roll back; 2.0 recompute
-	tr.Redispatched(tid, 12.5, 1)         // 0.5 backoff
-	tr.PrefillStart(tid, 13.0, 1)         // 0.5 queue
+	tr.PrefillStart(tid, 10.5, 0)                // 0.5 queue
+	tr.FirstToken(tid, 11.0, true, 0.5, 0.25, 0) // 0.25 membw, 0.125 throttle, 0.125 compute
+	tr.CrashLost(tid, 12.0, 0)                   // roll back; 2.0 recompute
+	tr.Redispatched(tid, 12.5, 1)                // 0.5 backoff
+	tr.PrefillStart(tid, 13.0, 1)                // 0.5 queue
 	tr.FirstToken(tid, 14.0, true, 0, 0, 1)
 	tr.Token(tid, 14.5, 0.5, true, 0.25, 0, 0) // 0.25 sched, 0.25 compute
 	tr.Retire(tid, 14.5, 1)

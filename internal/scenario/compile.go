@@ -165,7 +165,7 @@ func (s *Spec) Compile() (cluster.Config, error) {
 				Factor:   ev.Factor,
 			})
 		}
-		cfg.Faults = &cluster.FaultConfig{Schedule: sched}
+		cfg.Faults = &sched
 	}
 	return cfg, nil
 }

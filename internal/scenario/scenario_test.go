@@ -278,7 +278,7 @@ func TestCompileLowering(t *testing.T) {
 	if cfg.Faults == nil {
 		t.Fatal("faults dropped")
 	}
-	sched := cfg.Faults.Schedule
+	sched := *cfg.Faults
 	// CrashStorm(2, 1, 30, 3, 7) plus the explicit straggler at 7.5 s.
 	want := chaos.CrashStorm(2, 1, 30, 3, 7)
 	if len(sched.Events) != len(want.Events)+1 {

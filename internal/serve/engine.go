@@ -9,27 +9,22 @@ import (
 	"aum/internal/telemetry"
 )
 
+// MaxBatch caps the decode batch: the paper serves with batch 16.
+const MaxBatch = 16
+
+// maxBacklog bounds the prefilled-awaiting-decode backlog at four full
+// decode batches; overflow is shed and counted as BacklogDropped.
+const maxBacklog = 4 * MaxBatch
+
 // Config parameterizes an engine.
 type Config struct {
 	Model llm.Model
 	SLO   SLO
-	// MaxBatch caps the decode batch (the paper serves with batch 16).
-	MaxBatch int
-	// PrefillBatch caps how many queued prompts one prefill pass
-	// fuses; 1 gives FCFS per-request prefill.
-	PrefillBatch int
-	// PrefillChunk, when positive, splits prompts into chunks of at
-	// most this many tokens and round-robins chunks across queued
-	// requests. Long prompts then cannot head-of-line-block short ones
-	// — the processor-sharing behaviour production engines get from
-	// chunked prefill — at the cost of extra latency for the longest
-	// requests. 0 keeps whole-prompt FCFS (the paper's scheduler).
-	PrefillChunk int
-	// Admission bounds the engine's queues under overload.
+	// Admission bounds the engine's queue under overload.
 	Admission Admission
 	// Telemetry, when set, receives per-request latency histograms and
-	// shed/timeout events. Nil disables recording at the cost of one
-	// nil check per hook.
+	// shed events. Nil disables recording at the cost of one nil check
+	// per hook.
 	Telemetry *telemetry.Registry
 	// Trace, when set, receives per-request queue/prefill/decode spans
 	// in Chrome trace_event form.
@@ -53,40 +48,13 @@ type Config struct {
 }
 
 // Admission is the engine's overload policy. The zero value admits
-// everything (the paper's unbounded scheduler) except that the decode
-// backlog is bounded at its default.
+// every arrival (the paper's unbounded scheduler); the decode backlog
+// is bounded at 4x MaxBatch regardless.
 type Admission struct {
 	// MaxQueue sheds new arrivals once the prefill queue already holds
 	// this many requests (0 = unbounded). Shed requests count as
 	// Rejected in Stats.
 	MaxQueue int
-	// MaxHeadWait sheds new arrivals while the head-of-line request has
-	// already waited longer than this (0 = disabled): queueing delay
-	// this deep cannot meet any TTFT deadline, so admitting more
-	// requests only deepens the loss.
-	MaxHeadWait float64
-	// QueueDeadline stamps every accepted request whose Deadline is
-	// unset with Arrival+QueueDeadline; requests still waiting for
-	// their first prefill past the deadline are dropped as TimedOut
-	// (0 = no deadline).
-	QueueDeadline float64
-	// MaxBacklog bounds the prefilled-awaiting-decode backlog; overflow
-	// is shed and counted as BacklogDropped. 0 picks the default of
-	// 4x MaxBatch; negative values keep the backlog unbounded.
-	MaxBacklog int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
-	if c.PrefillBatch <= 0 {
-		c.PrefillBatch = 1
-	}
-	if c.Admission.MaxBacklog == 0 {
-		c.Admission.MaxBacklog = 4 * c.MaxBatch
-	}
-	return c
 }
 
 // Engine coordinates the two serving phases over a shared request
@@ -99,23 +67,18 @@ type Engine struct {
 	admitBacklog []*Request // prefilled, waiting for a decode slot
 	stats        Stats
 
-	// inflightPrefill counts requests popped from the queue into a
-	// prefill job that has not completed yet: they are in no engine
-	// list, so Idle must account for them separately.
-	inflightPrefill int
-
 	prefill *Worker
 	decode  *Worker
 
 	// Job-formation buffers. At most one job per phase is in flight
-	// (each worker owns its phase), so each buffer can be reused for
-	// the next job of that phase once the previous one completed.
-	prefillReqs []*Request
-	decodeReqs  []*Request
-	// decodeJob is the one decode iteration job, re-formed in place by
-	// nextDecodeJob. A new iteration only forms when the decode worker
-	// has no job in flight, so the worker never holds the previous one.
-	decodeJob job
+	// (each worker owns its phase), so each phase's job and request
+	// buffer are re-formed in place by nextPrefillJob and nextDecodeJob:
+	// a new job only forms when its worker has no job in flight, so the
+	// worker never holds the previous one.
+	prefillReq [1]*Request
+	decodeReqs []*Request
+	prefillJob job
+	decodeJob  job
 
 	tel engineTelemetry
 	rt  *reqtrace.Tracer
@@ -123,16 +86,13 @@ type Engine struct {
 
 // NewEngine creates an engine and its two phase workers.
 func NewEngine(cfg Config) *Engine {
-	e := &Engine{cfg: cfg.withDefaults()}
+	e := &Engine{cfg: cfg}
 	e.prefill = &Worker{eng: e, phase: llm.Prefill}
 	e.decode = &Worker{eng: e, phase: llm.Decode}
 	e.tel = newEngineTelemetry(e.cfg.Telemetry, e.cfg.Trace)
 	e.rt = e.cfg.ReqTrace
 	return e
 }
-
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // PrefillWorker returns the machine workload for the prefill phase.
 func (e *Engine) PrefillWorker() *Worker { return e.prefill }
@@ -143,7 +103,7 @@ func (e *Engine) DecodeWorker() *Worker { return e.decode }
 // Stats returns a pointer to the engine's cumulative statistics.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
-// Submit enqueues a request for prefill. Under an Admission policy an
+// Submit enqueues a request for prefill. Under Admission.MaxQueue an
 // overloaded engine sheds the request instead of queueing it: Submit
 // returns nil (shedding is an outcome, not a caller error) and the
 // drop shows up in Stats.Rejected.
@@ -151,25 +111,13 @@ func (e *Engine) Submit(r *Request) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	ad := e.cfg.Admission
-	if ad.MaxQueue > 0 && len(e.queue) >= ad.MaxQueue {
+	if mq := e.cfg.Admission.MaxQueue; mq > 0 && len(e.queue) >= mq {
 		e.stats.Rejected++
 		e.tel.recordShed(r.Arrival, "max-queue")
 		if e.rt != nil {
 			e.rt.Shed(r.TraceID, r.Arrival, "max-queue", e.cfg.Node)
 		}
 		return nil
-	}
-	if ad.MaxHeadWait > 0 && len(e.queue) > 0 && r.Arrival-e.queue[0].Arrival > ad.MaxHeadWait {
-		e.stats.Rejected++
-		e.tel.recordShed(r.Arrival, "max-head-wait")
-		if e.rt != nil {
-			e.rt.Shed(r.TraceID, r.Arrival, "max-head-wait", e.cfg.Node)
-		}
-		return nil
-	}
-	if r.Deadline == 0 && ad.QueueDeadline > 0 {
-		r.Deadline = r.Arrival + ad.QueueDeadline
 	}
 	e.queue = append(e.queue, r)
 	e.tel.submitted.Inc()
@@ -193,7 +141,7 @@ func (e *Engine) BacklogLen() int { return len(e.admitBacklog) }
 // queued, mid-prefill, decoding, or backlogged. A draining fleet
 // machine may only power off once its engine is idle.
 func (e *Engine) Idle() bool {
-	return len(e.queue) == 0 && e.inflightPrefill == 0 &&
+	return len(e.queue) == 0 && e.prefill.current == nil &&
 		len(e.decodeSet) == 0 && len(e.admitBacklog) == 0
 }
 
@@ -209,9 +157,9 @@ func (e *Engine) InjectDecode(r *Request, now float64) error {
 		return fmt.Errorf("serve: InjectDecode needs a completed, unfinished prefill")
 	}
 	e.stats.Injected++
-	if len(e.decodeSet) < e.cfg.MaxBatch {
+	if len(e.decodeSet) < MaxBatch {
 		e.decodeSet = append(e.decodeSet, r)
-	} else if mb := e.cfg.Admission.MaxBacklog; mb < 0 || len(e.admitBacklog) < mb {
+	} else if len(e.admitBacklog) < maxBacklog {
 		e.admitBacklog = append(e.admitBacklog, r)
 	} else {
 		r.Done = true
@@ -242,8 +190,8 @@ func (e *Engine) InjectDecode(r *Request, now float64) error {
 func (e *Engine) Crash(now float64) []*Request {
 	var lost []*Request
 	lost = append(lost, e.queue...)
-	// The prefill worker's in-flight job holds requests popped from the
-	// queue that are in no engine list; decode-job requests alias
+	// The prefill worker's in-flight job holds the request popped from
+	// the queue, which is in no engine list; decode-job requests alias
 	// decodeSet entries, so collecting the set covers them.
 	if j := e.prefill.current; j != nil {
 		lost = append(lost, j.reqs...)
@@ -253,7 +201,6 @@ func (e *Engine) Crash(now float64) []*Request {
 	e.queue = e.queue[:0]
 	e.decodeSet = e.decodeSet[:0]
 	e.admitBacklog = e.admitBacklog[:0]
-	e.inflightPrefill = 0
 	e.prefill.abort()
 	e.decode.abort()
 	e.tel.recordCrash(now, len(lost))
@@ -309,82 +256,21 @@ func (e *Engine) RuntimeSLOs(now float64) (sloH, sloL float64) {
 	return sloH, sloL
 }
 
-// expireQueued drops requests that outlived their deadline before any
-// prefill work was spent on them; a request whose prefill has started
-// keeps running (its work would otherwise be wasted).
-func (e *Engine) expireQueued(now float64) {
-	keep := e.queue[:0]
-	for _, r := range e.queue {
-		if r.Deadline > 0 && now > r.Deadline && !r.started {
-			e.stats.TimedOut++
-			e.tel.recordTimeout(now, now-r.Arrival)
-			if e.rt != nil {
-				e.rt.TimedOut(r.TraceID, now, e.cfg.Node)
-			}
-			continue
-		}
-		keep = append(keep, r)
-	}
-	e.queue = keep
-}
-
-// nextPrefillJob pops up to PrefillBatch requests and forms a prefill
-// job, or returns nil when the queue is empty. With PrefillChunk set,
-// the job covers only the head request's next chunk and unfinished
-// requests rotate to the back of the queue.
+// nextPrefillJob pops the head of the queue into the one prefill job
+// (FCFS, one request per pass), or returns nil when the queue is empty.
 func (e *Engine) nextPrefillJob(now float64) *job {
-	e.expireQueued(now)
 	if len(e.queue) == 0 {
 		return nil
 	}
-	if e.cfg.PrefillChunk > 0 {
-		r := e.queue[0]
-		e.queue = append(e.queue[:0], e.queue[1:]...)
-		if !r.started {
-			r.started = true
-			r.PrefillStart = now
-		}
-		remaining := r.PromptLen - r.prefillDone
-		chunk := e.cfg.PrefillChunk
-		if remaining < chunk {
-			chunk = remaining
-		}
-		plan := e.cfg.Model.PlanPrefill(1, chunk)
-		e.inflightPrefill++
-		j := &job{plan: plan, reqs: []*Request{r}, chunkTokens: chunk, startedAt: now}
-		if e.rt != nil && e.rt.Sampled(r.TraceID) {
-			j.traced = true
-			e.rt.PrefillStart(r.TraceID, now, e.cfg.Node)
-		}
-		return j
-	}
-	n := e.cfg.PrefillBatch
-	if n > len(e.queue) {
-		n = len(e.queue)
-	}
-	reqs := append(e.prefillReqs[:0], e.queue[:n]...)
-	e.prefillReqs = reqs
-	e.queue = append(e.queue[:0], e.queue[n:]...)
-	totalTokens := 0
-	for _, r := range reqs {
-		r.started = true
-		r.PrefillStart = now
-		totalTokens += r.PromptLen
-	}
-	seq := totalTokens / n
-	if seq < 1 {
-		seq = 1
-	}
-	plan := e.cfg.Model.PlanPrefill(n, seq)
-	e.inflightPrefill += n
-	j := &job{plan: plan, reqs: reqs, startedAt: now}
-	if e.rt != nil {
-		for _, r := range reqs {
-			if e.rt.Sampled(r.TraceID) {
-				j.traced = true
-				e.rt.PrefillStart(r.TraceID, now, e.cfg.Node)
-			}
-		}
+	r := e.queue[0]
+	e.queue = append(e.queue[:0], e.queue[1:]...)
+	r.PrefillStart = now
+	e.prefillReq[0] = r
+	j := &e.prefillJob
+	*j = job{plan: e.cfg.Model.PlanPrefill(1, r.PromptLen), reqs: e.prefillReq[:], startedAt: now}
+	if e.rt != nil && e.rt.Sampled(r.TraceID) {
+		j.traced = true
+		e.rt.PrefillStart(r.TraceID, now, e.cfg.Node)
 	}
 	return j
 }
@@ -415,66 +301,49 @@ func (e *Engine) nextDecodeJob(now float64) *job {
 	return j
 }
 
-// onPrefillDone records the first token and moves requests into the
-// decode batch (continuous batching admits them at the next iteration
-// boundary). Chunked jobs that did not finish the prompt rotate the
-// request to the back of the queue instead.
+// onPrefillDone records the first token and moves the request into
+// the decode batch (continuous batching admits it at the next
+// iteration boundary).
 func (e *Engine) onPrefillDone(j *job, now float64) {
-	e.inflightPrefill -= len(j.reqs)
-	if j.chunkTokens > 0 {
-		r := j.reqs[0]
-		r.prefillDone += j.chunkTokens
-		if r.prefillDone < r.PromptLen {
-			if e.rt != nil {
-				e.rt.ChunkDone(r.TraceID, now, j.execMembw, j.execThrottle, e.cfg.Node)
-			}
-			e.queue = append(e.queue, r)
-			return
-		}
+	r := j.reqs[0]
+	r.FirstToken = now
+	r.LastTokenAt = now
+	r.TokensDone = 1
+	e.stats.recordTTFT(now-r.Arrival, e.cfg.SLO, r.PromptLen)
+	e.stats.PrefillTokens += float64(r.PromptLen)
+	e.tel.recordPrefillDone(r, now, now-r.Arrival <= e.cfg.SLO.TTFT)
+	if e.rt != nil {
+		e.rt.FirstToken(r.TraceID, now, now-r.Arrival <= e.cfg.SLO.TTFT,
+			j.execMembw, j.execThrottle, e.cfg.Node)
 	}
-	for _, r := range j.reqs {
-		r.FirstToken = now
-		r.LastTokenAt = now
-		r.TokensDone = 1
-		e.stats.recordTTFT(now-r.Arrival, e.cfg.SLO, r.PromptLen)
-		e.stats.PrefillTokens += float64(r.PromptLen)
-		e.tel.recordPrefillDone(r, now, now-r.Arrival <= e.cfg.SLO.TTFT)
+	switch {
+	case r.OutputLen <= 1:
+		r.Done = true
+		e.stats.FinishedOutput++
+		e.tel.recordRetire(r, now)
 		if e.rt != nil {
-			e.rt.FirstToken(r.TraceID, now, now-r.Arrival <= e.cfg.SLO.TTFT,
-				j.execMembw, j.execThrottle, e.cfg.Node)
+			e.rt.Retire(r.TraceID, now, e.cfg.Node)
 		}
-		if r.OutputLen <= 1 {
-			r.Done = true
-			e.stats.FinishedOutput++
-			e.tel.recordRetire(r, now)
-			if e.rt != nil {
-				e.rt.Retire(r.TraceID, now, e.cfg.Node)
-			}
-			continue
+	case e.cfg.Handoff != nil:
+		e.stats.HandedOff++
+		if e.rt != nil {
+			e.rt.HandoffReady(r.TraceID, now, e.cfg.Node)
 		}
-		if e.cfg.Handoff != nil {
-			e.stats.HandedOff++
-			if e.rt != nil {
-				e.rt.HandoffReady(r.TraceID, now, e.cfg.Node)
-			}
-			e.cfg.Handoff(r, now)
-			continue
-		}
-		if len(e.decodeSet) < e.cfg.MaxBatch {
-			e.decodeSet = append(e.decodeSet, r)
-		} else if mb := e.cfg.Admission.MaxBacklog; mb < 0 || len(e.admitBacklog) < mb {
-			// Batch full: append to the admission backlog; requests
-			// join the decode batch in FIFO order as slots free up.
-			e.admitBacklog = append(e.admitBacklog, r)
-		} else {
-			// Backlog bound reached: shed the request rather than let
-			// the backlog grow without limit under overload.
-			r.Done = true
-			e.stats.BacklogDropped++
-			e.tel.recordBacklogDrop(now)
-			if e.rt != nil {
-				e.rt.Dropped(r.TraceID, now, e.cfg.Node)
-			}
+		e.cfg.Handoff(r, now)
+	case len(e.decodeSet) < MaxBatch:
+		e.decodeSet = append(e.decodeSet, r)
+	case len(e.admitBacklog) < maxBacklog:
+		// Batch full: append to the admission backlog; requests join
+		// the decode batch in FIFO order as slots free up.
+		e.admitBacklog = append(e.admitBacklog, r)
+	default:
+		// Backlog bound reached: shed the request rather than let the
+		// backlog grow without limit under overload.
+		r.Done = true
+		e.stats.BacklogDropped++
+		e.tel.recordBacklogDrop(now)
+		if e.rt != nil {
+			e.rt.Dropped(r.TraceID, now, e.cfg.Node)
 		}
 	}
 }
@@ -514,7 +383,7 @@ func (e *Engine) onDecodeDone(j *job, now float64) {
 		}
 	}
 	e.decodeSet = keep
-	for len(e.admitBacklog) > 0 && len(e.decodeSet) < e.cfg.MaxBatch {
+	for len(e.admitBacklog) > 0 && len(e.decodeSet) < MaxBatch {
 		e.decodeSet = append(e.decodeSet, e.admitBacklog[0])
 		e.admitBacklog = e.admitBacklog[1:]
 	}

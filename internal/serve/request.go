@@ -22,15 +22,9 @@ type Request struct {
 	// ResetForRetry, so one trace follows the request across failover
 	// hops.
 	TraceID uint64
-	// Deadline is the absolute time past which a still-queued request is
-	// dropped instead of prefilled (0 = no deadline). Submit stamps it
-	// from Admission.QueueDeadline when unset.
-	Deadline float64
 
 	// Filled in as the request progresses.
-	PrefillStart float64
-	started      bool    // prefill has begun (PrefillStart is valid)
-	prefillDone  int     // prompt tokens already prefilled (chunked mode)
+	PrefillStart float64 // when the request was popped into prefill
 	FirstToken   float64 // completion time of the prefill (TTFT endpoint)
 	LastTokenAt  float64 // completion time of the most recent token
 	TokensDone   int     // output tokens produced so far
@@ -45,8 +39,6 @@ type Request struct {
 // honestly against the SLO rather than laundered by a fresh clock.
 func (r *Request) ResetForRetry() {
 	r.PrefillStart = 0
-	r.started = false
-	r.prefillDone = 0
 	r.FirstToken = 0
 	r.LastTokenAt = 0
 	r.TokensDone = 0

@@ -89,26 +89,30 @@ func TestFCFSOrder(t *testing.T) {
 }
 
 func TestContinuousBatchingCap(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 4
-	e := NewEngine(cfg)
-	for i := 0; i < 10; i++ {
-		e.Submit(&Request{ID: i, Arrival: 0, PromptLen: 64, OutputLen: 10})
+	e := NewEngine(testConfig())
+	const n = 3 * MaxBatch
+	for i := 0; i < n; i++ {
+		e.Submit(&Request{ID: i, Arrival: 0, PromptLen: 64, OutputLen: 20})
 	}
 	envP := fullEnv(48, 2.5)
 	envD := fullEnv(48, 3.1)
 	now := 0.0
+	peak := 0
 	for i := 0; i < 8000; i++ {
 		e.PrefillWorker().Step(envP, now, 1e-3)
 		e.DecodeWorker().Step(envD, now, 1e-3)
-		if e.DecodeBatch() > 4 {
-			t.Fatalf("decode batch %d exceeds cap 4", e.DecodeBatch())
+		if e.DecodeBatch() > MaxBatch {
+			t.Fatalf("decode batch %d exceeds cap %d", e.DecodeBatch(), MaxBatch)
 		}
+		peak = max(peak, e.DecodeBatch())
 		now += 1e-3
 	}
+	if peak != MaxBatch {
+		t.Fatalf("decode batch peaked at %d, never reached the cap %d", peak, MaxBatch)
+	}
 	// Backlog admission must eventually drain all requests.
-	if e.Stats().FinishedOutput != 10 {
-		t.Fatalf("finished %d of 10", e.Stats().FinishedOutput)
+	if e.Stats().FinishedOutput != n {
+		t.Fatalf("finished %d of %d", e.Stats().FinishedOutput, n)
 	}
 }
 
@@ -224,86 +228,19 @@ func TestStatsClone(t *testing.T) {
 	}
 }
 
-func TestChunkedPrefillAvoidsHeadOfLineBlocking(t *testing.T) {
-	run := func(chunk int) (longTTFT, shortTTFT float64) {
-		cfg := testConfig()
-		cfg.PrefillChunk = chunk
-		e := NewEngine(cfg)
-		long := &Request{ID: 1, Arrival: 0, PromptLen: 4000, OutputLen: 2}
-		short := &Request{ID: 2, Arrival: 0.001, PromptLen: 64, OutputLen: 2}
-		e.Submit(long)
-		e.Submit(short)
-		runEngine(e, 6000, 48)
-		if !long.Done || !short.Done {
-			t.Fatalf("requests unfinished (chunk=%d)", chunk)
-		}
-		return long.TTFT(), short.TTFT()
-	}
-	_, shortFCFS := run(0)
-	longChunked, shortChunked := run(512)
-	// Chunking lets the short request slip past the 4000-token prompt.
-	if shortChunked >= shortFCFS {
-		t.Fatalf("chunked short TTFT %v not better than FCFS %v", shortChunked, shortFCFS)
-	}
-	// The long request still completes in bounded time.
-	if longChunked <= 0 || longChunked > 10 {
-		t.Fatalf("chunked long TTFT implausible: %v", longChunked)
-	}
-}
-
-func TestChunkedPrefillAccounting(t *testing.T) {
-	cfg := testConfig()
-	cfg.PrefillChunk = 128
-	e := NewEngine(cfg)
-	r := &Request{ID: 1, Arrival: 0, PromptLen: 500, OutputLen: 3}
-	e.Submit(r)
-	runEngine(e, 4000, 48)
-	if !r.Done {
-		t.Fatal("request unfinished")
-	}
-	st := e.Stats()
-	// Prefill tokens counted once, not per chunk.
-	if st.PrefillTokens != 500 {
-		t.Fatalf("prefill tokens = %v, want 500", st.PrefillTokens)
-	}
-	if st.PrefillRequests != 1 {
-		t.Fatalf("prefill requests = %d", st.PrefillRequests)
-	}
-}
-
-func TestChunkedPrefillStartNotRestamped(t *testing.T) {
-	// Regression: a request arriving at t=0 had its PrefillStart
-	// re-stamped on every chunk because the code used PrefillStart == 0
-	// as the "not started" sentinel. With the explicit started flag the
-	// first chunk's timestamp (0 here) must survive later chunks.
-	cfg := testConfig()
-	cfg.PrefillChunk = 64
-	e := NewEngine(cfg)
-	r := &Request{ID: 1, Arrival: 0, PromptLen: 512, OutputLen: 2}
-	e.Submit(r)
-	runEngine(e, 4000, 48)
-	if !r.Done {
-		t.Fatal("request unfinished")
-	}
-	if r.PrefillStart != 0 {
-		t.Fatalf("PrefillStart = %v, want 0 (stamped once at the first chunk)", r.PrefillStart)
-	}
-	if !r.started {
-		t.Fatal("started flag not set")
-	}
-}
-
 func TestBacklogAdmissionFIFO(t *testing.T) {
 	// When the decode batch is full, prefilled requests wait in the
 	// admission backlog and must join the batch in FIFO order.
-	cfg := testConfig()
-	cfg.MaxBatch = 2
-	e := NewEngine(cfg)
-	occupants := []*Request{
-		{ID: 1, PromptLen: 8, OutputLen: 100, FirstToken: 0.1, LastTokenAt: 0.1, TokensDone: 1},
-		{ID: 2, PromptLen: 8, OutputLen: 2, FirstToken: 0.1, LastTokenAt: 0.1, TokensDone: 1},
+	e := NewEngine(testConfig())
+	// A full batch in which only request 2 finishes at the next token.
+	for i := 0; i < MaxBatch; i++ {
+		out := 100
+		if i == 0 {
+			out = 2
+		}
+		e.decodeSet = append(e.decodeSet, &Request{ID: 2 - i, PromptLen: 8, OutputLen: out,
+			FirstToken: 0.1, LastTokenAt: 0.1, TokensDone: 1})
 	}
-	e.decodeSet = append(e.decodeSet, occupants...)
 	// Three prefills complete while the batch is full.
 	for i := 3; i <= 5; i++ {
 		r := &Request{ID: i, PromptLen: 8, OutputLen: 3}
@@ -375,91 +312,26 @@ func TestAdmissionMaxQueue(t *testing.T) {
 	}
 }
 
-func TestAdmissionMaxHeadWait(t *testing.T) {
-	cfg := testConfig()
-	cfg.Admission.MaxHeadWait = 0.5
-	e := NewEngine(cfg)
-	e.Submit(&Request{ID: 1, Arrival: 0, PromptLen: 8, OutputLen: 2})
-	// Head has waited 0.4 s: still admitting.
-	e.Submit(&Request{ID: 2, Arrival: 0.4, PromptLen: 8, OutputLen: 2})
-	// Head has waited 0.9 s: shedding.
-	e.Submit(&Request{ID: 3, Arrival: 0.9, PromptLen: 8, OutputLen: 2})
-	if e.QueueLen() != 2 || e.Stats().Rejected != 1 {
-		t.Fatalf("queue=%d rejected=%d, want 2/1", e.QueueLen(), e.Stats().Rejected)
-	}
-}
-
-func TestQueueDeadlineExpiry(t *testing.T) {
-	cfg := testConfig()
-	cfg.Admission.QueueDeadline = 0.2
-	e := NewEngine(cfg)
-	r := &Request{ID: 1, Arrival: 0, PromptLen: 8, OutputLen: 2}
-	e.Submit(r)
-	if r.Deadline != 0.2 {
-		t.Fatalf("deadline = %v, want stamped 0.2", r.Deadline)
-	}
-	// An explicit deadline is preserved.
-	r2 := &Request{ID: 2, Arrival: 0, PromptLen: 8, OutputLen: 2, Deadline: 9}
-	e.Submit(r2)
-	if r2.Deadline != 9 {
-		t.Fatalf("explicit deadline overwritten: %v", r2.Deadline)
-	}
-	// Past the deadline, the un-started head request is dropped and the
-	// live one prefills.
-	if j := e.nextPrefillJob(0.5); j == nil || j.reqs[0].ID != 2 {
-		t.Fatalf("expected request 2 to prefill, got %+v", j)
-	}
-	if e.Stats().TimedOut != 1 {
-		t.Fatalf("timedOut = %d, want 1", e.Stats().TimedOut)
-	}
-}
-
-func TestDeadlineDoesNotKillStartedRequest(t *testing.T) {
-	cfg := testConfig()
-	cfg.PrefillChunk = 64
-	e := NewEngine(cfg)
-	r := &Request{ID: 1, Arrival: 0, PromptLen: 512, OutputLen: 2, Deadline: 0.01}
-	e.Submit(r)
-	// First chunk starts the request before the deadline...
-	j := e.nextPrefillJob(0)
-	e.onPrefillDone(j, 0.005)
-	// ...so later chunks keep running even past it.
-	if j2 := e.nextPrefillJob(1.0); j2 == nil || j2.reqs[0] != r {
-		t.Fatal("started request was dropped past its deadline")
-	}
-	if e.Stats().TimedOut != 0 {
-		t.Fatal("started request counted as timed out")
-	}
-}
-
 func TestBoundedBacklog(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 1
-	cfg.Admission.MaxBacklog = 2
-	e := NewEngine(cfg)
-	e.decodeSet = append(e.decodeSet, &Request{ID: 1, PromptLen: 8, OutputLen: 100, TokensDone: 1})
-	for i := 2; i <= 5; i++ {
+	if maxBacklog != 64 {
+		t.Fatalf("backlog bound = %d, want 4x MaxBatch = 64", maxBacklog)
+	}
+	e := NewEngine(testConfig())
+	for i := 0; i < MaxBatch; i++ {
+		e.decodeSet = append(e.decodeSet, &Request{ID: -i, PromptLen: 8, OutputLen: 100, TokensDone: 1})
+	}
+	for i := 1; i <= maxBacklog+2; i++ {
 		r := &Request{ID: i, PromptLen: 8, OutputLen: 3}
 		e.onPrefillDone(&job{reqs: []*Request{r}}, 0.1)
 	}
-	if len(e.admitBacklog) != 2 {
-		t.Fatalf("backlog = %d, want bound 2", len(e.admitBacklog))
+	if len(e.admitBacklog) != maxBacklog {
+		t.Fatalf("backlog = %d, want bound %d", len(e.admitBacklog), maxBacklog)
 	}
 	if e.Stats().BacklogDropped != 2 {
 		t.Fatalf("backlogDropped = %d, want 2", e.Stats().BacklogDropped)
 	}
-	// The default (MaxBacklog 0) resolves to 4x MaxBatch.
-	if d := NewEngine(testConfig()).Config().Admission.MaxBacklog; d != 64 {
-		t.Fatalf("default backlog bound = %d, want 64", d)
-	}
-	// Negative keeps it unbounded.
-	cfg.Admission.MaxBacklog = -1
-	e2 := NewEngine(cfg)
-	e2.decodeSet = append(e2.decodeSet, &Request{ID: 1, PromptLen: 8, OutputLen: 100, TokensDone: 1})
-	for i := 2; i <= 40; i++ {
-		e2.onPrefillDone(&job{reqs: []*Request{{ID: i, PromptLen: 8, OutputLen: 3}}}, 0.1)
-	}
-	if len(e2.admitBacklog) != 39 || e2.Stats().BacklogDropped != 0 {
-		t.Fatalf("unbounded backlog: len=%d dropped=%d", len(e2.admitBacklog), e2.Stats().BacklogDropped)
+	// The shed requests are the two that arrived past the bound.
+	if last := e.admitBacklog[maxBacklog-1].ID; last != maxBacklog {
+		t.Fatalf("last backlogged request %d, want %d", last, maxBacklog)
 	}
 }

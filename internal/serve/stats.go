@@ -21,7 +21,6 @@ type Stats struct {
 	TTFTMetScaled           int
 	TTFTSum                 float64
 	recentTTFT              []float64
-	recentTTFTSlack         []float64 // d_TTFT - TTFT (negative = violated)
 
 	// Decode.
 	DecodeTokens   float64
@@ -35,8 +34,7 @@ type Stats struct {
 
 	// Admission-control breakdown (all zero when the engine runs the
 	// paper's unbounded scheduler).
-	Rejected       int // shed at Submit by MaxQueue / MaxHeadWait
-	TimedOut       int // dropped from the queue past their Deadline
+	Rejected       int // shed at Submit by Admission.MaxQueue
 	BacklogDropped int // prefilled but shed at the bounded decode backlog
 
 	// Disaggregated-serving traffic (zero for a self-contained engine).
@@ -64,7 +62,6 @@ func (s *Stats) recordTTFT(ttft float64, slo SLO, promptTokens int) {
 		s.GuaranteedPrefillTokens += float64(promptTokens)
 	}
 	s.recentTTFT = pushBounded(s.recentTTFT, ttft)
-	s.recentTTFTSlack = pushBounded(s.recentTTFTSlack, slo.TTFT-ttft)
 }
 
 func (s *Stats) recordToken(latency, deadline float64) {
@@ -139,7 +136,6 @@ func (s *Stats) RecentTTFTs() []float64 { return s.recentTTFT }
 func (s *Stats) Clone() Stats {
 	c := *s
 	c.recentTTFT = append([]float64(nil), s.recentTTFT...)
-	c.recentTTFTSlack = append([]float64(nil), s.recentTTFTSlack...)
 	c.recentTPOT = append([]float64(nil), s.recentTPOT...)
 	return c
 }

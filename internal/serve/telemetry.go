@@ -22,7 +22,6 @@ type engineTelemetry struct {
 
 	submitted      *telemetry.Counter
 	rejected       *telemetry.Counter
-	timedOut       *telemetry.Counter
 	backlogDropped *telemetry.Counter
 	prefills       *telemetry.Counter
 	ttftMet        *telemetry.Counter
@@ -45,7 +44,6 @@ func newEngineTelemetry(reg *telemetry.Registry, trace *telemetry.Trace) engineT
 		trace:          trace,
 		submitted:      reg.Counter("aum_serve_submitted_total"),
 		rejected:       reg.Counter("aum_serve_rejected_total"),
-		timedOut:       reg.Counter("aum_serve_timed_out_total"),
 		backlogDropped: reg.Counter("aum_serve_backlog_dropped_total"),
 		prefills:       reg.Counter("aum_serve_prefills_total"),
 		ttftMet:        reg.Counter("aum_serve_ttft_met_total"),
@@ -66,11 +64,6 @@ func (t *engineTelemetry) recordCrash(now float64, lost int) {
 func (t *engineTelemetry) recordShed(now float64, reason string) {
 	t.rejected.Inc()
 	t.reg.Emit(now, "serve", "admission-shed", telemetry.F("reason", reason))
-}
-
-func (t *engineTelemetry) recordTimeout(now float64, waited float64) {
-	t.timedOut.Inc()
-	t.reg.Emit(now, "serve", "queue-timeout", telemetry.Ff("waited_s", waited))
 }
 
 func (t *engineTelemetry) recordBacklogDrop(now float64) {

@@ -9,14 +9,13 @@ import (
 	"aum/internal/power"
 )
 
-// job is one iteration in flight: a prefill pass, one chunk of a
-// chunked prefill, or a decode step.
+// job is one iteration in flight: a one-request prefill pass or a
+// decode step over the batch.
 type job struct {
-	plan        llm.IterationPlan
-	reqs        []*Request
-	remaining   float64 // fraction of the iteration still to execute
-	chunkTokens int     // >0 for a chunked prefill job
-	startedAt   float64 // formation time (iteration start for blame)
+	plan      llm.IterationPlan
+	reqs      []*Request
+	remaining float64 // fraction of the iteration still to execute
+	startedAt float64 // formation time (iteration start for blame)
 
 	// Causal-tracing state (package reqtrace). traced is set at job
 	// formation when any request in the job is sampled; the stall
@@ -233,9 +232,10 @@ func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
 	// that pulls a new job is never steady: the machine estimated this
 	// step's demand from the pre-pull state, so the next step's
 	// environment will differ even though the job now runs smoothly.
-	// The decode job is one engine-owned value re-formed per iteration,
-	// so j == entered alone does not mean "same iteration": it does
-	// only on the first pass, where a pulled job implies entered == nil.
+	// Each phase's job is one engine-owned value re-formed per
+	// iteration, so j == entered alone does not mean "same iteration":
+	// it does only on the first pass, where a pulled job implies
+	// entered == nil.
 	entered := w.current
 	steady := false
 	iter := 0

@@ -92,7 +92,7 @@ func coloStepLoop() func() {
 		}
 	}
 	const dt = 1e-3
-	for eng.DecodeBatch() < eng.Config().MaxBatch {
+	for eng.DecodeBatch() < serve.MaxBatch {
 		m.Step(dt)
 	}
 	return func() { m.Step(dt) }
