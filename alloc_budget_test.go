@@ -212,11 +212,9 @@ func TestAllocBudgetReqTraceDisabled(t *testing.T) {
 	})
 }
 
-// TestAllocBudgetReqTraceSampled pins the sampled hot path: once a
+// TestAllocBudgetReqTraceSampled pins the traced hot path: once a
 // record is live and the burn window exists, the per-token hook is
-// counter updates only — zero allocations at steady state. The
-// sampled-out path (a live tracer that skipped this request) must also
-// be free: it is what every request pays under head sampling.
+// counter updates only — zero allocations at steady state.
 func TestAllocBudgetReqTraceSampled(t *testing.T) {
 	tr := reqtrace.New(reqtrace.Config{})
 	tid := reqtrace.MakeTraceID(0, 1)
@@ -225,19 +223,6 @@ func TestAllocBudgetReqTraceSampled(t *testing.T) {
 	tr.FirstToken(tid, 0.2, true, 0, 0, 0)
 	allocBudget(t, "reqtrace.Token sampled", 0, 1000, func() {
 		tr.Token(tid, 0.3, 0.1, true, 0.05, 0, 0)
-	})
-
-	n4 := reqtrace.New(reqtrace.Config{SampleEvery: 4})
-	skipped := reqtrace.MakeTraceID(0, 2) // head pattern samples 1, 5, 9, ...
-	if n4.Sampled(skipped) {
-		t.Fatal("fixture request unexpectedly sampled")
-	}
-	allocBudget(t, "reqtrace sampled-out hooks", 0, 1000, func() {
-		n4.Submitted(skipped, 0, 0)
-		n4.PrefillStart(skipped, 0.1, 0)
-		n4.FirstToken(skipped, 0.2, true, 0, 0, 0)
-		n4.Token(skipped, 0.3, 0.1, true, 0.05, 0, 0)
-		n4.Retire(skipped, 0.4, 0)
 	})
 }
 

@@ -325,18 +325,6 @@ func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() 
 // RunConfig.TraceSink; write it out with WriteFile for chrome://tracing.
 func NewChromeTrace() *ChromeTrace { return telemetry.NewTrace() }
 
-// RecordTrace materializes horizon seconds of a scenario's request
-// stream so runs can replay identical inputs (set RunConfig.Trace).
-func RecordTrace(s Scenario, seed uint64, horizonS float64) *RecordedTrace {
-	return trace.Record(s, seed, horizonS)
-}
-
-// LoadTrace reads a trace written by (*RecordedTrace).Save.
-func LoadTrace(path string) (*RecordedTrace, error) { return trace.Load(path) }
-
-// RecordedTrace is a persisted, replayable request stream.
-type RecordedTrace = trace.Recorded
-
 // PhaseFlipCoreLoss returns the canonical robustness fault plan: at
 // time at the co-runner permanently flips into its unprofiled phase and
 // the lowest cores go offline for outageS seconds.
@@ -350,11 +338,6 @@ func PhaseFlipCoreLoss(at float64, cores int, outageS float64) ChaosSchedule {
 // address).
 func CrashStorm(machines, crashes int, horizonS, downS float64, seed uint64) FleetSchedule {
 	return chaos.CrashStorm(machines, crashes, horizonS, downS, seed)
-}
-
-// ChaosStorm returns a denser mixed fault schedule for soak testing.
-func ChaosStorm(startS, spacingS float64, seed uint64) ChaosSchedule {
-	return chaos.Storm(startS, spacingS, seed)
 }
 
 // Experiments returns every registered paper artifact (tables and
@@ -392,8 +375,8 @@ func ValidatePrometheus(r io.Reader) error { return telemetry.ValidatePrometheus
 type (
 	// RequestTracer records per-request lifecycle spans and blame.
 	RequestTracer = reqtrace.Tracer
-	// ReqTraceConfig parameterizes a RequestTracer (sampling, burn-rate
-	// window, retention); the zero value keeps documented defaults.
+	// ReqTraceConfig parameterizes a RequestTracer (retention and the
+	// blame-gauge registry); the zero value keeps documented defaults.
 	ReqTraceConfig = reqtrace.Config
 	// RequestTrace is one finished request's span tree and blame
 	// vectors, as returned by (*RequestTracer).Recent.
@@ -476,8 +459,6 @@ var (
 	WithGatewayFleet = gateway.WithFleet
 	// WithWarpFactor sets simulated seconds per wall-clock second.
 	WithWarpFactor = gateway.WithWarpFactor
-	// WithGatewayMaxTokens caps per-request completion length.
-	WithGatewayMaxTokens = gateway.WithMaxTokens
 	// WithGatewayDegradedBelow sets the readiness degradation threshold.
 	WithGatewayDegradedBelow = gateway.WithDegradedBelow
 	// WithGatewayTelemetry attaches the registry receiving the

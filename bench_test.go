@@ -23,7 +23,6 @@ import (
 	"aum/internal/membw"
 	"aum/internal/platform"
 	"aum/internal/power"
-	"aum/internal/rng"
 	"aum/internal/runner"
 	"aum/internal/trace"
 	"aum/internal/workload"
@@ -84,14 +83,16 @@ func BenchmarkFullSuiteQuick(b *testing.B) {
 	}
 }
 
-// BenchmarkRunnerMap measures the per-scenario dispatch overhead of the
-// parallel runner with trivial scenario bodies.
-func BenchmarkRunnerMap(b *testing.B) {
+// BenchmarkRunnerForEach measures the per-scenario dispatch overhead of
+// the parallel runner with trivial scenario bodies.
+func BenchmarkRunnerForEach(b *testing.B) {
 	b.ReportAllocs()
+	out := make([]uint64, 256)
 	for i := 0; i < b.N; i++ {
-		_, err := runner.Map(context.Background(), 256, runner.Options{Seed: 1},
-			func(_ context.Context, j int, r *rng.Stream) (uint64, error) {
-				return r.Uint64() + uint64(j), nil
+		err := runner.ForEach(context.Background(), len(out), runner.Options{},
+			func(_ context.Context, j int) error {
+				out[j] = uint64(j) * uint64(j)
+				return nil
 			})
 		if err != nil {
 			b.Fatal(err)

@@ -100,8 +100,8 @@ func floatBits(dst []uint64, v reflect.Value) []uint64 {
 
 // TestStepNEquivalenceProperty runs randomized cases comparing a
 // machine advanced by StepN in random chunk sizes against a twin
-// advanced one Step at a time. Mid-run intensity and phase mutations
-// exercise capture invalidation; every TaskStats accumulator and
+// advanced one Step at a time. Mid-run frequency-derate, phase and
+// placement mutations exercise capture invalidation; every TaskStats accumulator and
 // Breakdown field is compared by its bit pattern.
 func TestStepNEquivalenceProperty(t *testing.T) {
 	const dt = 1e-3
@@ -120,9 +120,9 @@ func TestStepNEquivalenceProperty(t *testing.T) {
 				i := r.Intn(len(seqApps))
 				switch r.Intn(3) {
 				case 0:
-					mult := 0.5 + r.Float64()
-					seqApps[i].SetIntensity(mult)
-					ffApps[i].SetIntensity(mult)
+					derate := 0.5 + 0.5*r.Float64()
+					seq.SetFreqDerate(derate)
+					ff.SetFreqDerate(derate)
 				case 1:
 					seqApps[i].FlipPhase()
 					ffApps[i].FlipPhase()

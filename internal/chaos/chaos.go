@@ -1,28 +1,20 @@
-// Package chaos injects deterministic, seedable fault schedules into a
+// Package chaos injects deterministic fault schedules into a
 // running co-location experiment. Every event drives the simulator
 // through its existing interfaces — core offlining through the machine,
-// co-runner drift through the workload model, load bursts through the
-// serving engine — so a chaos run exercises exactly the control surface
-// the AUM controller sees in a clean run, plus the perturbation.
+// co-runner drift through the workload model — so a chaos run
+// exercises exactly the control surface the AUM controller sees in a
+// clean run, plus the perturbation.
 //
-// The event taxonomy covers the failure classes the paper's premise
-// exposes a shared processor to:
+// Two fault kinds model the drift the paper's robustness concern
+// (Section VII-D) exposes a shared processor to:
 //
 //   - CoreOffline: the lowest N cores drop out (hitting the prefill
 //     region, which every division anchors at the bottom of the core
 //     range), as with a hardware fault or a hypervisor reclaiming CPUs.
-//   - IntensitySurge: the co-runner's offered load multiplies, the way
-//     a batch job's input backlog spikes.
 //   - PhaseFlip: the co-runner switches into a markedly more
 //     memory-hungry behavioural phase, invalidating the AUV bucket the
 //     controller profiled — the post-profiling drift Section VII-D
 //     names as AUM's limitation.
-//   - FreqFlap: the package loses frequency headroom (license-level
-//     flapping, thermal capping) and all regions derate.
-//   - BWSpike: an external agent (another socket, a DMA-heavy device)
-//     saturates part of the memory bandwidth.
-//   - Burst: a flash crowd of serving requests arrives at one instant,
-//     on top of the scenario's Poisson stream.
 //
 // Events with a positive Duration revert automatically; the injector
 // logs every application and revert so harnesses can correlate SLO
@@ -35,9 +27,7 @@ import (
 	"sort"
 
 	"aum/internal/machine"
-	"aum/internal/serve"
 	"aum/internal/telemetry"
-	"aum/internal/trace"
 	"aum/internal/workload"
 )
 
@@ -46,14 +36,10 @@ type Kind int
 
 const (
 	CoreOffline Kind = iota
-	IntensitySurge
 	PhaseFlip
-	FreqFlap
-	BWSpike
-	Burst
 )
 
-var kindNames = [...]string{"CoreOffline", "IntensitySurge", "PhaseFlip", "FreqFlap", "BWSpike", "Burst"}
+var kindNames = [...]string{"CoreOffline", "PhaseFlip"}
 
 func (k Kind) String() string {
 	if k < 0 || int(k) >= len(kindNames) {
@@ -69,29 +55,18 @@ type Event struct {
 	// Kind selects the fault class and which parameter below applies.
 	Kind Kind
 	// Duration, when positive, reverts the fault at At+Duration:
-	// offlined cores come back, a surged or flipped co-runner returns
-	// to its profiled behaviour, frequency and bandwidth recover. 0
-	// makes the fault permanent for the rest of the run. Burst events
-	// are instantaneous and ignore Duration.
+	// offlined cores come back and a flipped co-runner returns to its
+	// profiled behaviour. 0 makes the fault permanent for the rest of
+	// the run.
 	Duration float64
 
 	// Cores is how many of the lowest cores CoreOffline removes.
 	Cores int
-	// Mult is the IntensitySurge load multiplier (> 1 surges).
-	Mult float64
-	// Derate is the FreqFlap frequency multiplier in (0, 1].
-	Derate float64
-	// GBs is the BWSpike external bandwidth pressure in GB/s.
-	GBs float64
-	// Requests is how many arrivals a Burst injects at once.
-	Requests int
 }
 
-// Schedule is a deterministic fault plan: a list of events plus the
-// seed that derives any randomness (burst request lengths).
+// Schedule is a deterministic fault plan: a list of events.
 type Schedule struct {
 	Events []Event
-	Seed   uint64
 }
 
 // Validate checks the schedule for injectability.
@@ -108,24 +83,8 @@ func (s *Schedule) Validate() error {
 			if ev.Cores < 1 {
 				return fmt.Errorf("chaos: event %d: CoreOffline with %d cores", i, ev.Cores)
 			}
-		case IntensitySurge:
-			if ev.Mult <= 0 {
-				return fmt.Errorf("chaos: event %d: IntensitySurge with multiplier %v", i, ev.Mult)
-			}
 		case PhaseFlip:
 			// No parameters.
-		case FreqFlap:
-			if ev.Derate <= 0 || ev.Derate > 1 {
-				return fmt.Errorf("chaos: event %d: FreqFlap derate %v outside (0,1]", i, ev.Derate)
-			}
-		case BWSpike:
-			if ev.GBs <= 0 {
-				return fmt.Errorf("chaos: event %d: BWSpike with %v GB/s", i, ev.GBs)
-			}
-		case Burst:
-			if ev.Requests < 1 {
-				return fmt.Errorf("chaos: event %d: Burst with %d requests", i, ev.Requests)
-			}
 		default:
 			return fmt.Errorf("chaos: event %d: unknown kind %d", i, int(ev.Kind))
 		}
@@ -148,9 +107,8 @@ func (s *Schedule) FirstAt() float64 {
 // Target is the set of simulator handles the injector drives. BE may
 // be nil (exclusive runs skip co-runner events).
 type Target struct {
-	M    *machine.Machine
-	BE   *workload.App
-	Scen trace.Scenario
+	M  *machine.Machine
+	BE *workload.App
 }
 
 // Applied is one log entry of the injector: an event taking effect or
@@ -175,10 +133,8 @@ type Injector struct {
 	events  []Event // sorted by At
 	reverts []Event // pending auto-reverts, sorted by At
 	tgt     Target
-	gen     *trace.Generator // burst length sampling
 	pos     int
 	applied []Applied
-	burstID int
 
 	tel     *telemetry.Registry
 	faults  *telemetry.Counter
@@ -207,15 +163,7 @@ func NewInjector(s Schedule, tgt Target) (*Injector, error) {
 	}
 	events := append([]Event(nil), s.Events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	seed := s.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return &Injector{
-		events: events,
-		tgt:    tgt,
-		gen:    trace.NewGenerator(tgt.Scen, seed),
-	}, nil
+	return &Injector{events: events, tgt: tgt}, nil
 }
 
 // Applied returns the log of injected and reverted events so far.
@@ -241,18 +189,15 @@ func (in *Injector) NextEventAt(now float64) float64 {
 	return next
 }
 
-// Advance applies every event whose time has come. submit receives
-// burst arrivals and may be nil when the schedule has no Burst events;
-// injected requests carry negative IDs so they never collide with the
-// scenario stream.
-func (in *Injector) Advance(now float64, submit func(*serve.Request) error) error {
+// Advance applies every event whose time has come.
+func (in *Injector) Advance(now float64) error {
 	for in.pos < len(in.events) && in.events[in.pos].At <= now {
 		ev := in.events[in.pos]
 		in.pos++
-		if err := in.apply(ev, now, submit); err != nil {
+		if err := in.apply(ev, now); err != nil {
 			return err
 		}
-		if ev.Duration > 0 && ev.Kind != Burst {
+		if ev.Duration > 0 {
 			rv := ev
 			rv.At = ev.At + ev.Duration
 			in.reverts = append(in.reverts, rv)
@@ -269,7 +214,7 @@ func (in *Injector) Advance(now float64, submit func(*serve.Request) error) erro
 	return nil
 }
 
-func (in *Injector) apply(ev Event, now float64, submit func(*serve.Request) error) error {
+func (in *Injector) apply(ev Event, now float64) error {
 	switch ev.Kind {
 	case CoreOffline:
 		n := ev.Cores
@@ -279,29 +224,9 @@ func (in *Injector) apply(ev Event, now float64, submit func(*serve.Request) err
 		if err := in.tgt.M.SetOffline(0, n-1); err != nil {
 			return fmt.Errorf("chaos: %w", err)
 		}
-	case IntensitySurge:
-		if in.tgt.BE != nil {
-			in.tgt.BE.SetIntensity(ev.Mult)
-		}
 	case PhaseFlip:
 		if in.tgt.BE != nil && !in.tgt.BE.PhaseFlipped() {
 			in.tgt.BE.FlipPhase()
-		}
-	case FreqFlap:
-		in.tgt.M.SetFreqDerate(ev.Derate)
-	case BWSpike:
-		in.tgt.M.SetBWPressure(ev.GBs)
-	case Burst:
-		if submit == nil {
-			return fmt.Errorf("chaos: Burst event at t=%v but no submit sink", ev.At)
-		}
-		for i := 0; i < ev.Requests; i++ {
-			in.burstID++
-			p, o := in.gen.SampleLengths()
-			r := &serve.Request{ID: -in.burstID, Arrival: now, PromptLen: p, OutputLen: o}
-			if err := submit(r); err != nil {
-				return fmt.Errorf("chaos: submitting burst request: %w", err)
-			}
 		}
 	}
 	in.applied = append(in.applied, Applied{Now: now, Event: ev})
@@ -317,18 +242,10 @@ func (in *Injector) revert(ev Event, now float64) error {
 	switch ev.Kind {
 	case CoreOffline:
 		in.tgt.M.ClearOffline()
-	case IntensitySurge:
-		if in.tgt.BE != nil {
-			in.tgt.BE.SetIntensity(1)
-		}
 	case PhaseFlip:
 		if in.tgt.BE != nil && in.tgt.BE.PhaseFlipped() {
 			in.tgt.BE.FlipPhase()
 		}
-	case FreqFlap:
-		in.tgt.M.SetFreqDerate(1)
-	case BWSpike:
-		in.tgt.M.SetBWPressure(0)
 	}
 	in.applied = append(in.applied, Applied{Now: now, Event: ev, Revert: true})
 	in.revertC.Inc()
@@ -342,29 +259,8 @@ func (in *Injector) revert(ev Event, now float64) error {
 // The flip is permanent — recovery must come from the controller
 // adapting, not the fault expiring.
 func PhaseFlipCoreLoss(at float64, cores int, outageS float64) Schedule {
-	return Schedule{
-		Seed: 1,
-		Events: []Event{
-			{At: at, Kind: PhaseFlip},
-			{At: at, Kind: CoreOffline, Cores: cores, Duration: outageS},
-		},
-	}
-}
-
-// Storm is a denser mixed schedule for soak testing: a surge, a
-// bandwidth spike, frequency flapping, a request burst, and a brief
-// core outage spread across the horizon.
-func Storm(startS, spacingS float64, seed uint64) Schedule {
-	t := startS
-	next := func() float64 { v := t; t += spacingS; return v }
-	return Schedule{
-		Seed: seed,
-		Events: []Event{
-			{At: next(), Kind: IntensitySurge, Mult: 2.5, Duration: spacingS * 1.5},
-			{At: next(), Kind: BWSpike, GBs: 60, Duration: spacingS},
-			{At: next(), Kind: FreqFlap, Derate: 0.75, Duration: spacingS},
-			{At: next(), Kind: Burst, Requests: 12},
-			{At: next(), Kind: CoreOffline, Cores: 8, Duration: spacingS},
-		},
-	}
+	return Schedule{Events: []Event{
+		{At: at, Kind: PhaseFlip},
+		{At: at, Kind: CoreOffline, Cores: cores, Duration: outageS},
+	}}
 }

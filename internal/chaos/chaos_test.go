@@ -6,17 +6,14 @@ import (
 
 	"aum/internal/machine"
 	"aum/internal/platform"
-	"aum/internal/serve"
-	"aum/internal/trace"
 	"aum/internal/workload"
 )
 
 func testTarget() Target {
 	be := workload.SPECjbb()
 	return Target{
-		M:    machine.New(platform.GenA()),
-		BE:   workload.New(be, 3),
-		Scen: trace.Chatbot(),
+		M:  machine.New(platform.GenA()),
+		BE: workload.New(be, 3),
 	}
 }
 
@@ -25,10 +22,6 @@ func TestScheduleValidation(t *testing.T) {
 		{Events: []Event{{At: -1, Kind: PhaseFlip}}},
 		{Events: []Event{{At: 1, Kind: PhaseFlip, Duration: -2}}},
 		{Events: []Event{{At: 1, Kind: CoreOffline, Cores: 0}}},
-		{Events: []Event{{At: 1, Kind: IntensitySurge, Mult: -1}}},
-		{Events: []Event{{At: 1, Kind: FreqFlap, Derate: 1.5}}},
-		{Events: []Event{{At: 1, Kind: BWSpike, GBs: 0}}},
-		{Events: []Event{{At: 1, Kind: Burst, Requests: 0}}},
 		{Events: []Event{{At: 1, Kind: Kind(99)}}},
 	}
 	for i, s := range bad {
@@ -39,7 +32,11 @@ func TestScheduleValidation(t *testing.T) {
 			t.Fatalf("injector accepted bad schedule %d", i)
 		}
 	}
-	good := Storm(10, 5, 7)
+	good := Schedule{Events: []Event{
+		{At: 15, Kind: CoreOffline, Cores: 8, Duration: 5},
+		{At: 10, Kind: PhaseFlip, Duration: 2},
+		{At: 20, Kind: PhaseFlip},
+	}}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -56,19 +53,21 @@ func TestInjectorAppliesAndReverts(t *testing.T) {
 	tgt := testTarget()
 	s := Schedule{Events: []Event{
 		{At: 1, Kind: CoreOffline, Cores: 4, Duration: 2},
-		{At: 1.5, Kind: PhaseFlip},
-		{At: 2, Kind: FreqFlap, Derate: 0.8, Duration: 1},
-		{At: 2, Kind: BWSpike, GBs: 50, Duration: 1},
-		{At: 2.5, Kind: IntensitySurge, Mult: 3, Duration: 0.5},
+		{At: 1.5, Kind: PhaseFlip, Duration: 1},
+		{At: 2, Kind: CoreOffline, Cores: 6, Duration: 0.5},
+		{At: 2.8, Kind: PhaseFlip},
 	}}
 	in, err := NewInjector(s, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	step := func(now float64) {
-		if err := in.Advance(now, nil); err != nil {
+		if err := in.Advance(now); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := in.NextEventAt(0); got != 1 {
+		t.Fatalf("NextEventAt(0) = %v, want 1", got)
 	}
 	step(0.5)
 	if _, _, off := tgt.M.OfflineRange(); off {
@@ -82,18 +81,22 @@ func TestInjectorAppliesAndReverts(t *testing.T) {
 	if !tgt.BE.PhaseFlipped() {
 		t.Fatal("phase not flipped")
 	}
-	step(2.6)
-	if tgt.BE.Intensity() != 3 {
-		t.Fatal("surge not applied")
+	step(2)
+	if lo, hi, off := tgt.M.OfflineRange(); !off || lo != 0 || hi != 5 {
+		t.Fatalf("offline range = %d..%d (%v), want 0..5", lo, hi, off)
 	}
-	// t=3: core restore (1+2) and surge revert (2.5+0.5) are due; the
-	// freq/bw reverts (2+1) too.
+	if got := in.NextEventAt(2); got != 2.5 {
+		t.Fatalf("NextEventAt(2) = %v, want the 2.5 reverts", got)
+	}
+	step(2.5)
+	if tgt.BE.PhaseFlipped() {
+		t.Fatal("bounded phase flip not reverted")
+	}
+	// t=3: the permanent flip (2.8) and the first core revert (1+2)
+	// are due.
 	step(3)
 	if _, _, off := tgt.M.OfflineRange(); off {
 		t.Fatal("cores not restored")
-	}
-	if tgt.BE.Intensity() != 1 {
-		t.Fatal("surge not reverted")
 	}
 	if !tgt.BE.PhaseFlipped() {
 		t.Fatal("permanent phase flip reverted")
@@ -113,45 +116,8 @@ func TestInjectorAppliesAndReverts(t *testing.T) {
 			t.Fatal("empty log entry")
 		}
 	}
-	if injects != 5 || reverts != 4 {
-		t.Fatalf("log: %d injects, %d reverts (want 5/4)", injects, reverts)
-	}
-}
-
-func TestBurstSubmitsDeterministically(t *testing.T) {
-	run := func() []*serve.Request {
-		s := Schedule{Seed: 11, Events: []Event{{At: 2, Kind: Burst, Requests: 6}}}
-		in, err := NewInjector(s, testTarget())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []*serve.Request
-		submit := func(r *serve.Request) error { got = append(got, r); return nil }
-		if err := in.Advance(2, submit); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	a, b := run(), run()
-	if len(a) != 6 || len(b) != 6 {
-		t.Fatalf("burst sizes: %d/%d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].ID >= 0 {
-			t.Fatalf("burst request %d has non-negative ID %d", i, a[i].ID)
-		}
-		if a[i].PromptLen != b[i].PromptLen || a[i].OutputLen != b[i].OutputLen {
-			t.Fatal("same-seed bursts diverged")
-		}
-		if err := a[i].Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A burst with no sink is an error, not a silent drop.
-	s := Schedule{Events: []Event{{At: 0, Kind: Burst, Requests: 1}}}
-	in, _ := NewInjector(s, testTarget())
-	if err := in.Advance(0, nil); err == nil {
-		t.Fatal("burst without sink accepted")
+	if injects != 4 || reverts != 3 {
+		t.Fatalf("log: %d injects, %d reverts (want 4/3)", injects, reverts)
 	}
 }
 
@@ -161,13 +127,13 @@ func TestInjectorWithoutBE(t *testing.T) {
 	tgt.BE = nil
 	s := Schedule{Events: []Event{
 		{At: 1, Kind: PhaseFlip},
-		{At: 1, Kind: IntensitySurge, Mult: 2, Duration: 1},
+		{At: 1, Kind: PhaseFlip, Duration: 1},
 	}}
 	in, err := NewInjector(s, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Advance(5, nil); err != nil {
+	if err := in.Advance(5); err != nil {
 		t.Fatal(err)
 	}
 	if !in.Done() {
@@ -182,7 +148,7 @@ func TestCoreOfflineNeverKillsWholeSocket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Advance(0, nil); err != nil {
+	if err := in.Advance(0); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi, off := tgt.M.OfflineRange()
@@ -192,7 +158,7 @@ func TestCoreOfflineNeverKillsWholeSocket(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	for k := CoreOffline; k <= Burst; k++ {
+	for k := CoreOffline; k <= PhaseFlip; k++ {
 		if strings.HasPrefix(k.String(), "Kind(") {
 			t.Fatalf("kind %d unnamed", int(k))
 		}

@@ -133,9 +133,6 @@ type Config struct {
 	// re-handoff, circuit breaker (DESIGN.md §10; its timings are the
 	// constants in failover.go).
 	Faults *chaos.FleetSchedule
-	// Trace, when set, receives failover spans (outages, redispatches)
-	// in Chrome trace_event form.
-	Trace *telemetry.Trace
 	// ReqTrace, when set, records per-request causal traces across the
 	// fleet: span trees with failover hops, blame vectors, and SLO
 	// burn-rate timelines (package reqtrace). Observation-only.

@@ -91,7 +91,6 @@ type faultEngine struct {
 	mttrSum      float64
 
 	events []HealthEvent
-	trace  *telemetry.Trace
 	rt     *reqtrace.Tracer // per-request causal tracer (nil-safe)
 
 	cCrashes      *telemetry.Counter
@@ -113,7 +112,6 @@ func newFaultEngine(cfg Config) (*faultEngine, error) {
 		inj:           inj,
 		seed:          cfg.Seed,
 		attempts:      make(map[*serve.Request]int),
-		trace:         cfg.Trace,
 		reg:           reg,
 		cCrashes:      reg.Counter("aum_fleet_crashes_total"),
 		cRetries:      reg.Counter("aum_fleet_retries_total"),
@@ -170,7 +168,7 @@ func (fe *faultEngine) apply(now float64, cfg Config, nodes []*node, link *kvLin
 		}
 	}
 	// Detection and recovery timers, quantized to barriers.
-	for i, n := range nodes {
+	for _, n := range nodes {
 		switch n.state {
 		case stateSuspect:
 			if now >= n.confirmAt-1e-9 {
@@ -185,8 +183,6 @@ func (fe *faultEngine) apply(now float64, cfg Config, nodes []*node, link *kvLin
 				fe.mttrSum += now - n.downSince
 				n.outages++
 				fe.event(now, n, "ready")
-				fe.trace.Span("outage:"+n.name, "fleet", telemetry.PIDFleet, i,
-					n.downSince, now, map[string]float64{"crashes": float64(n.crashes)})
 			}
 		}
 	}
@@ -365,11 +361,6 @@ func (fe *faultEngine) dispatchDue(now float64, nodes []*node, bal *balancer) {
 		fe.redispatched++
 		fe.cRedispatched.Inc()
 		fe.rt.Redispatched(e.req.TraceID, now, i)
-		if fe.trace != nil {
-			// Guarded so the untraced hot path skips the args map.
-			fe.trace.Instant("redispatch", "fleet", telemetry.PIDFleet, i, now,
-				map[string]float64{"request": float64(e.req.ID), "attempt": float64(e.attempt)})
-		}
 	}
 	fe.routable = routable
 	fe.retryq = keep
@@ -388,12 +379,6 @@ func retryBefore(a, b retryEntry) bool {
 		return a.req.ID < b.req.ID
 	}
 	return a.attempt < b.attempt
-}
-
-// unhealthy reports whether the node is in an outage state: dead
-// (Suspect, Down) or rebooting (Recovering).
-func (n *node) unhealthy() bool {
-	return n.state == stateSuspect || n.state == stateDown || n.state == stateRecovering
 }
 
 // dead reports whether the machine is off the power rail entirely:

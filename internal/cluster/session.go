@@ -165,7 +165,7 @@ func newSession(cfg Config) (*session, error) {
 		link: newKVLink(cfg.Link, len(nodes)),
 
 		ctx:   context.Background(),
-		ropt:  runner.Options{Workers: cfg.Workers, Seed: cfg.Seed},
+		ropt:  runner.Options{Workers: cfg.Workers},
 		steps: int(math.Round(cfg.BarrierS / machine.DT)),
 		rate:  cfg.RatePerS,
 		ev:    eventState{cElided: cfg.Telemetry.Counter("aum_cluster_barriers_elided_total")},
@@ -408,9 +408,6 @@ func (s *session) finishAt(endS float64) (Result, error) {
 		return Result{}, err
 	}
 	s.rt.Publish()
-	if cfg.ReqTrace != nil {
-		cfg.ReqTrace.ExportChrome(cfg.Trace)
-	}
 
 	elapsed := endS - cfg.WarmupS
 	res := Result{Policy: cfg.Policy.String(), Nodes: len(nodes), Unrouted: s.shed}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"aum/internal/chaos"
@@ -9,20 +10,18 @@ import (
 	"aum/internal/manager"
 	"aum/internal/platform"
 	"aum/internal/reqtrace"
-	"aum/internal/telemetry"
 	"aum/internal/trace"
 )
 
-// TestTraceBytesWidthDeterminism pins the rendered Chrome trace — not
-// just the result struct — across worker widths. Concurrent machine
-// stepping emits trace events in racy order within an epoch; the
-// WriteJSON sort with its (Ts, PID, TID, Name) tie-break is what makes
-// the serialized bytes width-independent, including the request-flow
-// events the causal tracer adds. A faulted, disaggregated fleet
-// exercises every event source at once.
+// TestTraceBytesWidthDeterminism pins the rendered request traces —
+// not just the result struct — across worker widths. Concurrent
+// machine stepping records hooks in racy order within an epoch; the
+// tracer's trace-ID-sorted fold is what makes every span tree, blame
+// vector and the fleet-wide report width-independent. A faulted,
+// disaggregated fleet exercises every event source at once, including
+// the KV handoff that moves each request to the decode tier.
 func TestTraceBytesWidthDeterminism(t *testing.T) {
 	render := func(width int) []byte {
-		sink := telemetry.NewTrace()
 		rt := reqtrace.New(reqtrace.Config{KeepRecent: 1 << 16})
 		cfg := Config{
 			Machines: []MachineSpec{
@@ -35,24 +34,23 @@ func TestTraceBytesWidthDeterminism(t *testing.T) {
 			Policy: LeastQueued, HorizonS: 24, Seed: 11, RatePerS: 1.5,
 			Faults:   stormOf(chaos.CrashStorm(4, 2, 24, 3, 11)),
 			Workers:  width,
-			Trace:    sink,
 			ReqTrace: rt,
 		}
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := sink.WriteJSON(&buf); err != nil {
+		out, err := json.Marshal(struct {
+			Recent []reqtrace.RequestTrace `json:"recent"`
+			Report reqtrace.BlameReport    `json:"report"`
+		}{rt.Recent(0), rt.Report()})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return out
 	}
 	ref := render(1)
-	if len(ref) == 0 {
-		t.Fatal("empty trace")
-	}
-	if !bytes.Contains(ref, []byte("req-flow")) {
-		t.Fatal("trace carries no request flow events; the fixture went untraced")
+	if !bytes.Contains(ref, []byte(`"name":"kv-wait"`)) {
+		t.Fatal("no kv-wait span in the traces; the fixture no longer hops machines")
 	}
 	for _, w := range []int{2, 8} {
 		if got := render(w); !bytes.Equal(got, ref) {

@@ -95,10 +95,6 @@ type Config struct {
 	Seed     uint64
 	RatePerS float64 // arrival-rate override (0 = scenario default)
 
-	// Trace, when set, replays a recorded request stream instead of
-	// generating arrivals, pinning identical inputs across managers.
-	Trace *trace.Recorded
-
 	// TrackAlloc records the co-runner's way/MBA allocation at every
 	// control tick (Figure 18).
 	TrackAlloc bool
@@ -323,15 +319,6 @@ func (v *violationMonitor) finish(horizon float64) (windows []ViolationWindow, s
 	return v.windows, false
 }
 
-// arrivalSource is the request stream the run loop consumes — a live
-// trace.Generator or a pinned trace.Replayer. NextEventAt lets the loop
-// compute a fast-forward skip horizon (DESIGN.md §9): Emit returns
-// nothing while now+dt stays strictly below the reported time.
-type arrivalSource interface {
-	Emit(now, dt float64) []*serve.Request
-	NextEventAt(now float64) float64
-}
-
 // Run executes one co-location experiment.
 func Run(cfg Config) (Result, error) {
 	cfg, err := cfg.withDefaults()
@@ -351,25 +338,9 @@ func Run(cfg Config) (Result, error) {
 	}
 	eng := serve.NewEngine(serve.Config{Model: cfg.Model, SLO: cfg.Scen.SLO, Admission: cfg.Admission,
 		Telemetry: cfg.Telemetry, Trace: cfg.TraceSink, ReqTrace: rt})
-	// submit stamps a trace ID before handing the request to the engine.
-	// Chaos bursts use negative IDs; MakeTraceID folds both sign ranges
-	// into distinct nonzero IDs.
-	submit := eng.Submit
-	if rt != nil {
-		submit = func(r *serve.Request) error {
-			r.TraceID = reqtrace.MakeTraceID(0, r.ID)
-			return eng.Submit(r)
-		}
-	}
-	var src arrivalSource
-	if cfg.Trace != nil {
-		src = trace.NewReplayer(cfg.Trace)
-	} else {
-		gen := trace.NewGenerator(cfg.Scen, cfg.Seed)
-		if cfg.RatePerS > 0 {
-			gen.SetRate(cfg.RatePerS)
-		}
-		src = gen
+	src := trace.NewGenerator(cfg.Scen, cfg.Seed)
+	if cfg.RatePerS > 0 {
+		src.SetRate(cfg.RatePerS)
 	}
 
 	env := &Env{
@@ -395,7 +366,7 @@ func Run(cfg Config) (Result, error) {
 	var inj *chaos.Injector
 	if cfg.Chaos != nil {
 		var err error
-		inj, err = chaos.NewInjector(*cfg.Chaos, chaos.Target{M: m, BE: env.BEApp, Scen: cfg.Scen})
+		inj, err = chaos.NewInjector(*cfg.Chaos, chaos.Target{M: m, BE: env.BEApp})
 		if err != nil {
 			return Result{}, err
 		}
@@ -433,12 +404,15 @@ func Run(cfg Config) (Result, error) {
 	for m.Now() < cfg.HorizonS {
 		now := m.Now()
 		for _, r := range src.Emit(now, machine.DT) {
-			if err := submit(r); err != nil {
+			if rt != nil {
+				r.TraceID = reqtrace.MakeTraceID(0, r.ID)
+			}
+			if err := eng.Submit(r); err != nil {
 				return Result{}, err
 			}
 		}
 		if inj != nil {
-			if err := inj.Advance(now, submit); err != nil {
+			if err := inj.Advance(now); err != nil {
 				return Result{}, err
 			}
 		}
@@ -513,12 +487,6 @@ func Run(cfg Config) (Result, error) {
 		baseStats = eng.Stats().Clone()
 	}
 	rt.Publish()
-	// Only an explicitly configured tracer exports spans into the Chrome
-	// trace: the forced-mode fallback tracer must stay invisible so the
-	// neutrality proof covers byte-identical trace files too.
-	if cfg.ReqTrace != nil {
-		cfg.ReqTrace.ExportChrome(cfg.TraceSink)
-	}
 
 	elapsed := m.Now() - baseTime
 	if elapsed <= 0 {

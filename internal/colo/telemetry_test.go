@@ -18,7 +18,11 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 	jbb := workload.SPECjbb()
 	cfg.BE = &jbb
 	cfg.HorizonS = 6
-	sched := chaos.Storm(2, 0.8, 9)
+	sched := chaos.Schedule{Events: []chaos.Event{
+		{At: 2, Kind: chaos.PhaseFlip, Duration: 1.6},
+		{At: 2.8, Kind: chaos.CoreOffline, Cores: 8, Duration: 0.8},
+		{At: 4.4, Kind: chaos.PhaseFlip},
+	}}
 	cfg.Chaos = &sched
 
 	plain, err := Run(cfg)
@@ -49,15 +53,14 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 	if v, ok := snap.CounterValue("aum_chaos_faults_total"); !ok || v == 0 {
 		t.Fatalf("chaos fault counter missing or zero (ok=%v v=%d)", ok, v)
 	}
-	var sawChaos bool
+	chaosEvents := map[string]int{}
 	for _, ev := range snap.Events {
 		if ev.Cat == "chaos" {
-			sawChaos = true
-			break
+			chaosEvents[ev.Name]++
 		}
 	}
-	if !sawChaos {
-		t.Fatal("no chaos events recorded")
+	if chaosEvents["fault-inject"] != 3 || chaosEvents["fault-revert"] != 2 {
+		t.Fatalf("chaos events = %v, want 3 fault-inject and 2 fault-revert", chaosEvents)
 	}
 	hs, ok := snap.HistogramSnapFor("aum_serve_ttft_seconds")
 	if !ok || hs.Count == 0 {

@@ -545,14 +545,6 @@ func (a *AUM) switchDivision(e *colo.Env, div int, now float64) error {
 	return nil
 }
 
-// harvestWaysFirst picks the resource with the highest shared-app gain
-// per unit of decode-tail damage.
-func harvestWaysFirst(s Sensitivity) bool {
-	waysScore := gainPerDamage(s.WaysThrN, s.WaysTPOT+s.WaysTTFT)
-	mbaScore := gainPerDamage(s.MBAThrN, s.MBATPOT+s.MBATTFT)
-	return waysScore >= mbaScore
-}
-
 // pickWays decides the harvest direction: follow the profiled gradient
 // when it is decisive (one score at least twice the other), otherwise
 // grow the resource that is proportionally furthest from its ceiling so

@@ -9,7 +9,6 @@ import (
 	"aum/internal/machine"
 	"aum/internal/manager"
 	"aum/internal/platform"
-	"aum/internal/rng"
 	"aum/internal/roofline"
 	"aum/internal/runner"
 	"aum/internal/trace"
@@ -88,8 +87,6 @@ type ProfilerOptions struct {
 	Reps int
 	// HorizonS is the simulated duration of one profiling run.
 	HorizonS float64
-	// RatePerS overrides the scenario arrival rate (0 = default).
-	RatePerS float64
 	Seed     uint64
 	// Workers bounds the bucket-sweep fan-out (<= 0 = GOMAXPROCS). The
 	// width never changes the resulting model: every rep's seed is an
@@ -193,7 +190,7 @@ func Profile(plat platform.Platform, model llm.Model, scen trace.Scenario, be wo
 		}
 	}
 	err := runner.ForEach(context.Background(), len(jobs), runner.Options{Workers: opt.Workers},
-		func(_ context.Context, j int, _ *rng.Stream) error {
+		func(_ context.Context, j int) error {
 			di, ci := jobs[j].di, jobs[j].ci
 			b := m.Bucket(di, ci)
 			b.Division, b.Config = di, ci
@@ -207,7 +204,6 @@ func Profile(plat platform.Platform, model llm.Model, scen trace.Scenario, be wo
 					HorizonS: opt.HorizonS,
 					WarmupS:  opt.HorizonS / 5,
 					Seed:     opt.Seed + uint64(rep)*1013 + uint64(di*31+ci),
-					RatePerS: opt.RatePerS,
 				})
 				if err != nil {
 					return fmt.Errorf("core: profiling d%d c%d rep%d: %w", di, ci, rep, err)

@@ -10,7 +10,7 @@ func init() {
 }
 
 // runBlame runs the fleetchaos fixture with the per-request causal
-// tracer attached (SampleEvery=1) and tabulates where each request's
+// tracer attached (it records every request) and tabulates where each request's
 // latency went: the fleet-wide blame vector, normalized over the total
 // attributed seconds of both SLO sides. The clean row is dominated by
 // queue/compute/membw; as the crash rate rises the mass visibly shifts

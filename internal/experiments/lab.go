@@ -10,7 +10,6 @@ import (
 	"aum/internal/llm"
 	"aum/internal/manager"
 	"aum/internal/platform"
-	"aum/internal/rng"
 	"aum/internal/runner"
 	"aum/internal/telemetry"
 	"aum/internal/trace"
@@ -70,8 +69,8 @@ func (l *Lab) Workers() int {
 	return l.workers
 }
 
-// SetTelemetry attaches a registry: Parallel gives each cell a scope
-// (runner scoping), reachable inside cells via telemetry.FromContext.
+// SetTelemetry attaches a registry on which Parallel counts its cells
+// (aum_runner_scenarios_total) and their panics.
 func (l *Lab) SetTelemetry(reg *telemetry.Registry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -95,7 +94,7 @@ const defaultWorkers = 8
 func (l *Lab) Parallel(n int, fn func(int) error) error {
 	return runner.ForEach(context.Background(), n,
 		runner.Options{Workers: l.Workers(), Telemetry: l.Telemetry()},
-		func(_ context.Context, i int, _ *rng.Stream) error { return fn(i) })
+		func(_ context.Context, i int) error { return fn(i) })
 }
 
 // Prewarm executes the given runs across the worker pool so that the

@@ -43,9 +43,6 @@ type Config struct {
 	// second (default 1: real time). 100 serves a 5 s simulated
 	// completion in 50 ms of wall time.
 	WarpFactor float64
-	// MaxTokens caps a request's max_tokens (default 256). Requests
-	// that omit max_tokens get min(defaultTokens, MaxTokens).
-	MaxTokens int
 	// DegradedBelow is the fleet-availability threshold under which the
 	// readiness probe reports degraded (<= 0 disables, the aumd
 	// -degraded-below contract).
@@ -59,8 +56,10 @@ type Config struct {
 // Request-length limits of the completion handler.
 const (
 	// defaultTokens is the completion length when a request sets no
-	// max_tokens; the handler still clamps it to Config.MaxTokens.
+	// max_tokens.
 	defaultTokens = 32
+	// maxTokens caps a request's max_tokens.
+	maxTokens = 256
 	// maxPromptTokens caps the estimated prompt length.
 	maxPromptTokens = 4096
 )
@@ -73,9 +72,6 @@ func WithFleet(fc cluster.Config) Option { return func(c *Config) { c.Fleet = fc
 
 // WithWarpFactor sets simulated seconds per wall second.
 func WithWarpFactor(f float64) Option { return func(c *Config) { c.WarpFactor = f } }
-
-// WithMaxTokens caps per-request completion length.
-func WithMaxTokens(n int) Option { return func(c *Config) { c.MaxTokens = n } }
 
 // WithDegradedBelow sets the readiness degradation threshold.
 func WithDegradedBelow(f float64) Option { return func(c *Config) { c.DegradedBelow = f } }
@@ -90,12 +86,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.WarpFactor == 0 {
 		c.WarpFactor = 1
-	}
-	if c.MaxTokens < 0 {
-		return c, vcfg.Bad(pkg, "Config.MaxTokens", c.MaxTokens, ">= 0 (0 selects 256)")
-	}
-	if c.MaxTokens == 0 {
-		c.MaxTokens = 256
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewRegistry()
@@ -193,8 +183,8 @@ func New(opts ...Option) (*Gateway, error) {
 		cShed:     cfg.Telemetry.Counter("aum_gateway_shed_total"),
 		cTokens:   cfg.Telemetry.Counter("aum_gateway_tokens_released_total"),
 	}
-	// The gateway owns the tracer: every request is sampled (the
-	// default) so the completion listener sees every span.
+	// The gateway owns the tracer; it records every request, so the
+	// completion listener sees every span.
 	g.rt = reqtrace.New(reqtrace.Config{Telemetry: cfg.Telemetry})
 	g.rt.SetListener(g)
 

@@ -22,6 +22,13 @@ import (
 
 // fourMachineFleet is the e2e topology the satellite task names: four
 // mixed machines under the default policy.
+// negativeRateFleet is fourMachineFleet with an invalid arrival rate.
+func negativeRateFleet() cluster.Config {
+	fc := fourMachineFleet()
+	fc.RatePerS = -1
+	return fc
+}
+
 func fourMachineFleet() cluster.Config {
 	return cluster.Config{
 		Machines: []cluster.MachineSpec{
@@ -435,7 +442,7 @@ func TestGatewayTelemetrySeries(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := [][]Option{
 		{WithFleet(fourMachineFleet()), WithWarpFactor(-1)},
-		{WithFleet(fourMachineFleet()), WithMaxTokens(-1)},
+		{WithFleet(negativeRateFleet())},
 		{}, // empty fleet
 	}
 	for i, opts := range bad {
@@ -447,15 +454,14 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// A request that sets no max_tokens gets 32 tokens, clamped to the
-// gateway's MaxTokens.
+// A request that sets no max_tokens gets 32 tokens; one that asks for
+// more than the gateway's cap gets the cap.
 func TestOmittedMaxTokensDefault(t *testing.T) {
-	for _, tc := range []struct{ maxTokens, want int }{{0, 32}, {8, 8}} {
-		g, srv := newTestGateway(t, WithFleet(fourMachineFleet()), WithWarpFactor(200),
-			WithMaxTokens(tc.maxTokens))
-		waitReady(t, g)
+	g, srv := newTestGateway(t, WithFleet(fourMachineFleet()), WithWarpFactor(200))
+	waitReady(t, g)
+	for _, tc := range []struct{ maxTokens, want int }{{0, defaultTokens}, {4 * maxTokens, maxTokens}} {
 		resp, err := http.Post(srv.URL+"/v1/chat/completions", "application/json",
-			completionBody(false, g.Model().Name, 0))
+			completionBody(false, g.Model().Name, tc.maxTokens))
 		if err != nil {
 			t.Fatal(err)
 		}

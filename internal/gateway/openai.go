@@ -154,8 +154,8 @@ func (g *Gateway) ChatCompletionsHandler(w http.ResponseWriter, r *http.Request)
 	if maxTok == 0 {
 		maxTok = defaultTokens
 	}
-	if maxTok > g.cfg.MaxTokens {
-		maxTok = g.cfg.MaxTokens
+	if maxTok > maxTokens {
+		maxTok = maxTokens
 	}
 	promptLen := estimatePromptTokens(req.Messages, maxPromptTokens)
 

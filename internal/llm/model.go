@@ -92,11 +92,6 @@ func (m Model) TotalParams() float64 {
 	return float64(m.Layers)*(attn+ffn) + head
 }
 
-// WeightBytesTotal returns the resident model size in bytes.
-func (m Model) WeightBytesTotal() float64 {
-	return m.TotalParams() * float64(m.DTypeBytes)
-}
-
 // KVBytesPerToken returns the KV-cache bytes appended per token.
 func (m Model) KVBytesPerToken() float64 {
 	return 2 * float64(m.kvDim()) * float64(m.Layers) * float64(m.DTypeBytes)

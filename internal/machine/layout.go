@@ -9,7 +9,7 @@ import (
 
 // stepLayout holds everything a full Step needs that is a function of
 // the machine's configuration alone — task placements, class-of-service
-// configuration, the offline core range and bandwidth pressure — so it
+// configuration and the offline core range — so it
 // is derived once per configuration rather than once per step
 // (DESIGN.md §9). invalidateFF drops it together with the step capture;
 // the next full Step rebuilds it in place, reusing its buffers.
@@ -37,7 +37,6 @@ type stepLayout struct {
 	// Occupied classes of service, ascending. Class k is cos[k]; its
 	// member tasks are members[memberLo[k]:memberLo[k+1]] in task order,
 	// weighted by memberW (their online cores).
-	availBW   float64
 	cos       []int
 	cosWeight []float64
 	cosCap    []float64
@@ -146,11 +145,7 @@ func (m *Machine) stepLayout() *stepLayout {
 	}
 
 	// Occupied classes of service: weights are core counts, caps the
-	// MBA throttles of the link left after uncontrolled pressure.
-	l.availBW = m.plat.MemBWGBs - m.bwPressure
-	if l.availBW < 1 {
-		l.availBW = 1
-	}
+	// MBA throttles of the link.
 	l.cos, l.cosWeight, l.cosCap = l.cos[:0], l.cosWeight[:0], l.cosCap[:0]
 	l.memberLo = append(l.memberLo[:0], 0)
 	l.members, l.memberW = l.members[:0], l.memberW[:0]
@@ -167,7 +162,7 @@ func (m *Machine) stepLayout() *stepLayout {
 		}
 		l.cos = append(l.cos, c)
 		l.cosWeight = append(l.cosWeight, float64(cosCores[c]))
-		l.cosCap = append(l.cosCap, m.cos[c].MBAFrac*l.availBW)
+		l.cosCap = append(l.cosCap, m.cos[c].MBAFrac*m.plat.MemBWGBs)
 		l.memberLo = append(l.memberLo, len(l.members))
 	}
 	l.valid = true

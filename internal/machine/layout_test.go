@@ -155,10 +155,6 @@ func TestStepLayoutTracksMutations(t *testing.T) {
 			m.SetFreqDerate(0.8)
 			return nil
 		}},
-		{name: "SetBWPressure", mutate: func(m *Machine, ids []TaskID) error {
-			m.SetBWPressure(160)
-			return nil
-		}},
 		{name: "SetTelemetry", mutate: func(m *Machine, ids []TaskID) error {
 			m.SetTelemetry(telemetry.NewRegistry())
 			return nil

@@ -164,14 +164,6 @@ func (s TaskStats) MeanGHz() float64 {
 	return s.FreqIntegral / s.TimeS
 }
 
-// MeanUtil returns the time-average realized utilization.
-func (s TaskStats) MeanUtil() float64 {
-	if s.TimeS <= 0 {
-		return 0
-	}
-	return s.UtilIntegral / s.TimeS
-}
-
 // WorkRate returns work units per second.
 func (s TaskStats) WorkRate() float64 {
 	if s.TimeS <= 0 {
@@ -249,12 +241,10 @@ type Machine struct {
 	cos     []COSConfig
 	energyJ float64
 
-	// Fault-injection state (see internal/chaos): an offline core
-	// range, a frequency derate standing in for license flapping, and
-	// reserved link bandwidth standing in for uncontrolled DRAM traffic.
+	// Fault-injection state (see internal/chaos and the fleet's
+	// stragglers): an offline core range and a frequency derate.
 	offLo, offHi int // offline physical cores [offLo, offHi]; offHi < offLo when none
 	freqDerate   float64
-	bwPressure   float64
 
 	lastWatts    float64
 	lastLinkUtil float64
@@ -477,29 +467,13 @@ func (m *Machine) effCores(p Placement) int {
 }
 
 // SetFreqDerate scales every solved region frequency by f in (0, 1] —
-// the stand-in for frequency-license flapping, where transient license
-// re-grants cap all regions below their class frequency.
+// a fleet straggler's slowed clock (internal/cluster failover).
 func (m *Machine) SetFreqDerate(f float64) {
 	m.invalidateFF()
 	if f <= 0 || f > 1 {
 		f = 1
 	}
 	m.freqDerate = f
-}
-
-// SetBWPressure reserves gbs of the memory link for uncontrolled
-// traffic outside any class of service (a saturation spike from an
-// unmanaged agent), shrinking what the arbitrated tasks share and
-// inflating link congestion.
-func (m *Machine) SetBWPressure(gbs float64) {
-	m.invalidateFF()
-	if gbs < 0 {
-		gbs = 0
-	}
-	if gbs > m.plat.MemBWGBs {
-		gbs = m.plat.MemBWGBs
-	}
-	m.bwPressure = gbs
 }
 
 func (m *Machine) find(id TaskID) *task {
@@ -635,7 +609,7 @@ func (m *Machine) Step(dt float64) {
 		}
 		cosDemand[k] = d
 	}
-	grants := sc.cosArb.MaxMin(lay.availBW, cosDemand, lay.cosWeight, lay.cosCap)
+	grants := sc.cosArb.MaxMin(m.plat.MemBWGBs, cosDemand, lay.cosWeight, lay.cosCap)
 	cosGrants := resizeSlice(&sc.cosGrants, len(m.cos))
 	clear(cosGrants)
 	taskGrant := resizeSlice(&sc.taskGrant, n)
@@ -651,7 +625,7 @@ func (m *Machine) Step(dt float64) {
 			taskGrant[i] = g[x]
 		}
 	}
-	linkUsed := m.bwPressure
+	linkUsed := 0.0
 	for _, g := range taskGrant {
 		linkUsed += g
 	}

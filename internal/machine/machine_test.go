@@ -37,6 +37,39 @@ func (c *constApp) Step(env Env, now, dt float64) Usage {
 
 func newTestMachine() *Machine { return New(platform.GenA()) }
 
+// avxApp retires a fixed mix of AMX, AVX and scalar work, so its
+// accumulated statistics have known Table II ratios.
+type avxApp struct{}
+
+func (a *avxApp) Name() string { return "avx" }
+func (a *avxApp) Demand(Env) Demand {
+	return Demand{Class: power.AVXHeavy, Util: 0.6, BWGBs: 10}
+}
+func (a *avxApp) Step(env Env, now, dt float64) Usage {
+	return Usage{Work: dt, AMXBusy: 0.1, AVXBusy: 0.4, Flops: 1e9 * dt, AMXFlops: 4e8 * dt}
+}
+
+// TestUsageMetrics checks the Table II per-phase metrics
+// (tma_amx_busy, AVX busy, tma_fp_amx / tma_fp_arith) that TaskStats
+// derives from its accumulators.
+func TestUsageMetrics(t *testing.T) {
+	m := newTestMachine()
+	id, _ := m.AddTask(&avxApp{}, Placement{CoreLo: 0, CoreHi: 3, SMTSlot: 0})
+	for i := 0; i < 50; i++ {
+		m.Step(1e-3)
+	}
+	st, _ := m.Stats(id)
+	if got := st.AMXCycleRatio(); math.Abs(got-0.1) > 1e-9 {
+		t.Fatalf("AMX cycle ratio = %v", got)
+	}
+	if got := st.AVXCycleRatio(); math.Abs(got-0.4) > 1e-9 {
+		t.Fatalf("AVX cycle ratio = %v", got)
+	}
+	if got := st.FPAMXRatio(); math.Abs(got-0.4) > 1e-9 {
+		t.Fatalf("FP AMX ratio = %v", got)
+	}
+}
+
 func TestPlacementValidation(t *testing.T) {
 	m := newTestMachine()
 	a := &constApp{name: "a", class: power.Scalar, util: 1}
@@ -393,38 +426,5 @@ func TestFreqDerate(t *testing.T) {
 	back, _ := m.Stats(id)
 	if back.MeanGHz() < 0.99*full.MeanGHz() {
 		t.Fatalf("derate not cleared: %v vs %v", back.MeanGHz(), full.MeanGHz())
-	}
-}
-
-func TestBWPressure(t *testing.T) {
-	p := platform.GenA()
-	m := New(p)
-	// A bandwidth hog demanding the whole link.
-	a := &constApp{name: "hog", class: power.Scalar, util: 0.5, bwGBs: p.MemBWGBs * 2}
-	id, _ := m.AddTask(a, Placement{CoreLo: 0, CoreHi: 47, SMTSlot: 0})
-	for i := 0; i < 50; i++ {
-		m.Step(1e-3)
-	}
-	full, _ := m.Stats(id)
-
-	// Reserve 80% of the link: granted traffic shrinks accordingly.
-	m.SetBWPressure(p.MemBWGBs * 0.8)
-	m.ResetStats(id)
-	for i := 0; i < 50; i++ {
-		m.Step(1e-3)
-	}
-	squeezed, _ := m.Stats(id)
-	if squeezed.DRAMBytes >= 0.35*full.DRAMBytes {
-		t.Fatalf("bw pressure: %v bytes vs full %v", squeezed.DRAMBytes, full.DRAMBytes)
-	}
-
-	m.SetBWPressure(0)
-	m.ResetStats(id)
-	for i := 0; i < 50; i++ {
-		m.Step(1e-3)
-	}
-	back, _ := m.Stats(id)
-	if back.DRAMBytes < 0.99*full.DRAMBytes {
-		t.Fatalf("pressure not cleared: %v vs %v", back.DRAMBytes, full.DRAMBytes)
 	}
 }

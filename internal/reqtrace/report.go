@@ -86,23 +86,23 @@ type BurnReport struct {
 }
 
 // BlameReport is the fleet-wide critical-path decomposition: where the
-// TTFT seconds and decode seconds of every sampled completed request
-// went, plus the SLO burn-rate timeline over all requests.
+// TTFT seconds and decode seconds of every completed request went,
+// plus the SLO burn-rate timeline. Sampled counts every request the
+// tracer recorded.
 type BlameReport struct {
-	SampleEvery int             `json:"sample_every"`
-	Sampled     int             `json:"sampled"`
-	Completed   int             `json:"completed"`
-	Shed        int             `json:"shed"`
-	Dropped     int             `json:"dropped"`
-	Failed      int             `json:"failed"`
-	InFlight    int             `json:"in_flight"`
-	Tokens      int             `json:"tokens"`
-	MeanTTFTS   float64         `json:"mean_ttft_s"`
-	MeanE2ES    float64         `json:"mean_e2e_s"`
-	TTFTTotalS  float64         `json:"ttft_total_s"`
-	TPOTTotalS  float64         `json:"tpot_total_s"`
-	Categories  []CategoryBlame `json:"categories"`
-	Burn        BurnReport      `json:"burn"`
+	Sampled    int             `json:"sampled"`
+	Completed  int             `json:"completed"`
+	Shed       int             `json:"shed"`
+	Dropped    int             `json:"dropped"`
+	Failed     int             `json:"failed"`
+	InFlight   int             `json:"in_flight"`
+	Tokens     int             `json:"tokens"`
+	MeanTTFTS  float64         `json:"mean_ttft_s"`
+	MeanE2ES   float64         `json:"mean_e2e_s"`
+	TTFTTotalS float64         `json:"ttft_total_s"`
+	TPOTTotalS float64         `json:"tpot_total_s"`
+	Categories []CategoryBlame `json:"categories"`
+	Burn       BurnReport      `json:"burn"`
 }
 
 // Share returns the named category's share of the report's TTFT-side
@@ -173,14 +173,13 @@ func (t *Tracer) Report() BlameReport {
 	t.fold()
 
 	rep := BlameReport{
-		SampleEvery: t.cfg.SampleEvery,
-		Sampled:     t.sampled,
-		Completed:   t.agg.completed,
-		Shed:        t.agg.shed,
-		Dropped:     t.agg.dropped,
-		Failed:      t.agg.failed,
-		InFlight:    len(t.live),
-		Tokens:      t.agg.tokens,
+		Sampled:   t.sampled,
+		Completed: t.agg.completed,
+		Shed:      t.agg.shed,
+		Dropped:   t.agg.dropped,
+		Failed:    t.agg.failed,
+		InFlight:  len(t.live),
+		Tokens:    t.agg.tokens,
 	}
 	if t.agg.completed > 0 {
 		rep.MeanTTFTS = t.agg.ttftSum / float64(t.agg.completed)
@@ -211,14 +210,14 @@ func (t *Tracer) Report() BlameReport {
 
 // burnLocked builds the burn-rate timeline. Caller holds mu.
 func (t *Tracer) burnLocked() BurnReport {
-	b := BurnReport{WindowS: t.cfg.WindowS}
+	b := BurnReport{WindowS: windowS}
 	var ttftRates, tpotRates []float64
 	for i, w := range t.windows {
 		if w.ttftN == 0 && w.tokN == 0 {
 			continue
 		}
 		p := BurnPoint{
-			TS:    float64(i) * t.cfg.WindowS,
+			TS:    float64(i) * windowS,
 			TTFTN: w.ttftN, TTFTViol: w.ttftViol,
 			TokenN: w.tokN, TokenViol: w.tokViol,
 		}

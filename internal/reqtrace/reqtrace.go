@@ -1,5 +1,5 @@
 // Package reqtrace is the per-request causal tracer: a deterministic,
-// nil-safe, sampling-capable recorder of each request's lifecycle —
+// nil-safe recorder of every request's lifecycle —
 // arrival, admission or shed, queueing, prefill (with membw/throttle
 // stall attribution), KV handoff, decode iterations,
 // and retry/failover hops across machines — in simulated time only.
@@ -93,9 +93,9 @@ func Categories() []string {
 }
 
 // MakeTraceID packs a routing class and a per-class request ID into a
-// globally unique nonzero trace ID. Per-class generators reuse request
-// IDs across classes and chaos bursts use negative IDs; the fold keeps
-// both distinct. Zero means "untraced".
+// globally unique nonzero trace ID: per-class generators reuse request
+// IDs across classes. Zero means "untraced": it is what a request
+// carries when no tracer is attached.
 func MakeTraceID(class, id int) uint64 {
 	return uint64(class+1)<<32 | uint64(uint32(int32(id)))
 }
@@ -105,17 +105,12 @@ func SplitTraceID(tid uint64) (class int, id int) {
 	return int(tid>>32) - 1, int(int32(uint32(tid)))
 }
 
-// Config parameterizes a Tracer. The zero value records every request
-// with 1-second burn-rate windows and keeps the 64 most recent span
-// trees.
+// windowS is the SLO burn-rate window width.
+const windowS = 1.0
+
+// Config parameterizes a Tracer. The zero value keeps the 64 most
+// recent span trees. A tracer records every request.
 type Config struct {
-	// SampleEvery records every Nth request per class, deterministically
-	// by request ID (head sampling: IDs 1, 1+N, 1+2N, ...). Burn-rate
-	// counters still observe every request; only span trees and blame
-	// vectors are sampled. 0 or 1 records everything.
-	SampleEvery int
-	// WindowS is the SLO burn-rate window width (default 1 s).
-	WindowS float64
 	// KeepRecent bounds how many finished span trees are retained for
 	// the /requests endpoint (default 64).
 	KeepRecent int
@@ -124,12 +119,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 1
-	}
-	if c.WindowS <= 0 {
-		c.WindowS = 1
-	}
 	if c.KeepRecent <= 0 {
 		c.KeepRecent = 64
 	}
@@ -144,7 +133,7 @@ type Span struct {
 	End   float64 `json:"end_s"`
 }
 
-// rec is the working record of one sampled request. Exactly one
+// rec is the working record of one request. Exactly one
 // goroutine mutates a live rec at a time: the machine currently serving
 // the request during an epoch, or the single-threaded barrier code.
 type rec struct {
@@ -200,8 +189,7 @@ type aggregate struct {
 // the tracer's own bookkeeping, outside its lock, on whichever
 // goroutine ran the hook (a machine mid-epoch or the barrier code);
 // implementations must be safe for concurrent use and must not call
-// back into the Tracer. Only sampled requests reach the listener, so
-// a gateway tracer keeps the default SampleEvery of 1.
+// back into the Tracer.
 type Listener interface {
 	// OnFirstToken fires at prefill completion (the TTFT endpoint).
 	OnFirstToken(tid uint64, simNow float64)
@@ -276,24 +264,10 @@ func SetForced(on bool) { forcedOn.Store(on) }
 // Forced reports whether default request tracing is forced on.
 func Forced() bool { return forcedOn.Load() }
 
-// Sampled reports whether the request behind tid is head-sampled. Pure
-// and lock-free: sampling is a function of the trace ID alone, so every
-// machine — at any worker width — agrees on the sample set.
-func (t *Tracer) Sampled(tid uint64) bool {
-	if t == nil || tid == 0 {
-		return false
-	}
-	n := uint64(t.cfg.SampleEvery)
-	if n <= 1 {
-		return true
-	}
-	return (tid&0xffffffff)%n == 1%n
-}
-
 // window returns the burn bucket covering now, growing the timeline as
 // needed. Caller holds mu.
 func (t *Tracer) window(now float64) *burnWindow {
-	i := int(now / t.cfg.WindowS)
+	i := int(now / windowS)
 	if i < 0 {
 		i = 0
 	}
@@ -317,7 +291,7 @@ func (t *Tracer) finish(r *rec, outcome string) {
 // creates the record; re-submissions after a crash are no-ops (the
 // Redispatched hook already restarted the attempt clock).
 func (t *Tracer) Submitted(tid uint64, arrival float64, node int) {
-	if !t.Sampled(tid) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -333,7 +307,7 @@ func (t *Tracer) Submitted(tid uint64, arrival float64, node int) {
 
 // Shed records an admission-control drop.
 func (t *Tracer) Shed(tid uint64, now float64, reason string, node int) {
-	if !t.Sampled(tid) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -356,7 +330,7 @@ func (t *Tracer) Shed(tid uint64, now float64, reason string, node int) {
 // prefill job. The queue wait since the request last became
 // schedulable is charged here.
 func (t *Tracer) PrefillStart(tid uint64, now float64, node int) {
-	if !t.Sampled(tid) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -381,9 +355,8 @@ func chargeExec(v *[NumCategories]float64, execS, membwFrac, throttleFrac float6
 	v[CatCompute] += execS - mb - th
 }
 
-// FirstToken records prefill completion. The burn-rate TTFT counters
-// observe every request (sampled or not); the blame vector and span
-// only the sampled ones.
+// FirstToken records prefill completion: a burn-rate TTFT sample, the
+// blame vector's execution split and the prefill span.
 func (t *Tracer) FirstToken(tid uint64, now float64, met bool, membwFrac, throttleFrac float64, node int) {
 	if t == nil {
 		return
@@ -395,15 +368,13 @@ func (t *Tracer) FirstToken(tid uint64, now float64, met bool, membwFrac, thrott
 		w.ttftViol++
 	}
 	var l Listener
-	if t.Sampled(tid) {
-		if r := t.get(tid); r != nil && r.popAt >= 0 {
-			chargeExec(&r.blameH, now-r.popAt, membwFrac, throttleFrac)
-			r.spans = append(r.spans, Span{Name: "prefill", Node: node, Start: r.popAt, End: now})
-			r.popAt = -1
-			r.firstToken = now
-			r.lastTok = now
-			l = t.listener
-		}
+	if r := t.get(tid); r != nil && r.popAt >= 0 {
+		chargeExec(&r.blameH, now-r.popAt, membwFrac, throttleFrac)
+		r.spans = append(r.spans, Span{Name: "prefill", Node: node, Start: r.popAt, End: now})
+		r.popAt = -1
+		r.firstToken = now
+		r.lastTok = now
+		l = t.listener
 	}
 	t.mu.Unlock()
 	if l != nil {
@@ -414,7 +385,7 @@ func (t *Tracer) FirstToken(tid uint64, now float64, met bool, membwFrac, thrott
 // HandoffReady records the prefill side exporting the request's KV
 // cache toward the decode tier.
 func (t *Tracer) HandoffReady(tid uint64, now float64, node int) {
-	if !t.Sampled(tid) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -428,7 +399,7 @@ func (t *Tracer) HandoffReady(tid uint64, now float64, node int) {
 // serialization wait is charged at the next Token, which sees the full
 // first-interval decomposition.
 func (t *Tracer) Injected(tid uint64, now float64, node int) {
-	if !t.Sampled(tid) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -443,8 +414,7 @@ func (t *Tracer) Injected(tid uint64, now float64, node int) {
 // Token records one decode-token completion. eTok is the inter-token
 // interval, iterExecS the wall time of the decode iteration that
 // produced it; the gap between them is KV-link wait (first interval
-// after an injection) and scheduler delay. Burn-rate TPOT counters
-// observe every token; blame only the sampled ones.
+// after an injection) and scheduler delay.
 func (t *Tracer) Token(tid uint64, now, eTok float64, met bool, iterExecS, membwFrac, throttleFrac float64) {
 	if t == nil {
 		return
@@ -457,21 +427,19 @@ func (t *Tracer) Token(tid uint64, now, eTok float64, met bool, iterExecS, membw
 	}
 	var l Listener
 	tokens := 0
-	if t.Sampled(tid) {
-		if r := t.get(tid); r != nil {
-			gap := eTok - iterExecS
-			if r.injectedAt > r.lastTok {
-				kv := r.injectedAt - r.lastTok
-				r.blameL[CatKVLink] += kv
-				gap -= kv
-			}
-			r.blameL[CatSched] += gap
-			chargeExec(&r.blameL, iterExecS, membwFrac, throttleFrac)
-			r.tokens++
-			r.lastTok = now
-			l = t.listener
-			tokens = r.tokens
+	if r := t.get(tid); r != nil {
+		gap := eTok - iterExecS
+		if r.injectedAt > r.lastTok {
+			kv := r.injectedAt - r.lastTok
+			r.blameL[CatKVLink] += kv
+			gap -= kv
 		}
+		r.blameL[CatSched] += gap
+		chargeExec(&r.blameL, iterExecS, membwFrac, throttleFrac)
+		r.tokens++
+		r.lastTok = now
+		l = t.listener
+		tokens = r.tokens
 	}
 	t.mu.Unlock()
 	if l != nil {
@@ -481,7 +449,7 @@ func (t *Tracer) Token(tid uint64, now, eTok float64, met bool, iterExecS, membw
 
 // Retire records the request finishing its output.
 func (t *Tracer) Retire(tid uint64, now float64, node int) {
-	if !t.Sampled(tid) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -502,7 +470,7 @@ func (t *Tracer) Retire(tid uint64, now float64, node int) {
 
 // Dropped records a decode-backlog shed.
 func (t *Tracer) Dropped(tid uint64, now float64, node int) {
-	if !t.Sampled(tid) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -523,7 +491,7 @@ func (t *Tracer) Dropped(tid uint64, now float64, node int) {
 // partial blame is rolled back and the whole attempt charged to
 // recompute, keeping conservation exact across retries.
 func (t *Tracer) CrashLost(tid uint64, now float64, node int) {
-	if !t.Sampled(tid) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -547,7 +515,7 @@ func (t *Tracer) CrashLost(tid uint64, now float64, node int) {
 // the harvest-to-redispatch wait is retry backoff, and a fresh attempt
 // starts now.
 func (t *Tracer) Redispatched(tid uint64, now float64, node int) {
-	if !t.Sampled(tid) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -566,7 +534,7 @@ func (t *Tracer) Redispatched(tid uint64, now float64, node int) {
 
 // Failed records the request exhausting its retry budget.
 func (t *Tracer) Failed(tid uint64, now float64) {
-	if !t.Sampled(tid) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()

@@ -3,14 +3,12 @@ package reqtrace
 import (
 	"strings"
 	"testing"
-
-	"aum/internal/telemetry"
 )
 
 func TestTraceIDRoundTrip(t *testing.T) {
 	cases := []struct{ class, id int }{
 		{0, 0}, {0, 1}, {3, 41}, {7, 1 << 30},
-		{0, -12}, {2, -(1 << 20)}, // chaos bursts use negative IDs
+		{0, -12}, {2, -(1 << 20)}, // negative IDs fold to distinct IDs too
 	}
 	seen := map[uint64]bool{}
 	for _, c := range cases {
@@ -33,39 +31,14 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSampling(t *testing.T) {
-	var nilT *Tracer
-	if nilT.Sampled(MakeTraceID(0, 1)) {
-		t.Fatal("nil tracer sampled a request")
-	}
-	every := New(Config{})
-	if !every.Sampled(MakeTraceID(0, 7)) || every.Sampled(0) {
-		t.Fatal("default config must sample everything except tid 0")
-	}
-	n4 := New(Config{SampleEvery: 4})
-	got := 0
-	for id := 0; id < 400; id++ {
-		if n4.Sampled(MakeTraceID(0, id)) {
-			got++
-		}
-	}
-	if got != 100 {
-		t.Fatalf("SampleEvery=4 sampled %d/400", got)
-	}
-	// Sampling is a pure function of the trace ID: the head-sampled set
-	// for one class is IDs 1, 1+N, 1+2N, ...
-	if !n4.Sampled(MakeTraceID(0, 1)) || !n4.Sampled(MakeTraceID(0, 5)) || n4.Sampled(MakeTraceID(0, 2)) {
-		t.Fatal("head-sampling pattern broke")
-	}
-}
-
 // TestNilSafety drives every hook through a nil tracer and a tracer
 // that never saw the request — both must be silent no-ops, which is
-// what lets every call site gate on a single nil check.
+// what lets every call site gate on a single nil check. Shed is the
+// exception on a live tracer: a shed request may never have been
+// submitted, so Shed records it.
 func TestNilSafety(t *testing.T) {
 	for _, tr := range []*Tracer{nil, New(Config{})} {
 		tid := MakeTraceID(0, 99)
-		tr.Shed(0, 0, "max-queue", 0) // tid 0: untraced
 		tr.PrefillStart(tid, 1, 0)
 		tr.FirstToken(tid, 1, true, 0, 0, 0)
 		tr.HandoffReady(tid, 1, 0)
@@ -77,16 +50,20 @@ func TestNilSafety(t *testing.T) {
 		tr.Redispatched(tid, 2, 0)
 		tr.Failed(tid, 2)
 		tr.Publish()
-		tr.ExportChrome(nil)
 		if tr == nil {
+			tr.Shed(tid, 2, "max-queue", 0)
 			if rep := tr.Report(); rep.Sampled != 0 {
 				t.Fatal("nil tracer reported samples")
 			}
 			continue
 		}
 		rep := tr.Report()
-		if rep.InFlight != 0 || rep.Completed != 0 {
+		if rep.InFlight != 0 || rep.Completed != 0 || rep.Sampled != 0 {
 			t.Fatalf("hooks on an unknown request left state: %+v", rep)
+		}
+		tr.Shed(tid, 2, "max-queue", 0)
+		if rep := tr.Report(); rep.Shed != 1 || rep.InFlight != 0 {
+			t.Fatalf("shed of an unknown request: %+v", rep)
 		}
 	}
 }
@@ -161,36 +138,5 @@ other_metric 1
 		if err := ValidateBlameSeries(strings.NewReader(line + "\n")); err == nil {
 			t.Errorf("accepted invalid series %q", line)
 		}
-	}
-}
-
-// TestExportChromeFlows checks that a request whose spans straddle two
-// nodes exports paired ph:"s"/"f" flow events binding the hop.
-func TestExportChromeFlows(t *testing.T) {
-	tr := New(Config{})
-	tid := MakeTraceID(0, 1)
-	tr.Submitted(tid, 0, 0)
-	tr.PrefillStart(tid, 0.5, 0)
-	tr.FirstToken(tid, 1.0, true, 0, 0, 0)
-	tr.HandoffReady(tid, 1.0, 0)
-	tr.Injected(tid, 1.5, 1)
-	tr.Token(tid, 1.8, 0.8, true, 0.3, 0, 0)
-	tr.Retire(tid, 1.8, 1)
-
-	sink := telemetry.NewTrace()
-	tr.ExportChrome(sink)
-	var b strings.Builder
-	if err := sink.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, `"ph":"s"`) || !strings.Contains(out, `"ph":"f"`) {
-		t.Fatalf("no flow events in export:\n%s", out)
-	}
-	if !strings.Contains(out, `"bp":"e"`) {
-		t.Fatalf("flow end missing bp=e binding:\n%s", out)
-	}
-	if !strings.Contains(out, "req-flow") || !strings.Contains(out, "prefill") || !strings.Contains(out, "kv-wait") {
-		t.Fatalf("expected spans missing:\n%s", out)
 	}
 }

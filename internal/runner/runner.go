@@ -1,16 +1,16 @@
 // Package runner executes independent simulation scenarios across a
 // worker pool with a determinism contract: the result of a run is a
-// pure function of (inputs, seed), never of the worker count, the
+// pure function of its inputs, never of the worker count, the
 // scheduling order, or which worker picked up which scenario.
 //
 // The contract rests on three rules (see DESIGN.md §6):
 //
-//  1. Seeds are derived, not drawn. Scenario i receives
-//     rng.Derive(seed, i) — a pure function of the root seed and the
-//     scenario index — so completion order cannot shift anyone's
-//     random stream.
-//  2. Results are collected by index. Map returns results[i] for
-//     scenario i regardless of completion order.
+//  1. Seeds are explicit. The pool hands scenario i only its index;
+//     callers derive its randomness from their own root seed and i, so
+//     completion order cannot shift anyone's random stream.
+//  2. Results are collected by index. fn writes scenario i's result
+//     into slot i of state the caller owns, regardless of completion
+//     order.
 //  3. Errors are ordered. When several scenarios fail, the error of
 //     the lowest-indexed one is returned, so the reported failure does
 //     not depend on scheduling races.
@@ -29,7 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aum/internal/rng"
 	"aum/internal/telemetry"
 )
 
@@ -37,14 +36,8 @@ import (
 type Options struct {
 	// Workers is the fan-out width; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Seed is the root seed scenario streams derive from (rule 1).
-	Seed uint64
-	// Telemetry, when set, gives every scenario its own scope: scenario
-	// i records into Telemetry.Child("s<i>") — reachable inside fn via
-	// telemetry.FromContext — so concurrent scenarios never share
-	// counters and a parent Snapshot still aggregates everything.
-	// Scope names derive from the index, not the worker, keeping the
-	// determinism contract.
+	// Telemetry, when set, counts started scenarios
+	// (aum_runner_scenarios_total) and panics (aum_runner_panics_total).
 	Telemetry *telemetry.Registry
 }
 
@@ -73,19 +66,15 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: scenario %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// Map runs fn(ctx, i, stream_i) for every i in [0, n) across the pool
-// and returns the results ordered by index. stream_i is
-// rng.Derive(o.Seed, i); fn must take all of its randomness from it
-// (or from further Derive calls) for the determinism contract to hold.
+// ForEach runs fn(ctx, i) for every i in [0, n) across the pool.
 //
 // On error or panic the lowest-indexed failure is returned, the shared
 // context passed to still-pending scenarios is cancelled, and
 // scenarios that were already running are allowed to finish. A nil
-// error guarantees every slot of the result slice was filled by fn.
-func Map[T any](ctx context.Context, n int, o Options, fn func(ctx context.Context, i int, r *rng.Stream) (T, error)) ([]T, error) {
-	results := make([]T, n)
+// error guarantees fn ran to completion for every index.
+func ForEach(ctx context.Context, n int, o Options, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
-		return results, nil
+		return nil
 	}
 	errs := make([]error, n)
 	parent := ctx
@@ -112,7 +101,7 @@ func Map[T any](ctx context.Context, n int, o Options, fn func(ctx context.Conte
 					errs[i] = err
 					continue
 				}
-				errs[i] = run(ctx, i, o, fn, &results[i])
+				errs[i] = run(ctx, i, o, fn)
 				if errs[i] == nil {
 					continue
 				}
@@ -146,53 +135,35 @@ func Map[T any](ctx context.Context, n int, o Options, fn func(ctx context.Conte
 			continue
 		}
 		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return results, fmt.Errorf("runner: scenario %d: %w", i, err)
+			return fmt.Errorf("runner: scenario %d: %w", i, err)
 		}
 		if cancelled == nil {
 			cancelled, cancelledAt = err, i
 		}
 	}
 	if cancelled != nil {
-		return results, fmt.Errorf("runner: scenario %d: %w", cancelledAt, cancelled)
+		return fmt.Errorf("runner: scenario %d: %w", cancelledAt, cancelled)
 	}
-	return results, nil
+	return nil
 }
 
-// run executes one scenario with panic isolation and, when telemetry
-// is configured, its own per-index scope on the context. Skipping on
+// run executes one scenario with panic isolation. Skipping on
 // cancellation is the worker loop's decision, not run's: a scenario
 // below the lowest failing index must execute even on a dead context.
-func run[T any](ctx context.Context, i int, o Options, fn func(context.Context, int, *rng.Stream) (T, error), out *T) (err error) {
-	if o.Telemetry != nil {
-		scope := o.Telemetry.Child(fmt.Sprintf("s%03d", i))
-		scope.Counter("aum_runner_scenarios_total").Inc()
-		ctx = telemetry.NewContext(ctx, scope)
-	}
+func run(ctx context.Context, i int, o Options, fn func(context.Context, int) error) (err error) {
+	o.Telemetry.Counter("aum_runner_scenarios_total").Inc()
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
 			o.Telemetry.Counter("aum_runner_panics_total").Inc()
 		}
 	}()
-	v, err := fn(ctx, i, rng.Derive(o.Seed, uint64(i)))
-	if err != nil {
-		return err
-	}
-	*out = v
-	return nil
-}
-
-// ForEach is Map for scenarios that produce no result value.
-func ForEach(ctx context.Context, n int, o Options, fn func(ctx context.Context, i int, r *rng.Stream) error) error {
-	_, err := Map(ctx, n, o, func(ctx context.Context, i int, r *rng.Stream) (struct{}, error) {
-		return struct{}{}, fn(ctx, i, r)
-	})
-	return err
+	return fn(ctx, i)
 }
 
 // Shard partitions [0, n) into contiguous chunks and runs
 // fn(ctx, lo, hi) for each across the pool — the bulk-iteration
-// counterpart to Map for callers whose per-index work is too small to
+// counterpart to ForEach for callers whose per-index work is too small to
 // pay a channel round-trip each (a fleet stepping 100k machines per
 // barrier). Chunks are fixed-size and dispatched in index order, so
 // which indices share a chunk — and hence every per-chunk computation
@@ -210,7 +181,7 @@ func Shard(ctx context.Context, n, chunk int, o Options, fn func(ctx context.Con
 		}
 	}
 	shards := (n + chunk - 1) / chunk
-	return ForEach(ctx, shards, o, func(ctx context.Context, i int, _ *rng.Stream) error {
+	return ForEach(ctx, shards, o, func(ctx context.Context, i int) error {
 		lo := i * chunk
 		hi := lo + chunk
 		if hi > n {

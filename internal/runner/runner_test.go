@@ -7,16 +7,16 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"aum/internal/rng"
 )
 
-// TestMapOrderedResults checks rule 2: results land at their scenario
-// index regardless of completion order.
-func TestMapOrderedResults(t *testing.T) {
-	got, err := Map(context.Background(), 16, Options{Workers: 4}, func(_ context.Context, i int, _ *rng.Stream) (int, error) {
+// TestForEachIndexedResults checks rule 2: results written by index
+// land in their slot regardless of completion order.
+func TestForEachIndexedResults(t *testing.T) {
+	got := make([]int, 16)
+	err := ForEach(context.Background(), len(got), Options{Workers: 4}, func(_ context.Context, i int) error {
 		time.Sleep(time.Duration(16-i) * time.Millisecond) // finish out of order
-		return i * i, nil
+		got[i] = i * i
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -28,60 +28,32 @@ func TestMapOrderedResults(t *testing.T) {
 	}
 }
 
-// TestMapSeedDeterminism checks rule 1: the stream a scenario receives
-// is a function of (seed, index) only — identical at any width.
-func TestMapSeedDeterminism(t *testing.T) {
-	draw := func(workers int) []uint64 {
-		out, err := Map(context.Background(), 12, Options{Workers: workers, Seed: 99}, func(_ context.Context, i int, r *rng.Stream) (uint64, error) {
-			return r.Uint64(), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	ref := draw(1)
-	for _, w := range []int{2, 3, 8} {
-		got := draw(w)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("width %d: scenario %d drew %#x, width 1 drew %#x", w, i, got[i], ref[i])
-			}
-		}
-	}
-	for i := range ref {
-		if want := rng.Derive(99, uint64(i)).Uint64(); ref[i] != want {
-			t.Fatalf("scenario %d stream is not Derive(seed, %d)", i, i)
-		}
-	}
-}
-
-// TestMapLowestIndexedError checks rule 3: with several failures, the
-// reported one is the lowest-indexed, under any width.
-func TestMapLowestIndexedError(t *testing.T) {
+// TestForEachLowestIndexedError checks rule 3: with several failures,
+// the reported one is the lowest-indexed, under any width.
+func TestForEachLowestIndexedError(t *testing.T) {
 	errBoom := errors.New("boom")
 	for _, w := range []int{1, 2, 8} {
-		_, err := Map(context.Background(), 10, Options{Workers: w}, func(_ context.Context, i int, _ *rng.Stream) (int, error) {
+		err := ForEach(context.Background(), 10, Options{Workers: w}, func(_ context.Context, i int) error {
 			if i == 3 || i == 7 {
-				return 0, fmt.Errorf("scenario %d: %w", i, errBoom)
+				return fmt.Errorf("scenario %d: %w", i, errBoom)
 			}
-			return i, nil
+			return nil
 		})
 		if err == nil || !errors.Is(err, errBoom) {
 			t.Fatalf("width %d: err = %v, want boom", w, err)
 		}
-		if want := "runner: scenario 3:"; err != nil && len(err.Error()) > 0 && err.Error()[:len(want)] != want {
+		if want := "runner: scenario 3:"; err.Error()[:len(want)] != want {
 			t.Fatalf("width %d: err = %q, want prefix %q", w, err.Error(), want)
 		}
 	}
 }
 
-// TestMapPanicIsolation checks that a panicking scenario becomes an
-// error and does not take down its siblings.
-func TestMapPanicIsolation(t *testing.T) {
+// TestForEachPanicIsolation checks that a panicking scenario becomes
+// an error and does not take down its siblings.
+func TestForEachPanicIsolation(t *testing.T) {
 	var started, finished atomic.Int32
 	barrier := make(chan struct{})
-	_, err := Map(context.Background(), 4, Options{Workers: 4}, func(_ context.Context, i int, _ *rng.Stream) (int, error) {
+	err := ForEach(context.Background(), 4, Options{Workers: 4}, func(_ context.Context, i int) error {
 		if started.Add(1) == 4 {
 			close(barrier) // all four are in flight before anyone panics
 		}
@@ -90,7 +62,7 @@ func TestMapPanicIsolation(t *testing.T) {
 			panic("kaboom")
 		}
 		finished.Add(1)
-		return i, nil
+		return nil
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -104,30 +76,31 @@ func TestMapPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestMapCancellation checks that a cancelled parent context stops the
-// pool and is reported.
-func TestMapCancellation(t *testing.T) {
+// TestForEachCancellation checks that a cancelled parent context stops
+// the pool and is reported.
+func TestForEachCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Map(ctx, 8, Options{Workers: 2}, func(_ context.Context, i int, _ *rng.Stream) (int, error) {
+	err := ForEach(ctx, 8, Options{Workers: 2}, func(_ context.Context, i int) error {
 		t.Errorf("scenario %d ran under a cancelled context", i)
-		return 0, nil
+		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// TestMapErrorCancelsPending checks that one failure stops dispatching
-// later scenarios (they observe the cancelled pool context).
-func TestMapErrorCancelsPending(t *testing.T) {
+// TestForEachErrorCancelsPending checks that one failure stops
+// dispatching later scenarios (they observe the cancelled pool
+// context).
+func TestForEachErrorCancelsPending(t *testing.T) {
 	var ran atomic.Int32
-	_, err := Map(context.Background(), 64, Options{Workers: 1}, func(ctx context.Context, i int, _ *rng.Stream) (int, error) {
+	err := ForEach(context.Background(), 64, Options{Workers: 1}, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		if i == 0 {
-			return 0, errors.New("early failure")
+			return errors.New("early failure")
 		}
-		return i, nil
+		return nil
 	})
 	if err == nil {
 		t.Fatal("want error")
@@ -139,7 +112,7 @@ func TestMapErrorCancelsPending(t *testing.T) {
 
 func TestForEach(t *testing.T) {
 	marks := make([]bool, 9)
-	if err := ForEach(context.Background(), len(marks), Options{Workers: 3}, func(_ context.Context, i int, _ *rng.Stream) error {
+	if err := ForEach(context.Background(), len(marks), Options{Workers: 3}, func(_ context.Context, i int) error {
 		marks[i] = true
 		return nil
 	}); err != nil {
@@ -152,11 +125,11 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func TestMapEmpty(t *testing.T) {
-	got, err := Map(context.Background(), 0, Options{}, func(_ context.Context, i int, _ *rng.Stream) (int, error) {
-		return 0, errors.New("must not run")
+func TestForEachEmpty(t *testing.T) {
+	err := ForEach(context.Background(), 0, Options{}, func(_ context.Context, i int) error {
+		return errors.New("must not run")
 	})
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v, %v", got, err)
+	if err != nil {
+		t.Fatalf("err = %v", err)
 	}
 }

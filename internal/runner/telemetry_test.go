@@ -6,80 +6,44 @@ import (
 	"fmt"
 	"testing"
 
-	"aum/internal/rng"
 	"aum/internal/telemetry"
 )
 
-// TestScenarioScopes verifies that each scenario records into its own
-// scope regardless of the worker count, and that the parent snapshot
-// aggregates all scopes. Run under -race this also exercises the
-// registry's concurrency safety with real pool contention.
-func TestScenarioScopes(t *testing.T) {
+// TestScenarioCounter verifies that every scenario is counted once on
+// the registry regardless of the worker count. Run under -race this
+// also exercises the registry's concurrency safety with real pool
+// contention.
+func TestScenarioCounter(t *testing.T) {
 	const n = 10
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			reg := telemetry.NewRegistry()
-			err := ForEach(context.Background(), n,
-				Options{Workers: workers, Seed: 3, Telemetry: reg},
-				func(ctx context.Context, i int, r *rng.Stream) error {
-					scope := telemetry.FromContext(ctx)
-					if scope == nil {
-						return errors.New("no telemetry scope on context")
-					}
-					if want := fmt.Sprintf("s%03d", i); scope.Scope() != want {
-						return fmt.Errorf("scope = %q, want %q", scope.Scope(), want)
-					}
-					// i+1 increments: each scenario's count is distinct,
-					// so cross-scope leaks can't cancel out.
-					c := scope.Counter("work_items_total")
-					for k := 0; k <= i; k++ {
-						c.Inc()
-					}
-					scope.Emit(float64(i), "test", "done", telemetry.Fi("i", i))
+			err := ForEach(context.Background(), n, Options{Workers: workers, Telemetry: reg},
+				func(ctx context.Context, i int) error {
+					reg.Counter("work_items_total").Inc()
 					return nil
 				})
 			if err != nil {
 				t.Fatal(err)
 			}
 			snap := reg.Snapshot()
-			for i := 0; i < n; i++ {
-				name := fmt.Sprintf(`work_items_total{scope="s%03d"}`, i)
-				if v, ok := snap.CounterValue(name); !ok || v != uint64(i+1) {
-					t.Fatalf("%s = %d (ok=%v), want %d", name, v, ok, i+1)
+			for _, name := range []string{"aum_runner_scenarios_total", "work_items_total"} {
+				if v, ok := snap.CounterValue(name); !ok || v != n {
+					t.Fatalf("%s = %d (ok=%v), want %d", name, v, ok, n)
 				}
 			}
-			if v, _ := snap.CounterValue(`aum_runner_scenarios_total{scope="s000"}`); v != 1 {
-				t.Fatalf("scenario counter = %d, want 1", v)
-			}
-			if len(snap.Events) != n {
-				t.Fatalf("events = %d, want %d", len(snap.Events), n)
+			if _, ok := snap.CounterValue("aum_runner_panics_total"); ok {
+				t.Fatal("panic counter registered without a panic")
 			}
 		})
 	}
 }
 
-// TestNoTelemetryNoScope: without Options.Telemetry the context
-// carries no registry and nothing panics.
-func TestNoTelemetryNoScope(t *testing.T) {
-	err := ForEach(context.Background(), 3, Options{Workers: 2, Seed: 1},
-		func(ctx context.Context, i int, r *rng.Stream) error {
-			if telemetry.FromContext(ctx) != nil {
-				return errors.New("unexpected scope on context")
-			}
-			// Nil registry handles are no-ops.
-			telemetry.FromContext(ctx).Counter("x").Inc()
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPanicCounter: scenario panics are counted on the root registry.
+// TestPanicCounter: scenario panics are counted on the registry.
 func TestPanicCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	err := ForEach(context.Background(), 4, Options{Workers: 2, Seed: 1, Telemetry: reg},
-		func(ctx context.Context, i int, r *rng.Stream) error {
+	err := ForEach(context.Background(), 4, Options{Workers: 2, Telemetry: reg},
+		func(ctx context.Context, i int) error {
 			if i == 2 {
 				panic("boom")
 			}

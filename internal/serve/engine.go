@@ -268,10 +268,7 @@ func (e *Engine) nextPrefillJob(now float64) *job {
 	e.prefillReq[0] = r
 	j := &e.prefillJob
 	*j = job{plan: e.cfg.Model.PlanPrefill(1, r.PromptLen), reqs: e.prefillReq[:], startedAt: now}
-	if e.rt != nil && e.rt.Sampled(r.TraceID) {
-		j.traced = true
-		e.rt.PrefillStart(r.TraceID, now, e.cfg.Node)
-	}
+	e.rt.PrefillStart(r.TraceID, now, e.cfg.Node)
 	return j
 }
 
@@ -290,14 +287,6 @@ func (e *Engine) nextDecodeJob(now float64) *job {
 	plan := e.cfg.Model.PlanDecode(len(reqs), ctx/len(reqs))
 	j := &e.decodeJob
 	*j = job{plan: plan, reqs: reqs, startedAt: now}
-	if e.rt != nil {
-		for _, r := range reqs {
-			if e.rt.Sampled(r.TraceID) {
-				j.traced = true
-				break
-			}
-		}
-	}
 	return j
 }
 

@@ -17,11 +17,10 @@ type job struct {
 	remaining float64 // fraction of the iteration still to execute
 	startedAt float64 // formation time (iteration start for blame)
 
-	// Causal-tracing state (package reqtrace). traced is set at job
-	// formation when any request in the job is sampled; the stall
-	// fractions are computed once at the completion boundary and carry
-	// the membw/throttle share of the iteration's execution time.
-	traced       bool
+	// Causal-tracing state (package reqtrace): when the engine carries a
+	// tracer, the stall fractions are computed once at the completion
+	// boundary and carry the membw/throttle share of the iteration's
+	// execution time.
 	execMembw    float64
 	execThrottle float64
 }
@@ -38,7 +37,6 @@ type Worker struct {
 	// unclamped TotalS of the last iteration cost Step used.
 	lastCostS float64
 	busyTime  float64
-	idleTime  float64
 	completed int
 
 	// lastSteady records whether the last Step was a single clean
@@ -137,23 +135,6 @@ func (w *Worker) Phase() llm.Phase { return w.phase }
 // Completed returns the number of iterations finished so far.
 func (w *Worker) Completed() int { return w.completed }
 
-// Utilization returns the busy fraction since the worker started.
-func (w *Worker) Utilization() float64 {
-	t := w.busyTime + w.idleTime
-	if t <= 0 {
-		return 0
-	}
-	return w.busyTime / t
-}
-
-// CurrentPlan returns the plan being executed, if any.
-func (w *Worker) CurrentPlan() (llm.IterationPlan, bool) {
-	if w.current == nil {
-		return llm.IterationPlan{}, false
-	}
-	return w.current.plan, true
-}
-
 // abort drops the in-flight job without completing it — the host
 // machine crashed mid-iteration. lastSteady is cleared so a stale
 // fast-forward capture can never claim the next step is quiescent.
@@ -245,7 +226,6 @@ func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
 		j := w.ensureJob(now + (dt - left))
 		if j == nil {
 			steady = iter == 1
-			w.idleTime += left
 			u.Util += spinUtil * left
 			break
 		}
@@ -280,7 +260,7 @@ func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
 		if j.remaining <= 1e-9 {
 			steady = false
 			done := now + (dt - left)
-			if j.traced {
+			if w.eng.rt != nil {
 				j.execMembw, j.execThrottle = stallFractions(&j.plan, env, ts)
 			}
 			if w.phase == llm.Prefill {
@@ -392,8 +372,8 @@ func (w *Worker) CanQuiesceN(dt float64, k int) bool {
 		return true
 	}
 	// Never-worked starved: a worker that has done no productive work
-	// (lastSteady unset, zero busy time — idle time may have accrued
-	// through earlier AdvanceQuiescedN spans) spins identically from
+	// (lastSteady unset, zero busy time — earlier AdvanceQuiescedN
+	// spans may have passed) spins identically from
 	// its next step when its feed is empty — the shape archetype
 	// capture adoption (machine.AdoptCapture) relies on.
 	if !w.lastSteady && w.busyTime == 0 {
@@ -405,13 +385,11 @@ func (w *Worker) CanQuiesceN(dt float64, k int) bool {
 	return false
 }
 
-// AdvanceQuiescedN implements machine.BulkQuiescer: k starved steps in
-// one multiply. The k*dt product differs from k iterated additions
-// only in floating-point rounding; this path belongs to the cluster's
-// approximate archetype mode, never the byte-identical one.
-func (w *Worker) AdvanceQuiescedN(dt float64, k int) {
-	w.idleTime += float64(k) * dt
-}
+// AdvanceQuiescedN implements machine.BulkQuiescer: k starved steps
+// change no worker state, so the span is a no-op. This path belongs to
+// the cluster's approximate archetype mode, never the byte-identical
+// one.
+func (w *Worker) AdvanceQuiescedN(dt float64, k int) {}
 
 // AdvanceQuiesced implements machine.Quiescer: the exact state
 // mutation Step would apply on the quiescent path, with the same
@@ -419,7 +397,6 @@ func (w *Worker) AdvanceQuiescedN(dt float64, k int) {
 func (w *Worker) AdvanceQuiesced(dt float64) {
 	j := w.current
 	if j == nil {
-		w.idleTime += dt
 		return
 	}
 	ts := w.lastCostS

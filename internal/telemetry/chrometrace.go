@@ -14,7 +14,6 @@ const (
 	PIDServe      = 1 // serving engine: request lifecycles
 	PIDController = 2 // resource manager: division phases, watchdog
 	PIDMachine    = 3 // machine: power / bandwidth counters
-	PIDFleet      = 4 // cluster: node outages, failover, recovery
 )
 
 // TraceEvent is one record of the Chrome trace_event format
@@ -28,8 +27,6 @@ type TraceEvent struct {
 	Dur  float64            `json:"dur,omitempty"`
 	PID  int                `json:"pid"`
 	TID  int                `json:"tid"`
-	ID   int64              `json:"id,omitempty"`
-	BP   string             `json:"bp,omitempty"`
 	Args map[string]float64 `json:"args,omitempty"`
 }
 
@@ -78,24 +75,6 @@ func (t *Trace) Begin(name, cat string, pid, tid int, nowS float64) {
 // End closes the innermost open Begin on pid/tid.
 func (t *Trace) End(pid, tid int, nowS float64) {
 	t.push(TraceEvent{Ph: "E", Ts: nowS * usPerS, PID: pid, TID: tid})
-}
-
-// FlowStart opens a flow arrow (ph "s") at nowS on pid/tid; close it
-// with FlowEnd carrying the same id. The viewer draws an arrow between
-// the two points, linking work that moves across tracks.
-func (t *Trace) FlowStart(name, cat string, pid, tid int, nowS float64, id int64) {
-	t.push(TraceEvent{Name: name, Cat: cat, Ph: "s", Ts: nowS * usPerS, PID: pid, TID: tid, ID: id})
-}
-
-// FlowEnd terminates the flow arrow with binding point "e" (enclosing
-// slice), so the arrow lands on whatever span contains nowS.
-func (t *Trace) FlowEnd(name, cat string, pid, tid int, nowS float64, id int64) {
-	t.push(TraceEvent{Name: name, Cat: cat, Ph: "f", Ts: nowS * usPerS, PID: pid, TID: tid, ID: id, BP: "e"})
-}
-
-// Instant records a point-in-time marker.
-func (t *Trace) Instant(name, cat string, pid, tid int, nowS float64, args map[string]float64) {
-	t.push(TraceEvent{Name: name, Cat: cat, Ph: "i", Ts: nowS * usPerS, PID: pid, TID: tid, Args: args})
 }
 
 // CounterSample records counter-track values; chrome://tracing renders

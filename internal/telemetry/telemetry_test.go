@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -23,7 +22,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var tr *Trace
 	tr.Span("a", "b", 1, 1, 0, 1, nil)
-	tr.Instant("a", "b", 1, 1, 0, nil)
 	tr.Begin("a", "b", 1, 1, 0)
 	tr.End(1, 1, 0)
 	tr.CounterSample("a", 1, 0, nil)
@@ -288,7 +286,7 @@ func TestChromeTraceJSON(t *testing.T) {
 	tr := NewTrace()
 	tr.SetProcessName(PIDServe, "serve")
 	tr.Span("req 1", "request", PIDServe, 1, 0.5, 0.8, map[string]float64{"tokens": 42})
-	tr.Instant("switch", "controller", PIDController, 0, 0.6, nil)
+	tr.CounterSample("machine", PIDMachine, 0.6, map[string]float64{"watts": 180})
 	tr.Begin("div:balanced", "controller", PIDController, 0, 0.1)
 	tr.End(PIDController, 0, 0.9)
 	tr.CounterSample("batch", PIDServe, 0.7, map[string]float64{"decode": 16})
@@ -331,16 +329,5 @@ func TestChromeTraceJSON(t *testing.T) {
 	}
 	if !sawSpan {
 		t.Fatal("span missing")
-	}
-}
-
-func TestContextCarriage(t *testing.T) {
-	r := NewRegistry()
-	ctx := NewContext(context.Background(), r)
-	if FromContext(ctx) != r {
-		t.Fatal("context did not carry registry")
-	}
-	if FromContext(context.Background()) != nil {
-		t.Fatal("empty context should carry nil")
 	}
 }

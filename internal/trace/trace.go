@@ -122,9 +122,6 @@ func (g *Generator) SetRate(r float64) {
 	}
 }
 
-// Rate returns the current arrival rate.
-func (g *Generator) Rate() float64 { return g.rate }
-
 func (g *Generator) scheduleNext(now float64) {
 	if g.scen.Shape == nil {
 		g.nextAt = now + g.rng.Exp(g.rate)
@@ -157,13 +154,6 @@ func (g *Generator) sample(mean int, sigma float64, floor int) int {
 		v = 8 * mean
 	}
 	return v
-}
-
-// SampleLengths draws one scenario-typical (prompt, output) length
-// pair from the generator's stream — used by fault injectors to
-// synthesize burst arrivals that match the trace's distribution.
-func (g *Generator) SampleLengths() (promptLen, outputLen int) {
-	return g.sampleArrival()
 }
 
 // pickComponent draws a mixture component index by cumulative weight.

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"math"
-	"os"
-	"strings"
 	"testing"
 )
 
@@ -125,108 +123,12 @@ func TestLengthCap(t *testing.T) {
 	}
 }
 
-func TestRecordReplayRoundTrip(t *testing.T) {
-	rec := Record(Chatbot(), 21, 60)
-	if len(rec.Requests) < 20 {
-		t.Fatalf("recorded only %d requests over 60 s", len(rec.Requests))
-	}
-	if err := rec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/trace.json"
-	if err := rec.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Requests) != len(rec.Requests) || got.Scenario != "cb" {
-		t.Fatal("round trip lost requests")
-	}
-
-	// Replaying emits exactly the recorded arrivals, in order.
-	rep := NewReplayer(got)
-	emitted := 0
-	for now := 0.0; now < 60; now += 0.5 {
-		for _, r := range rep.Emit(now, 0.5) {
-			if r.PromptLen != rec.Requests[emitted].PromptLen {
-				t.Fatalf("replay diverged at %d", emitted)
-			}
-			emitted++
-		}
-	}
-	if emitted != len(rec.Requests) || rep.Remaining() != 0 {
-		t.Fatalf("replayed %d of %d", emitted, len(rec.Requests))
-	}
-}
-
-func TestLoadRejectsMalformed(t *testing.T) {
-	bad := &Recorded{Requests: []Request{{Arrival: 1, PromptLen: 0, OutputLen: 5}}}
-	if bad.Validate() == nil {
-		t.Fatal("malformed request accepted")
-	}
-	unsorted := &Recorded{Requests: []Request{
-		{Arrival: 2, PromptLen: 5, OutputLen: 5},
-		{Arrival: 1, PromptLen: 5, OutputLen: 5},
-	}}
-	if unsorted.Validate() == nil {
-		t.Fatal("unsorted arrivals accepted")
-	}
-	path := t.TempDir() + "/bad.json"
-	if err := os.WriteFile(path, []byte("nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("corrupt file accepted")
-	}
-}
-
-func TestLoadCorruptionDiagnostics(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		path := dir + "/" + name
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	// Truncated JSON: the error names the file.
-	rec := Record(Chatbot(), 9, 30)
-	good := dir + "/good.json"
-	if err := rec.Save(good); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(good)
-	trunc := write("trunc.json", string(data[:len(data)/2]))
-	if _, err := Load(trunc); err == nil || !strings.Contains(err.Error(), "trunc.json") {
-		t.Fatalf("truncated-file error lacks path: %v", err)
-	}
-	// Valid JSON, missing scenario.
-	noScen := write("noscen.json", `{"requests":[]}`)
-	if _, err := Load(noScen); err == nil || !strings.Contains(err.Error(), "scenario") {
-		t.Fatalf("missing-scenario error: %v", err)
-	}
-	// Valid JSON, corrupt field: the error names request and field.
-	badField := write("badfield.json",
-		`{"scenario":"cb","requests":[{"arrival":0,"prompt_len":5,"output_len":3},{"arrival":1,"prompt_len":-2,"output_len":3}]}`)
-	_, err := Load(badField)
-	if err == nil || !strings.Contains(err.Error(), "request 1") || !strings.Contains(err.Error(), "prompt_len") {
-		t.Fatalf("corrupt-field error lacks request/field: %v", err)
-	}
-	// Negative arrival named as such.
-	negArr := &Recorded{Requests: []Request{{Arrival: -1, PromptLen: 5, OutputLen: 3}}}
-	if err := negArr.Validate(); err == nil || !strings.Contains(err.Error(), "arrival") {
-		t.Fatalf("negative-arrival error: %v", err)
-	}
-}
-
 func TestSampleLengthsMatchesDistribution(t *testing.T) {
 	scen := Chatbot()
 	g := NewGenerator(scen, 17)
 	sum, n := 0.0, 4000
 	for i := 0; i < n; i++ {
-		p, o := g.SampleLengths()
+		p, o := g.sampleArrival()
 		if p < 8 || o < 2 || p > 8*scen.MeanInput || o > 8*scen.MeanOutput {
 			t.Fatalf("sample out of range: %d/%d", p, o)
 		}

@@ -78,11 +78,10 @@ type App struct {
 	burst float64 // current modulation in [1-amp, 1+amp]
 	phase float64
 
-	intensity float64 // chaos surge multiplier (1 = nominal)
-	flipped   bool
+	flipped bool
 
-	// dirty marks an externally-injected behaviour change (SetIntensity,
-	// FlipPhase) that the next full Step has not yet observed; it blocks
+	// dirty marks an externally-injected behaviour change (FlipPhase)
+	// that the next full Step has not yet observed; it blocks
 	// quiescent replay until then (see CanQuiesce).
 	dirty bool
 
@@ -127,7 +126,7 @@ func (m *memo2) store(x, v float64) float64 {
 
 // New instantiates a profile with its own random stream.
 func New(p Profile, seed uint64) *App {
-	return &App{prof: p, orig: p, rng: rng.New(seed), burst: 1, intensity: 1}
+	return &App{prof: p, orig: p, rng: rng.New(seed), burst: 1}
 }
 
 // Name implements machine.Workload.
@@ -135,19 +134,6 @@ func (a *App) Name() string { return a.prof.Name }
 
 // Profile returns the static characterization.
 func (a *App) Profile() Profile { return a.prof }
-
-// SetIntensity scales the application's offered intensity (compute rate
-// and unit utilization) by mult — a chaos-injected load surge. mult 1
-// restores nominal behaviour; non-positive values are ignored.
-func (a *App) SetIntensity(mult float64) {
-	if mult > 0 {
-		a.intensity = mult
-		a.dirty = true
-	}
-}
-
-// Intensity returns the current surge multiplier.
-func (a *App) Intensity() float64 { return a.intensity }
 
 // FlipPhase toggles the application into (and back out of) an alternate
 // behavioural phase: a markedly more memory-hungry, higher-utilization
@@ -199,7 +185,7 @@ func (a *App) unconstrainedRate(env machine.Env) float64 {
 	if !ok {
 		scale = a.freqMemo.store(f, math.Pow(f, a.prof.FreqSens))
 	}
-	return a.prof.PerCoreRate * float64(env.Cores) * scale * share * a.burst * a.intensity
+	return a.prof.PerCoreRate * float64(env.Cores) * scale * share * a.burst
 }
 
 // Demand implements machine.Workload.
@@ -207,7 +193,7 @@ func (a *App) Demand(env machine.Env) machine.Demand {
 	r := a.unconstrainedRate(env)
 	return machine.Demand{
 		Class: a.prof.Class,
-		Util:  math.Min(1.25, a.prof.Util*a.burst*a.intensity),
+		Util:  math.Min(1.25, a.prof.Util*a.burst),
 		BWGBs: r * a.bytesPerUnit(env.LLCMB) / 1e9,
 	}
 }
@@ -259,7 +245,7 @@ func (a *App) Step(env machine.Env, now, dt float64) machine.Usage {
 	return machine.Usage{
 		Work:      work,
 		DRAMBytes: work * bpu,
-		Util:      math.Min(1.25, a.prof.Util*a.burst*a.intensity) * clamp01(rate/math.Max(r0, 1e-9)+0.3),
+		Util:      math.Min(1.25, a.prof.Util*a.burst) * clamp01(rate/math.Max(r0, 1e-9)+0.3),
 		Breakdown: bd,
 	}
 }

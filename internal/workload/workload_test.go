@@ -198,29 +198,6 @@ func TestAUServiceDegradesWhenStarved(t *testing.T) {
 	}
 }
 
-func TestIntensitySurge(t *testing.T) {
-	e := env(16, 3.2, 100, 400)
-	a := New(Compute(), 1)
-	base := a.Step(e, 0, 1).Work
-	a.SetIntensity(2)
-	if a.Intensity() != 2 {
-		t.Fatalf("intensity = %v", a.Intensity())
-	}
-	surged := a.Step(e, 1, 1).Work
-	if surged < 1.5*base {
-		t.Fatalf("surge did not raise work: %v vs %v", surged, base)
-	}
-	a.SetIntensity(-3) // ignored
-	if a.Intensity() != 2 {
-		t.Fatal("non-positive intensity accepted")
-	}
-	a.SetIntensity(1)
-	back := a.Step(e, 2, 1).Work
-	if back < 0.9*base || back > 1.1*base {
-		t.Fatalf("intensity not restored: %v vs %v", back, base)
-	}
-}
-
 func TestPhaseFlip(t *testing.T) {
 	e := env(16, 3.2, 40, 400)
 	a := New(SPECjbb(), 1)
@@ -270,7 +247,7 @@ func usageBits(u machine.Usage) []uint64 {
 
 // TestAppMemoBitIdentity drives twin Apps the way the machine does —
 // Demand under the provisional environment, then Step under the granted
-// one — while ways, frequency, intensity and phase change. One twin has
+// one — while ways, frequency and phase change. One twin has
 // its miss-ratio and frequency memos cleared before every call, so it
 // recomputes every term; the twins must agree bit for bit.
 func TestAppMemoBitIdentity(t *testing.T) {
@@ -286,12 +263,7 @@ func TestAppMemoBitIdentity(t *testing.T) {
 				if r.Intn(10) == 0 {
 					ways = 1 + r.Intn(plat.LLC.Ways)
 				}
-				switch {
-				case s%83 == 82:
-					mult := 0.5 + r.Float64()
-					memo.SetIntensity(mult)
-					fresh.SetIntensity(mult)
-				case s%131 == 130:
+				if s%131 == 130 {
 					memo.FlipPhase()
 					fresh.FlipPhase()
 				}

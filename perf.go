@@ -135,7 +135,7 @@ func MeasureHotPaths() []HotPathBench {
 	failover := measureLoop("fleet_failover", 2_000, 50_000, cluster.FailoverBenchLoop())
 
 	// The per-token cost of the causal tracer's hottest hook: a live
-	// sampled record absorbing decode-token events. This is the marginal
+	// record absorbing decode-token events. This is the marginal
 	// overhead every traced decode iteration pays (the alloc-budget
 	// tests hold it at zero allocations at steady state).
 	rt := reqtrace.New(reqtrace.Config{})
