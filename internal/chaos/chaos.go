@@ -69,7 +69,8 @@ type Schedule struct {
 	Events []Event
 }
 
-// Validate checks the schedule for injectability.
+// Validate checks the schedule for injectability: every event's
+// parameters, and that no two faults of one kind are active at once.
 func (s *Schedule) Validate() error {
 	for i, ev := range s.Events {
 		if ev.At < 0 {
@@ -88,8 +89,25 @@ func (s *Schedule) Validate() error {
 		default:
 			return fmt.Errorf("chaos: event %d: unknown kind %d", i, int(ev.Kind))
 		}
+		// A revert undoes its kind outright (ClearOffline brings every
+		// core back, a flip back restores the profiled phase), so it
+		// would end another active fault of that kind early.
+		for j, prev := range s.Events[:i] {
+			if prev.Kind == ev.Kind && prev.At < ev.end() && ev.At < prev.end() {
+				return fmt.Errorf("chaos: events %d and %d: overlapping %s faults", j, i, ev.Kind)
+			}
+		}
 	}
 	return nil
+}
+
+// end is when the fault reverts, +Inf for a permanent one. A fault is
+// active over [At, end).
+func (ev Event) end() float64 {
+	if ev.Duration > 0 {
+		return ev.At + ev.Duration
+	}
+	return math.Inf(1)
 }
 
 // FirstAt returns the time of the earliest event, or -1 for an empty
@@ -189,29 +207,37 @@ func (in *Injector) NextEventAt(now float64) float64 {
 	return next
 }
 
-// Advance applies every event whose time has come.
+// Advance applies every event and revert whose time has come, in time
+// order with reverts first at a tie, so a revert due no later than the
+// next fault of its kind cannot undo that fault when both fall in one
+// step.
 func (in *Injector) Advance(now float64) error {
-	for in.pos < len(in.events) && in.events[in.pos].At <= now {
-		ev := in.events[in.pos]
-		in.pos++
-		if err := in.apply(ev, now); err != nil {
-			return err
-		}
-		if ev.Duration > 0 {
-			rv := ev
-			rv.At = ev.At + ev.Duration
-			in.reverts = append(in.reverts, rv)
-			sort.SliceStable(in.reverts, func(i, j int) bool { return in.reverts[i].At < in.reverts[j].At })
+	for {
+		inject := in.pos < len(in.events) && in.events[in.pos].At <= now
+		revert := len(in.reverts) > 0 && in.reverts[0].At <= now
+		switch {
+		case revert && (!inject || in.reverts[0].At <= in.events[in.pos].At):
+			rv := in.reverts[0]
+			in.reverts = in.reverts[1:]
+			if err := in.revert(rv, now); err != nil {
+				return err
+			}
+		case inject:
+			ev := in.events[in.pos]
+			in.pos++
+			if err := in.apply(ev, now); err != nil {
+				return err
+			}
+			if ev.Duration > 0 {
+				rv := ev
+				rv.At = ev.end()
+				in.reverts = append(in.reverts, rv)
+				sort.SliceStable(in.reverts, func(i, j int) bool { return in.reverts[i].At < in.reverts[j].At })
+			}
+		default:
+			return nil
 		}
 	}
-	for len(in.reverts) > 0 && in.reverts[0].At <= now {
-		rv := in.reverts[0]
-		in.reverts = in.reverts[1:]
-		if err := in.revert(rv, now); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (in *Injector) apply(ev Event, now float64) error {

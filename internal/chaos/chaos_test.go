@@ -23,6 +23,20 @@ func TestScheduleValidation(t *testing.T) {
 		{Events: []Event{{At: 1, Kind: PhaseFlip, Duration: -2}}},
 		{Events: []Event{{At: 1, Kind: CoreOffline, Cores: 0}}},
 		{Events: []Event{{At: 1, Kind: Kind(99)}}},
+		// Overlapping faults of one kind: the first revert would end
+		// both outages.
+		{Events: []Event{
+			{At: 1, Kind: CoreOffline, Cores: 4, Duration: 2},
+			{At: 2, Kind: CoreOffline, Cores: 6, Duration: 0.5},
+		}},
+		{Events: []Event{
+			{At: 3, Kind: PhaseFlip, Duration: 1},
+			{At: 1, Kind: PhaseFlip, Duration: 2.5},
+		}},
+		{Events: []Event{
+			{At: 1, Kind: PhaseFlip},
+			{At: 4, Kind: PhaseFlip, Duration: 1},
+		}},
 	}
 	for i, s := range bad {
 		if s.Validate() == nil {
@@ -36,6 +50,7 @@ func TestScheduleValidation(t *testing.T) {
 		{At: 15, Kind: CoreOffline, Cores: 8, Duration: 5},
 		{At: 10, Kind: PhaseFlip, Duration: 2},
 		{At: 20, Kind: PhaseFlip},
+		{At: 20, Kind: CoreOffline, Cores: 4, Duration: 1}, // strikes as the first reverts
 	}}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
@@ -52,7 +67,7 @@ func TestScheduleValidation(t *testing.T) {
 func TestInjectorAppliesAndReverts(t *testing.T) {
 	tgt := testTarget()
 	s := Schedule{Events: []Event{
-		{At: 1, Kind: CoreOffline, Cores: 4, Duration: 2},
+		{At: 1, Kind: CoreOffline, Cores: 4, Duration: 0.8},
 		{At: 1.5, Kind: PhaseFlip, Duration: 1},
 		{At: 2, Kind: CoreOffline, Cores: 6, Duration: 0.5},
 		{At: 2.8, Kind: PhaseFlip},
@@ -81,6 +96,10 @@ func TestInjectorAppliesAndReverts(t *testing.T) {
 	if !tgt.BE.PhaseFlipped() {
 		t.Fatal("phase not flipped")
 	}
+	step(1.8)
+	if _, _, off := tgt.M.OfflineRange(); off {
+		t.Fatal("first outage not reverted")
+	}
 	step(2)
 	if lo, hi, off := tgt.M.OfflineRange(); !off || lo != 0 || hi != 5 {
 		t.Fatalf("offline range = %d..%d (%v), want 0..5", lo, hi, off)
@@ -92,12 +111,10 @@ func TestInjectorAppliesAndReverts(t *testing.T) {
 	if tgt.BE.PhaseFlipped() {
 		t.Fatal("bounded phase flip not reverted")
 	}
-	// t=3: the permanent flip (2.8) and the first core revert (1+2)
-	// are due.
-	step(3)
 	if _, _, off := tgt.M.OfflineRange(); off {
 		t.Fatal("cores not restored")
 	}
+	step(3)
 	if !tgt.BE.PhaseFlipped() {
 		t.Fatal("permanent phase flip reverted")
 	}
@@ -126,8 +143,8 @@ func TestInjectorWithoutBE(t *testing.T) {
 	tgt := testTarget()
 	tgt.BE = nil
 	s := Schedule{Events: []Event{
-		{At: 1, Kind: PhaseFlip},
 		{At: 1, Kind: PhaseFlip, Duration: 1},
+		{At: 3, Kind: PhaseFlip},
 	}}
 	in, err := NewInjector(s, tgt)
 	if err != nil {
@@ -138,6 +155,36 @@ func TestInjectorWithoutBE(t *testing.T) {
 	}
 	if !in.Done() {
 		t.Fatal("injector not done")
+	}
+}
+
+// TestRevertBeforeLaterFault checks that a revert due before (or as)
+// the next fault of its kind runs first when one Advance covers both,
+// so it cannot end the new outage.
+func TestRevertBeforeLaterFault(t *testing.T) {
+	for _, end := range []float64{1.9995, 2} {
+		tgt := testTarget()
+		s := Schedule{Events: []Event{
+			{At: 1, Kind: CoreOffline, Cores: 4, Duration: end - 1},
+			{At: 2, Kind: CoreOffline, Cores: 6, Duration: 0.5},
+			{At: 1, Kind: PhaseFlip, Duration: end - 1},
+			{At: 2, Kind: PhaseFlip},
+		}}
+		in, err := NewInjector(s, tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, now := range []float64{1, 2} {
+			if err := in.Advance(now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if lo, hi, off := tgt.M.OfflineRange(); !off || lo != 0 || hi != 5 {
+			t.Fatalf("first outage ends at %v: offline range %d..%d (%v) at t=2, want 0..5", end, lo, hi, off)
+		}
+		if !tgt.BE.PhaseFlipped() {
+			t.Fatalf("first flip ends at %v: second flip undone at t=2", end)
+		}
 	}
 }
 

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"aum/internal/llm"
 	"aum/internal/machine"
+	"aum/internal/perfmon"
 	"aum/internal/platform"
 )
 
@@ -333,5 +335,44 @@ func TestBoundedBacklog(t *testing.T) {
 	// The shed requests are the two that arrived past the bound.
 	if last := e.admitBacklog[maxBacklog-1].ID; last != maxBacklog {
 		t.Fatalf("last backlogged request %d, want %d", last, maxBacklog)
+	}
+}
+
+// TestWindowTailsMatchSlidingCopy checks the ring window against the
+// sliding window it replaced, which appended each sample and copied
+// the last maxRecent down once full: over 5000 pushes, past wrapping
+// the ring more than once, TailTTFT and TailTPOT agree bit for bit.
+func TestWindowTailsMatchSlidingCopy(t *testing.T) {
+	slide := func(s []float64, v float64) []float64 {
+		s = append(s, v)
+		if len(s) > maxRecent {
+			copy(s, s[len(s)-maxRecent:])
+			s = s[:maxRecent]
+		}
+		return s
+	}
+	r := rand.New(rand.NewSource(3))
+	slo := SLO{TTFT: 1, TPOT: 0.1}
+	var st Stats
+	var ttfts, tpots []float64
+	for i := 0; i < 5000; i++ {
+		ttft, tpot := r.ExpFloat64(), 0.05*r.ExpFloat64()
+		st.recordTTFT(ttft, slo, 1+r.Intn(512))
+		st.recordToken(tpot, slo.TPOT)
+		ttfts, tpots = slide(ttfts, ttft), slide(tpots, tpot)
+		if i%7 != 0 {
+			continue
+		}
+		for _, p := range []float64{0, 50, 90, 99, 99.9, 100} {
+			if got, want := st.TailTTFT(p), perfmon.Percentile(ttfts, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("push %d: TailTTFT(%v) = %v, sliding window %v", i, p, got, want)
+			}
+			if got, want := st.TailTPOT(p), perfmon.Percentile(tpots, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("push %d: TailTPOT(%v) = %v, sliding window %v", i, p, got, want)
+			}
+		}
+	}
+	if len(st.RecentTTFTs()) != maxRecent {
+		t.Fatalf("window holds %d samples, want %d", len(st.RecentTTFTs()), maxRecent)
 	}
 }

@@ -20,13 +20,13 @@ type Stats struct {
 	TTFTMet                 int
 	TTFTMetScaled           int
 	TTFTSum                 float64
-	recentTTFT              []float64
+	recentTTFT              window
 
 	// Decode.
 	DecodeTokens   float64
 	TPOTMet        float64
 	TPOTSum        float64
-	recentTPOT     []float64
+	recentTPOT     window
 	FinishedOutput int // fully completed requests
 
 	// Guaranteed throughput: tokens produced within their SLO.
@@ -42,13 +42,21 @@ type Stats struct {
 	Injected  int // remote prefills admitted via InjectDecode
 }
 
-func pushBounded(s []float64, v float64) []float64 {
-	s = append(s, v)
-	if len(s) > maxRecent {
-		copy(s, s[len(s)-maxRecent:])
-		s = s[:maxRecent]
+// window holds the last maxRecent samples. Once full, a push
+// overwrites the oldest sample in place, so the samples are not in
+// arrival order; every reader (a percentile) is order-independent.
+type window struct {
+	s    []float64
+	next int // slot the next push overwrites once the window is full
+}
+
+func (w *window) push(v float64) {
+	if len(w.s) < maxRecent {
+		w.s = append(w.s, v)
+		return
 	}
-	return s
+	w.s[w.next] = v
+	w.next = (w.next + 1) % maxRecent
 }
 
 func (s *Stats) recordTTFT(ttft float64, slo SLO, promptTokens int) {
@@ -61,7 +69,7 @@ func (s *Stats) recordTTFT(ttft float64, slo SLO, promptTokens int) {
 		s.TTFTMetScaled++
 		s.GuaranteedPrefillTokens += float64(promptTokens)
 	}
-	s.recentTTFT = pushBounded(s.recentTTFT, ttft)
+	s.recentTTFT.push(ttft)
 }
 
 func (s *Stats) recordToken(latency, deadline float64) {
@@ -71,7 +79,7 @@ func (s *Stats) recordToken(latency, deadline float64) {
 		s.TPOTMet++
 		s.GuaranteedTokens++
 	}
-	s.recentTPOT = pushBounded(s.recentTPOT, latency)
+	s.recentTPOT.push(latency)
 }
 
 // TTFTGuarantee returns the fraction of prefills meeting the absolute
@@ -119,23 +127,24 @@ func (s *Stats) MeanTPOT() float64 {
 
 // TailTPOT returns the p-th percentile of recent token latencies.
 func (s *Stats) TailTPOT(p float64) float64 {
-	return perfmon.Percentile(s.recentTPOT, p)
+	return perfmon.Percentile(s.recentTPOT.s, p)
 }
 
 // TailTTFT returns the p-th percentile of recent TTFTs.
 func (s *Stats) TailTTFT(p float64) float64 {
-	return perfmon.Percentile(s.recentTTFT, p)
+	return perfmon.Percentile(s.recentTTFT.s, p)
 }
 
 // RecentTTFTs returns the sliding TTFT window (at most maxRecent
-// samples). The fleet layer merges per-node windows to estimate a
-// fleet-wide tail. The caller must not mutate the returned slice.
-func (s *Stats) RecentTTFTs() []float64 { return s.recentTTFT }
+// samples, in no particular order). The fleet layer merges per-node
+// windows to estimate a fleet-wide tail. The caller must not mutate the
+// returned slice.
+func (s *Stats) RecentTTFTs() []float64 { return s.recentTTFT.s }
 
 // Clone returns a copy safe to keep as an interval snapshot.
 func (s *Stats) Clone() Stats {
 	c := *s
-	c.recentTTFT = append([]float64(nil), s.recentTTFT...)
-	c.recentTPOT = append([]float64(nil), s.recentTPOT...)
+	c.recentTTFT.s = append([]float64(nil), s.recentTTFT.s...)
+	c.recentTPOT.s = append([]float64(nil), s.recentTPOT.s...)
 	return c
 }

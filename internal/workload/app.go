@@ -77,6 +77,9 @@ type App struct {
 	rng   *rng.Stream
 	burst float64 // current modulation in [1-amp, 1+amp]
 	phase float64
+	// held counts the steps left before the burst walk next advances
+	// (see advanceBurst); 0 means the next step is a quantum boundary.
+	held int
 
 	flipped bool
 
@@ -123,6 +126,10 @@ func (m *memo2) store(x, v float64) float64 {
 	m.key[i], m.val[i], m.set[i], m.last = math.Float64bits(x), v, true, i
 	return v
 }
+
+// burstQuantum is how many steps a bursty profile holds its burst
+// between walk advances: 50 ms at machine.DT, the controller interval.
+const burstQuantum = 50
 
 // New instantiates a profile with its own random stream.
 func New(p Profile, seed uint64) *App {
@@ -201,14 +208,11 @@ func (a *App) Demand(env machine.Env) machine.Demand {
 // Step implements machine.Workload.
 func (a *App) Step(env machine.Env, now, dt float64) machine.Usage {
 	a.dirty = false
-	// Advance burst modulation as a bounded random walk.
 	if a.prof.BurstAmp > 0 {
-		period := a.prof.BurstPeriod
-		if period <= 0 {
-			period = 1
+		if a.held == 0 {
+			a.advanceBurst(dt)
 		}
-		a.phase += dt / period * (0.5 + a.rng.Float64())
-		a.burst = 1 + a.prof.BurstAmp*math.Sin(2*math.Pi*a.phase)
+		a.held--
 	}
 
 	r0 := a.unconstrainedRate(env)
@@ -250,17 +254,44 @@ func (a *App) Step(env machine.Env, now, dt float64) machine.Usage {
 	}
 }
 
-// CanQuiesce implements machine.Quiescer. A non-bursty app's Step is a
-// pure function of the (unchanged) environment, so every step repeats
-// exactly unless a chaos injection just changed its behaviour (dirty).
-// Bursty profiles advance a random walk every step and never quiesce.
-func (a *App) CanQuiesce(dt float64) bool {
-	return a.prof.BurstAmp <= 0 && !a.dirty
+// advanceBurst starts a quantum of the burst's bounded random walk. It
+// draws the quantum's burstQuantum per-step phase increments one at a
+// time, in the order a per-step walk would, so the random stream and
+// the phase at every boundary match that walk. The burst is set from
+// the phase after the first increment and held for the whole quantum.
+// The step that advances estimated its demand at the old burst, so it
+// marks the app dirty: the next step must run in full.
+func (a *App) advanceBurst(dt float64) {
+	period := a.prof.BurstPeriod
+	if period <= 0 {
+		period = 1
+	}
+	for i := 0; i < burstQuantum; i++ {
+		a.phase += dt / period * (0.5 + a.rng.Float64())
+		if i == 0 {
+			a.burst = 1 + a.prof.BurstAmp*math.Sin(2*math.Pi*a.phase)
+		}
+	}
+	a.held = burstQuantum
+	a.dirty = true
 }
 
-// AdvanceQuiesced implements machine.Quiescer; a quiescent app step
-// mutates no internal state.
-func (a *App) AdvanceQuiesced(dt float64) {}
+// CanQuiesce implements machine.Quiescer. An app's Step is a pure
+// function of the (unchanged) environment while its burst is held, so
+// every step repeats exactly unless the step is a quantum boundary,
+// follows the step that advanced the burst, or follows a chaos
+// injection that changed the app's behaviour (the last two set dirty).
+func (a *App) CanQuiesce(dt float64) bool {
+	return !a.dirty && (a.prof.BurstAmp <= 0 || a.held > 0)
+}
+
+// AdvanceQuiesced implements machine.Quiescer: a quiescent step of a
+// bursty app counts down its held quantum; it mutates nothing else.
+func (a *App) AdvanceQuiesced(dt float64) {
+	if a.prof.BurstAmp > 0 {
+		a.held--
+	}
+}
 
 func clamp01(v float64) float64 {
 	if v < 0 {

@@ -9,6 +9,7 @@ import (
 	"aum/internal/cache"
 	"aum/internal/machine"
 	"aum/internal/platform"
+	"aum/internal/rng"
 )
 
 func env(cores int, ghz, llcMB, bwGBs float64) machine.Env {
@@ -290,5 +291,52 @@ func TestAppMemoBitIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHeldBurstWalk checks the quantized burst walk against a per-step
+// reference walk drawn from the same stream: the phase at every quantum
+// boundary and the burst at every quantum's first step match it bit for
+// bit, the burst holds between boundaries, and CanQuiesce refuses
+// exactly the boundary step, the step after it and the step after a
+// FlipPhase. Quiescent steps alternate between Step and AdvanceQuiesced,
+// the machine's two ways of advancing an app.
+func TestHeldBurstWalk(t *testing.T) {
+	const dt, steps = 1e-3, 20 * burstQuantum
+	e := env(16, 3.2, 100, 100)
+	for _, seed := range []uint64{1, 2, 7, 42, 1234} {
+		p := SPECjbb()
+		ref := rng.New(seed)
+		refPhase := make([]float64, steps+1) // phase after s steps
+		refBurst := make([]float64, steps)   // burst during step s
+		for s := 0; s < steps; s++ {
+			refPhase[s+1] = refPhase[s] + dt/p.BurstPeriod*(0.5+ref.Float64())
+			refBurst[s] = 1 + p.BurstAmp*math.Sin(2*math.Pi*refPhase[s+1])
+		}
+
+		a := New(p, seed)
+		flipAt := 3*burstQuantum + 17
+		for s := 0; s < steps; s++ {
+			pos := s % burstQuantum
+			if pos == 0 && math.Float64bits(a.phase) != math.Float64bits(refPhase[s]) {
+				t.Fatalf("seed %d step %d: boundary phase %v, per-step walk %v", seed, s, a.phase, refPhase[s])
+			}
+			if s == flipAt {
+				a.FlipPhase()
+			}
+			want := pos > 1 && s != flipAt
+			if got := a.CanQuiesce(dt); got != want {
+				t.Fatalf("seed %d step %d (quantum step %d): CanQuiesce %v, want %v", seed, s, pos, got, want)
+			}
+			if want && s%2 == 0 {
+				a.AdvanceQuiesced(dt)
+			} else {
+				a.Step(e, float64(s)*dt, dt)
+			}
+			first := s - pos
+			if math.Float64bits(a.burst) != math.Float64bits(refBurst[first]) {
+				t.Fatalf("seed %d step %d: burst %v, want the quantum's first-step burst %v", seed, s, a.burst, refBurst[first])
+			}
+		}
 	}
 }

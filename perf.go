@@ -72,9 +72,11 @@ func benchMachine() *machine.Machine {
 // prefill and decode workers placed as NewExclusive places them, a
 // bursty SPECjbb co-runner on every core's SMT sibling (NewSMTSharing's
 // layout), and both workers mid-iteration on queued requests. The
-// co-runner never quiesces, so every step is a full one. The decode
-// batch is full with requests that never finish, and the prefill queue
-// holds about 20 simulated minutes of prompts (one takes ~0.3 s).
+// loop calls Step, never StepN, so every step is a full one, as at a
+// burst-quantum boundary of the co-runner or a worker's job pull. The
+// decode batch is full with requests that never finish, and the
+// prefill queue holds about 20 simulated minutes of prompts (one takes
+// ~0.3 s).
 func coloStepLoop() func() {
 	plat := platform.GenA()
 	m := machine.New(plat)
@@ -111,8 +113,8 @@ func MeasureHotPaths() []HotPathBench {
 	// exercises.
 	coloRow := measureLoop("colo_step", 2_000, 50_000, coloStepLoop())
 
-	// The replay row uses a burst-free workload so StepN actually hits
-	// the quiescent path (bursty profiles refuse to quiesce).
+	// The replay row uses a burst-free workload so every StepN step
+	// replays (a bursty profile runs two full steps per burst quantum).
 	plat := platform.GenA()
 	ff := machine.New(plat)
 	if _, err := ff.AddTask(workload.New(workload.Compute(), 7), machine.Placement{
