@@ -73,7 +73,7 @@ func TestAllocBudgetMachineStep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocBudget(t, "machine.Step", 0, 1000, func() { m.Step(1e-3) })
+	allocBudget(t, "machine.Step", 0, 1000, m.Step)
 }
 
 // servingMachine is a GenA machine serving llama2-7b with the prefill
@@ -98,7 +98,7 @@ func servingMachine(t *testing.T) (*machine.Machine, *serve.Engine) {
 // worker path and the cost caches must not allocate.
 func TestAllocBudgetServeStep(t *testing.T) {
 	m, _ := servingMachine(t)
-	allocBudget(t, "serve machine.Step", 0, 1000, func() { m.Step(1e-3) })
+	allocBudget(t, "serve machine.Step", 0, 1000, m.Step)
 }
 
 // iterationOf returns an op that steps m until w completes one more
@@ -108,7 +108,7 @@ func TestAllocBudgetServeStep(t *testing.T) {
 func iterationOf(m *machine.Machine, w *serve.Worker) func() {
 	return func() {
 		for n := w.Completed(); w.Completed() == n; {
-			m.Step(1e-3)
+			m.Step()
 		}
 	}
 }
@@ -126,7 +126,7 @@ func TestAllocBudgetDecodeIteration(t *testing.T) {
 		}
 	}
 	for eng.DecodeBatch() < serve.MaxBatch {
-		m.Step(1e-3)
+		m.Step()
 	}
 	allocBudget(t, "serve decode iteration", 0, 10, iterationOf(m, eng.DecodeWorker()))
 }
@@ -165,7 +165,7 @@ func TestAllocBudgetStepN(t *testing.T) {
 	if _, err := m.AddTask(workload.New(workload.Compute(), 7), machine.Placement{CoreLo: 0, CoreHi: plat.Cores - 1, SMTSlot: 0}); err != nil {
 		t.Fatal(err)
 	}
-	allocBudget(t, "machine.StepN", 0, 100, func() { m.StepN(1e-3, 8) })
+	allocBudget(t, "machine.StepN", 0, 100, func() { m.StepN(8) })
 }
 
 // TestAllocBudgetFleetNodeReplay pins the machine a fleet steps — an

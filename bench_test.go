@@ -120,7 +120,7 @@ func BenchmarkMachineStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 }
 
@@ -238,28 +238,6 @@ func BenchmarkProfilerRun(b *testing.B) {
 }
 
 // Ablation benches for the DESIGN.md design decisions.
-
-// BenchmarkAblationTimestep sweeps the simulation time step, validating
-// the 1 ms default (decision 2 in DESIGN.md): the reported metric is
-// wall time per simulated second.
-func BenchmarkAblationTimestep(b *testing.B) {
-	for _, dt := range []float64{5e-4, 1e-3, 2e-3} {
-		b.Run(fmt.Sprintf("dt=%v", dt), func(b *testing.B) {
-			b.ReportAllocs()
-			plat := platform.GenA()
-			for i := 0; i < b.N; i++ {
-				m := machine.New(plat)
-				app := workload.New(workload.SPECjbb(), 1)
-				if _, err := m.AddTask(app, machine.Placement{CoreLo: 0, CoreHi: 47, SMTSlot: 0}); err != nil {
-					b.Fatal(err)
-				}
-				for m.Now() < 1.0 {
-					m.Step(dt)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationBuckets sweeps the AUV-model granularity (decision 3
 // in DESIGN.md): coarser tables profile faster; the default 3x5 is the

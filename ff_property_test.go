@@ -1,10 +1,10 @@
 package aum
 
 // Property test for the fast-forward contract (DESIGN.md §9):
-// StepN(dt, k) must be observably identical to k sequential Step(dt)
-// calls — bit-for-bit, across randomized machine configurations,
-// workload mixes, chunk sizes, and mid-run mutations that invalidate
-// the replay capture.
+// StepN(k) must be observably identical to k sequential Step calls —
+// bit-for-bit, across randomized machine configurations, workload
+// mixes, chunk sizes, and mid-run mutations that invalidate the replay
+// capture.
 
 import (
 	"fmt"
@@ -104,7 +104,6 @@ func floatBits(dst []uint64, v reflect.Value) []uint64 {
 // placement mutations exercise capture invalidation; every TaskStats accumulator and
 // Breakdown field is compared by its bit pattern.
 func TestStepNEquivalenceProperty(t *testing.T) {
-	const dt = 1e-3
 	var seqBits, ffBits []uint64
 	for seed := int64(1); seed <= 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -134,9 +133,9 @@ func TestStepNEquivalenceProperty(t *testing.T) {
 				}
 			}
 			for j := 0; j < k; j++ {
-				seq.Step(dt)
+				seq.Step()
 			}
-			ff.StepN(dt, k)
+			ff.StepN(k)
 
 			if math.Float64bits(seq.EnergyJ()) != math.Float64bits(ff.EnergyJ()) {
 				t.Fatalf("seed %d chunk %d (k=%d): energy diverged: %v vs %v (ffsteps=%d)",

@@ -24,7 +24,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"aum/internal/machine"
 	"aum/internal/reqtrace"
@@ -111,8 +110,7 @@ func newArchState(s *session) *archState {
 // elided in O(classes).
 func (s *session) stepArch() error {
 	cfg, a := s.cfg, s.arch
-	start := float64(s.bi) * cfg.BarrierS
-	end := float64(s.bi+1) * cfg.BarrierS
+	start, end := s.now(), s.at(s.bi+1)
 
 	for s.qpsIdx < len(cfg.QPS) && cfg.QPS[s.qpsIdx].At <= start+1e-9 {
 		s.rate = cfg.QPS[s.qpsIdx].RatePerS
@@ -122,7 +120,7 @@ func (s *session) stepArch() error {
 
 	due := false
 	for _, g := range s.gens {
-		if g.NextEventAt(start) <= start+cfg.BarrierS {
+		if g.NextEventAt(start) <= end {
 			due = true
 			break
 		}
@@ -139,7 +137,7 @@ func (s *session) stepArch() error {
 
 	if due {
 		for k, g := range s.gens {
-			arrivals := g.Emit(start, cfg.BarrierS)
+			arrivals := g.Emit(start, end-start)
 			if len(arrivals) == 0 {
 				continue
 			}
@@ -169,7 +167,7 @@ func (s *session) stepArch() error {
 	if err := runner.Shard(s.ctx, len(a.busy), 0, s.ropt,
 		func(_ context.Context, lo, hi int) error {
 			for _, i := range a.busy[lo:hi] {
-				if err := stepEpoch(cfg, nodes[i], start, s.steps); err != nil {
+				if err := s.stepEpoch(nodes[i], s.bi); err != nil {
 					return err
 				}
 			}
@@ -187,11 +185,11 @@ func (s *session) stepArch() error {
 		if !n.env.Engine.Idle() || n.undelivered() != 0 {
 			continue
 		}
-		if !n.env.M.CoarseReady(machine.DT) {
+		if !n.env.M.CoarseReady() {
 			continue
 		}
 		if id := a.archOf[i]; !a.caps[id].Valid() {
-			if c, ok := n.env.M.CloneCapture(machine.DT); ok {
+			if c, ok := n.env.M.CloneCapture(); ok {
 				a.caps[id] = c
 			}
 		}
@@ -245,22 +243,24 @@ func (s *session) archTouch(i int) error {
 
 // archAdvance coarsely advances node i's machine across the deferred
 // barrier span [from, from+k), splitting at the warmup boundary so the
-// measurement snapshot lands on the barrier quantizing WarmupS.
+// measurement snapshot lands on the first barrier start at or after
+// the warmup tick.
 func (s *session) archAdvance(i, from, k int) error {
-	cfg := s.cfg
 	n := s.nodes[i]
-	warmB := int(math.Ceil(cfg.WarmupS/cfg.BarrierS - 1e-9))
+	warmB := int((s.warm + int64(s.steps) - 1) / int64(s.steps))
 	if !n.measured && from < warmB && from+k >= warmB {
 		if err := s.archSpan(i, from, warmB-from); err != nil {
 			return err
 		}
-		n.maybeSnapshot(cfg.WarmupS, float64(warmB)*cfg.BarrierS)
-		return s.archSpan(i, warmB, from+k-warmB)
+		n.snapshot()
+		from, k = warmB, from+k-warmB
 	}
 	if err := s.archSpan(i, from, k); err != nil {
 		return err
 	}
-	n.maybeSnapshot(cfg.WarmupS, float64(from+k)*cfg.BarrierS)
+	if s.barrierTick(from+k) >= s.warm {
+		n.snapshot()
+	}
 	return nil
 }
 
@@ -272,14 +272,14 @@ func (s *session) archSpan(i, fromB, kb int) error {
 	if kb <= 0 {
 		return nil
 	}
-	cfg, a := s.cfg, s.arch
+	a := s.arch
 	n := s.nodes[i]
 	m := n.env.M
 	if n.state == stateStandby || n.dead() {
-		m.AdvanceIdle(float64(kb*s.steps) * machine.DT)
+		m.AdvanceIdle(kb * s.steps)
 		return nil
 	}
-	if m.SkipQuiescent(machine.DT, kb*s.steps) {
+	if m.SkipQuiescent(kb * s.steps) {
 		if a.adopted[i] {
 			a.cHits.Inc()
 		}
@@ -287,13 +287,13 @@ func (s *session) archSpan(i, fromB, kb int) error {
 	}
 	if c := a.caps[a.archOf[i]]; c.Valid() && m.AdoptCapture(c) {
 		a.adopted[i] = true
-		if m.SkipQuiescent(machine.DT, kb*s.steps) {
+		if m.SkipQuiescent(kb * s.steps) {
 			a.cHits.Inc()
 			return nil
 		}
 	}
 	for b := fromB; b < fromB+kb; b++ {
-		if err := stepEpoch(cfg, n, float64(b)*cfg.BarrierS, s.steps); err != nil {
+		if err := s.stepEpoch(n, b); err != nil {
 			return err
 		}
 	}

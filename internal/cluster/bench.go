@@ -4,7 +4,6 @@ import (
 	"aum/internal/chaos"
 	"aum/internal/colo"
 	"aum/internal/llm"
-	"aum/internal/machine"
 	"aum/internal/platform"
 	"aum/internal/serve"
 )
@@ -25,7 +24,7 @@ func NodeReplayBenchLoop(mgr colo.Manager, k int) func() {
 		panic(err)
 	}
 	m := s.nodes[0].env.M
-	return func() { m.StepN(machine.DT, k) }
+	return func() { m.StepN(k) }
 }
 
 // FailoverBenchLoop returns a closure that exercises the fleet

@@ -406,7 +406,8 @@ type node struct {
 
 	state    nodeState
 	activeAt float64 // warming/recovering -> active time
-	nextTick float64
+	interval int64   // manager cadence in ticks (0 = no ticks)
+	nextTick int64   // tick of the next manager decision
 
 	// Health state (all zero unless Config.Faults is set).
 	downSince    float64 // start of the current outage
@@ -459,8 +460,10 @@ func (n *node) charge(dt float64) (powered bool) {
 	return true
 }
 
-func (n *node) maybeSnapshot(warmupS, now float64) {
-	if n.measured || now < warmupS {
+// snapshot opens the node's measurement window; only the first call
+// counts.
+func (n *node) snapshot() {
+	if n.measured {
 		return
 	}
 	n.measured = true
@@ -558,81 +561,66 @@ func run(cfg Config) (Result, error) {
 	return s.finishAt(cfg.HorizonS)
 }
 
-// stepEpoch advances one machine through [start, start+steps*DT),
-// submitting its epoch inbox and delivering matured KV handoffs at
-// their in-epoch times. It runs on a runner goroutine; it touches only
-// its own node.
-func stepEpoch(cfg Config, n *node, start float64, steps int) error {
+// stepEpoch advances one machine through barrier b, the ticks
+// [b·steps, (b+1)·steps), submitting its epoch inbox and delivering
+// matured KV handoffs at their in-epoch ticks. It runs on a runner
+// goroutine; it touches only its own node.
+func (s *session) stepEpoch(n *node, b int) error {
+	m := n.env.M
+	end := s.barrierTick(b + 1)
 	if n.state == stateStandby || n.dead() {
 		// Powered off (standby) or crashed (suspect/down): the clock
 		// advances, nothing runs, no energy accrues.
-		n.env.M.AdvanceIdle(float64(steps) * machine.DT)
-		n.maybeSnapshot(cfg.WarmupS, n.env.M.Now())
+		m.AdvanceIdle(int(end - m.Tick()))
+		if end >= s.warm {
+			n.snapshot()
+		}
 		return nil
 	}
-	eng := n.env.Engine
-	iv := n.spec.Mgr.Interval() // invariant across the epoch; hoisted
-	end := start + float64(steps)*machine.DT
 	ri := 0
-	for k := 0; k < steps; {
-		now := start + float64(k)*machine.DT
-		for ri < len(n.inbox) && n.inbox[ri].Arrival <= now+machine.DT {
-			if err := eng.Submit(n.inbox[ri]); err != nil {
-				return err
+	// due fires what falls due at tick t and bounds the next such tick
+	// (DESIGN.md §9). Inbox arrivals and KV deliveries land at the end
+	// of the tick they fall in, so each is due one tick before its own;
+	// both lists are sorted by time, so their heads are the next.
+	err := m.StepTo(end, func(t int64) (int64, error) {
+		tickEnd := machine.Time(t + 1)
+		for ri < len(n.inbox) && n.inbox[ri].Arrival <= tickEnd {
+			if err := n.env.Engine.Submit(n.inbox[ri]); err != nil {
+				return 0, err
 			}
 			ri++
 		}
-		for n.handIdx < len(n.pending) && n.pending[n.handIdx].deliverAt <= now+machine.DT {
-			if err := eng.InjectDecode(n.pending[n.handIdx].req, now+machine.DT); err != nil {
-				return fmt.Errorf("cluster: %s: %w", n.name, err)
+		for n.handIdx < len(n.pending) && n.pending[n.handIdx].deliverAt <= tickEnd {
+			if err := n.env.Engine.InjectDecode(n.pending[n.handIdx].req, tickEnd); err != nil {
+				return 0, fmt.Errorf("cluster: %s: %w", n.name, err)
 			}
 			n.handIdx++
 		}
-		if iv > 0 && now >= n.nextTick {
-			if err := n.spec.Mgr.Tick(n.env, now); err != nil {
-				return fmt.Errorf("cluster: %s tick: %w", n.name, err)
+		if n.interval > 0 && t >= n.nextTick {
+			if err := n.spec.Mgr.Tick(n.env, machine.Time(t)); err != nil {
+				return 0, fmt.Errorf("cluster: %s tick: %w", n.name, err)
 			}
-			n.nextTick += iv
+			n.nextTick += n.interval
 		}
-		n.maybeSnapshot(cfg.WarmupS, now)
-		// Skip horizon within the epoch (DESIGN.md §9): batch ticks up
-		// to the next inbox arrival, KV delivery, manager tick, warmup
-		// snapshot, or epoch end. The machine re-checks quiescence per
-		// tick; this only skips the guard evaluations, which provably
-		// cannot fire before the bound.
-		stop := end
+		next := end
+		if t >= s.warm {
+			n.snapshot()
+		} else {
+			next = s.warm
+		}
+		if n.handIdx < len(n.pending) {
+			next = min(next, machine.TickOf(n.pending[n.handIdx].deliverAt)-1)
+		}
 		if ri < len(n.inbox) {
-			if t := n.inbox[ri].Arrival - machine.DT; t < stop {
-				stop = t
-			}
+			next = min(next, machine.TickOf(n.inbox[ri].Arrival)-1)
 		}
-		if t := n.nextDeliveryAt() - machine.DT; t < stop {
-			stop = t
+		if n.interval > 0 {
+			next = min(next, n.nextTick)
 		}
-		if iv > 0 && n.nextTick < stop {
-			stop = n.nextTick
-		}
-		if !n.measured && cfg.WarmupS < stop {
-			stop = cfg.WarmupS
-		}
-		nSteps := min(machine.StepsBefore(now, stop, machine.DT), steps-k)
-		n.env.M.StepN(machine.DT, nSteps)
-		k += nSteps
-	}
+		return next, nil
+	})
 	n.inbox = n.inbox[:0]
-	return nil
-}
-
-// nextDeliveryAt is the KV-handoff link's event-source bound
-// (DESIGN.md §9): the earliest pending delivery not yet injected into
-// this node's decode engine, or +Inf when the link is quiet. Handoffs
-// are sorted by deliverAt at the barrier, so the head of the pending
-// tail is the next event.
-func (n *node) nextDeliveryAt() float64 {
-	if n.handIdx < len(n.pending) {
-		return n.pending[n.handIdx].deliverAt
-	}
-	return math.Inf(1)
+	return err
 }
 
 // routableNodes lists the machines that may receive class-k arrivals:

@@ -272,3 +272,50 @@ func TestArchetypesApproximation(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeClocksAtBarriers checks that the fleet and its machines keep
+// one clock: whenever a node is settled — after every executed barrier,
+// and for every node at finish, in the exact core and the archetype
+// mode alike — its machine's Now() equals the barrier start bit for
+// bit, whether the node stepped, replayed an elided span, idled in
+// standby or sat crashed.
+func TestNodeClocksAtBarriers(t *testing.T) {
+	fixtures := diffFixtures()
+	arch := fixtures["fleet-sparse"]
+	arch.Archetypes = true
+	fixtures["fleet-sparse-archetypes"] = arch
+	for name, cfg := range fixtures {
+		t.Run(name, func(t *testing.T) {
+			v, err := cfg.withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := newSession(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(when string) {
+				t.Helper()
+				for i, n := range s.nodes {
+					if got, want := n.env.M.Now(), s.now(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s, barrier %d: node %d (%s) at %v s, barrier starts at %v s", when, s.bi, i, n.state, got, want)
+					}
+				}
+			}
+			check("before the first barrier")
+			barriers := int(math.Round(v.HorizonS / v.BarrierS))
+			for s.bi < barriers {
+				if err := s.advance(); err != nil {
+					t.Fatal(err)
+				}
+				if s.arch == nil && s.ev.deferFrom == s.bi {
+					check("after an executed barrier")
+				}
+			}
+			if _, err := s.finishAt(v.HorizonS); err != nil {
+				t.Fatal(err)
+			}
+			check("at finish")
+		})
+	}
+}

@@ -122,7 +122,7 @@ func (s *session) canElide() bool {
 	// (start, start+B]; NextEventAt past the window means Emit would
 	// return nothing and mutate nothing.
 	for _, g := range s.gens {
-		if g.NextEventAt(start) <= start+cfg.BarrierS {
+		if g.NextEventAt(start) <= s.at(s.bi+1) {
 			return false
 		}
 	}
@@ -196,7 +196,7 @@ func (s *session) elideBarrier() {
 	}
 	s.rt.Publish()
 	if s.cfg.Progress != nil {
-		s.cfg.Progress(float64(s.bi+1) * s.cfg.BarrierS)
+		s.cfg.Progress(s.at(s.bi + 1))
 	}
 	s.bi++
 	s.ev.cElided.Inc()
@@ -221,7 +221,7 @@ func (s *session) catchUp() error {
 		func(_ context.Context, lo, hi int) error {
 			for _, n := range s.nodes[lo:hi] {
 				for b := from; b < to; b++ {
-					if err := stepEpoch(cfg, n, float64(b)*cfg.BarrierS, s.steps); err != nil {
+					if err := s.stepEpoch(n, b); err != nil {
 						return err
 					}
 					n.charge(cfg.BarrierS)

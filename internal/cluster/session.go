@@ -52,7 +52,8 @@ type session struct {
 
 	ctx      context.Context
 	ropt     runner.Options
-	steps    int
+	steps    int   // machine ticks per barrier
+	warm     int64 // tick that opens the measurement window
 	rate     float64
 	qpsIdx   int
 	shed     int
@@ -118,7 +119,8 @@ func newSession(cfg Config) (*session, error) {
 		}
 		n.env = env
 		n.capacity = requestCapacity(spec.Plat, cfg.Model, scen)
-		n.nextTick = spec.Mgr.Interval()
+		n.interval = machine.TickOf(spec.Mgr.Interval())
+		n.nextTick = n.interval
 		n.state = stateActive
 		if spec.Standby {
 			n.state = stateStandby
@@ -167,6 +169,7 @@ func newSession(cfg Config) (*session, error) {
 		ctx:   context.Background(),
 		ropt:  runner.Options{Workers: cfg.Workers},
 		steps: int(math.Round(cfg.BarrierS / machine.DT)),
+		warm:  machine.TickOf(cfg.WarmupS),
 		rate:  cfg.RatePerS,
 		ev:    eventState{cElided: cfg.Telemetry.Counter("aum_cluster_barriers_elided_total")},
 	}
@@ -197,16 +200,22 @@ func (s *session) advance() error {
 	return s.stepEvent()
 }
 
+// barrierTick is the machine tick at which barrier b starts.
+func (s *session) barrierTick(b int) int64 { return int64(b) * int64(s.steps) }
+
+// at is the simulated time of barrier b's start, on the machines' own
+// clock: every node's Now() reads at(b) when barrier b begins.
+func (s *session) at(b int) float64 { return machine.Time(s.barrierTick(b)) }
+
 // now is the simulated time of the next barrier's start.
-func (s *session) now() float64 { return float64(s.bi) * s.cfg.BarrierS }
+func (s *session) now() float64 { return s.at(s.bi) }
 
 // step executes one barrier interval across the whole fleet — the
 // event core's executed-barrier body — ending with the single-threaded
 // merge and telemetry publish.
 func (s *session) step() error {
 	cfg, nodes, rt, fe := s.cfg, s.nodes, s.rt, s.fe
-	start := float64(s.bi) * cfg.BarrierS
-	end := float64(s.bi+1) * cfg.BarrierS
+	start, end := s.now(), s.at(s.bi+1)
 
 	for s.qpsIdx < len(cfg.QPS) && cfg.QPS[s.qpsIdx].At <= start+1e-9 {
 		s.rate = cfg.QPS[s.qpsIdx].RatePerS
@@ -252,7 +261,7 @@ func (s *session) step() error {
 		fe.dispatchDue(start, nodes, s.bal)
 	}
 	for k, g := range s.gens {
-		arrivals := g.Emit(start, cfg.BarrierS)
+		arrivals := g.Emit(start, end-start)
 		if len(arrivals) == 0 {
 			continue
 		}
@@ -292,7 +301,7 @@ func (s *session) step() error {
 	if err := runner.Shard(s.ctx, len(nodes), 0, s.ropt,
 		func(_ context.Context, lo, hi int) error {
 			for _, n := range nodes[lo:hi] {
-				if err := stepEpoch(cfg, n, start, s.steps); err != nil {
+				if err := s.stepEpoch(n, s.bi); err != nil {
 					return err
 				}
 			}
@@ -414,7 +423,7 @@ func (s *session) finishAt(endS float64) (Result, error) {
 	var prefills, ttftMet, tokMet, tokAll float64
 	var counts []int
 	for _, n := range nodes {
-		n.maybeSnapshot(cfg.WarmupS, endS) // no-op unless never crossed
+		n.snapshot() // no-op unless warmup was never crossed
 		st := n.env.Engine.Stats()
 		d := func(a, b float64) float64 { return (a - b) / elapsed }
 		perfH := d(st.GuaranteedPrefillTokens, n.baseStats.GuaranteedPrefillTokens)
@@ -550,7 +559,6 @@ func (s *session) nextBusyBarrierAt() float64 {
 	if !s.canElide() {
 		return s.now()
 	}
-	B := s.cfg.BarrierS
 	next := math.Inf(1)
 	add := func(t float64) {
 		if t < next {
@@ -574,23 +582,21 @@ func (s *session) nextBusyBarrierAt() float64 {
 	}
 	if sc := s.scaler; sc != nil {
 		if s.ev.spanHi {
-			add(s.now() + float64(sc.cfg.HoldBarriers-sc.hiStreak)*B)
+			add(s.at(s.bi + sc.cfg.HoldBarriers - sc.hiStreak))
 		}
 		if s.ev.spanLo && s.ev.spanPowered > sc.cfg.MinActive {
-			add(s.now() + float64(sc.cfg.HoldBarriers-sc.loStreak)*B)
+			add(s.at(s.bi + sc.cfg.HoldBarriers - sc.loStreak))
 		}
 	}
 	if math.IsInf(next, 1) {
 		return next
 	}
-	// Snap to the start of the barrier whose window observes the
-	// event; rounding down an epsilon keeps the bound early, which the
-	// per-barrier re-check makes safe.
-	bi := int(math.Ceil(next/B-1e-9)) - 1
-	if bi < s.bi {
-		bi = s.bi
-	}
-	return float64(bi) * B
+	// Snap to the start of the barrier whose window (start, end]
+	// holds the event's tick; an event due at a barrier start is seen
+	// a barrier later, so the bound is early, never late, and the
+	// per-barrier re-check makes early safe.
+	bi := int((machine.TickOf(next) - 1) / int64(s.steps))
+	return s.at(max(bi, s.bi))
 }
 
 // Finish closes the measurement window and returns the fleet result.

@@ -17,9 +17,12 @@ import (
 // not just the result struct — across worker widths. Concurrent
 // machine stepping records hooks in racy order within an epoch; the
 // tracer's trace-ID-sorted fold is what makes every span tree, blame
-// vector and the fleet-wide report width-independent. A faulted,
-// disaggregated fleet exercises every event source at once, including
-// the KV handoff that moves each request to the decode tier.
+// vector and the fleet-wide report width-independent. A disaggregated
+// fleet under a crash storm exercises every event source at once: the
+// KV handoff that moves each request to the decode tier, and the
+// failover hops of requests the crashes lose — harvest, backoff, retry,
+// and retries that run out of budget while both decode machines are
+// down.
 func TestTraceBytesWidthDeterminism(t *testing.T) {
 	render := func(width int) []byte {
 		rt := reqtrace.New(reqtrace.Config{KeepRecent: 1 << 16})
@@ -32,7 +35,7 @@ func TestTraceBytesWidthDeterminism(t *testing.T) {
 			},
 			Model: llm.Llama2_7B(), Scen: trace.Chatbot(),
 			Policy: LeastQueued, HorizonS: 24, Seed: 11, RatePerS: 1.5,
-			Faults:   stormOf(chaos.CrashStorm(4, 2, 24, 3, 11)),
+			Faults:   stormOf(chaos.CrashStorm(4, 3, 24, 3, 5)),
 			Workers:  width,
 			ReqTrace: rt,
 		}
@@ -49,8 +52,10 @@ func TestTraceBytesWidthDeterminism(t *testing.T) {
 		return out
 	}
 	ref := render(1)
-	if !bytes.Contains(ref, []byte(`"name":"kv-wait"`)) {
-		t.Fatal("no kv-wait span in the traces; the fixture no longer hops machines")
+	for _, span := range []string{"kv-wait", "crash-lost", "backoff", "retry-exhausted"} {
+		if !bytes.Contains(ref, []byte(`"name":"`+span+`"`)) {
+			t.Fatalf("no %s span in the traces; the fixture no longer covers that hop", span)
+		}
 	}
 	for _, w := range []int{2, 8} {
 		if got := render(w); !bytes.Equal(got, ref) {

@@ -247,14 +247,13 @@ type ViolationWindow struct {
 // slow completion or one clean interval mid-incident is measurement
 // noise, not a state change.
 type violationMonitor struct {
-	slo      serve.SLO
-	interval float64
-	nextAt   float64
-	openAt   float64 // start of the current violated span, -1 when none
-	windows  []ViolationWindow
-	vStreak  int     // consecutive violated samples while no window is open
-	cStreak  int     // consecutive compliant samples while a window is open
-	edgeAt   float64 // time of the first sample of the current streak
+	slo     serve.SLO
+	nextAt  int64   // tick of the next sample
+	openAt  float64 // start of the current violated span, -1 when none
+	windows []ViolationWindow
+	vStreak int     // consecutive violated samples while no window is open
+	cStreak int     // consecutive compliant samples while a window is open
+	edgeAt  float64 // time of the first sample of the current streak
 
 	prevReq     int
 	prevTTFTSum float64
@@ -262,15 +261,13 @@ type violationMonitor struct {
 	prevTPOTSum float64
 }
 
-func newViolationMonitor(slo serve.SLO, startAt float64) *violationMonitor {
-	return &violationMonitor{slo: slo, interval: 0.25, nextAt: startAt, openAt: -1}
+func newViolationMonitor(slo serve.SLO, startAt int64) *violationMonitor {
+	return &violationMonitor{slo: slo, nextAt: startAt, openAt: -1}
 }
 
+// observe takes the sample due now; the caller keeps the cadence.
 func (v *violationMonitor) observe(now, headWait float64, st *serve.Stats) {
-	if now < v.nextAt {
-		return
-	}
-	v.nextAt += v.interval
+	v.nextAt += 250 // ticks: one sample per 0.25 s
 	dReq := st.PrefillRequests - v.prevReq
 	dTTFT := st.TTFTSum - v.prevTTFTSum
 	dTok := st.DecodeTokens - v.prevTok
@@ -372,9 +369,10 @@ func Run(cfg Config) (Result, error) {
 		}
 		inj.SetTelemetry(cfg.Telemetry)
 	}
-	sloMon := newViolationMonitor(cfg.Scen.SLO, cfg.WarmupS)
+	warm := machine.TickOf(cfg.WarmupS)
+	sloMon := newViolationMonitor(cfg.Scen.SLO, warm)
 
-	interval := cfg.Manager.Interval()
+	interval := machine.TickOf(cfg.Manager.Interval())
 	nextTick := interval
 	var alloc []AllocSample
 
@@ -387,6 +385,7 @@ func Run(cfg Config) (Result, error) {
 	gHeadWait := cfg.Telemetry.Gauge("aum_serve_head_wait_seconds")
 
 	var basePrefill, baseDecode, baseBE machine.TaskStats
+	var baseStats serve.Stats
 	baseEnergy, baseTime := 0.0, 0.0
 	measured := false
 
@@ -398,31 +397,35 @@ func Run(cfg Config) (Result, error) {
 		}
 		baseEnergy = m.EnergyJ()
 		baseTime = m.Now()
+		baseStats = eng.Stats().Clone()
+		measured = true
 	}
-	var baseStats serve.Stats
 
-	for m.Now() < cfg.HorizonS {
-		now := m.Now()
+	// due fires the loop-level events at tick t — arrivals, chaos
+	// faults, the SLO sample, the manager tick, the warmup snapshot —
+	// and returns the next tick at which one of them can fire.
+	due := func(t int64) (int64, error) {
+		now := machine.Time(t)
 		for _, r := range src.Emit(now, machine.DT) {
 			if rt != nil {
 				r.TraceID = reqtrace.MakeTraceID(0, r.ID)
 			}
 			if err := eng.Submit(r); err != nil {
-				return Result{}, err
+				return 0, err
 			}
 		}
 		if inj != nil {
 			if err := inj.Advance(now); err != nil {
-				return Result{}, err
+				return 0, err
 			}
 		}
-		if now >= sloMon.nextAt {
+		if t >= sloMon.nextAt {
 			sloMon.observe(now, eng.HeadWait(now), eng.Stats())
 			// Fold finished request traces at the monitor cadence; the
 			// loop is single-threaded, so the fold is deterministic.
 			rt.Publish()
 		}
-		if interval > 0 && now >= nextTick {
+		if interval > 0 && t >= nextTick {
 			gQueueLen.Set(float64(eng.QueueLen()))
 			gDecodeBatch.Set(float64(eng.DecodeBatch()))
 			gHeadWait.Set(eng.HeadWait(now))
@@ -437,7 +440,7 @@ func Run(cfg Config) (Result, error) {
 				})
 			}
 			if err := cfg.Manager.Tick(env, now); err != nil {
-				return Result{}, fmt.Errorf("colo: %s tick: %w", cfg.Manager.Name(), err)
+				return 0, fmt.Errorf("colo: %s tick: %w", cfg.Manager.Name(), err)
 			}
 			nextTick += interval
 			if cfg.TrackAlloc && env.BEID != 0 {
@@ -449,42 +452,28 @@ func Run(cfg Config) (Result, error) {
 				})
 			}
 		}
-		if !measured && now >= cfg.WarmupS {
+		if !measured && t >= warm {
 			snapshot()
-			baseStats = eng.Stats().Clone()
-			measured = true
 		}
-		// Skip horizon (DESIGN.md §9): between this tick and the next
-		// loop-level event — arrival, chaos fault, SLO sample, manager
-		// tick, warmup snapshot, horizon — no per-tick guard above can
-		// fire, so the machine may replay quiescent steps back to back.
-		// The machine still re-checks quiescence every tick; this only
-		// batches the loop bookkeeping.
-		stop := cfg.HorizonS
-		// Emit's guard fires at nextAt <= now+dt, so the last safe
-		// tick start is one dt before the arrival.
-		if t := src.NextEventAt(now) - machine.DT; t < stop {
-			stop = t
-		}
+		// Emit's guard fires once an arrival is due by the tick's end,
+		// so the arrival's own tick is one too late.
+		next := min(machine.TickOf(src.NextEventAt(now))-1, sloMon.nextAt)
 		if inj != nil {
-			if t := inj.NextEventAt(now); t < stop {
-				stop = t
-			}
+			next = min(next, machine.TickOf(inj.NextEventAt(now)))
 		}
-		if sloMon.nextAt < stop {
-			stop = sloMon.nextAt
+		if interval > 0 {
+			next = min(next, nextTick)
 		}
-		if interval > 0 && nextTick < stop {
-			stop = nextTick
+		if !measured {
+			next = min(next, warm)
 		}
-		if !measured && cfg.WarmupS < stop {
-			stop = cfg.WarmupS
-		}
-		m.StepN(machine.DT, machine.StepsBefore(now, stop, machine.DT))
+		return next, nil
+	}
+	if err := m.StepTo(machine.TickOf(cfg.HorizonS), due); err != nil {
+		return Result{}, err
 	}
 	if !measured {
 		snapshot()
-		baseStats = eng.Stats().Clone()
 	}
 	rt.Publish()
 

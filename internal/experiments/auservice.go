@@ -60,9 +60,7 @@ func runAUService(l *Lab, o Options) (*Table, error) {
 			}
 		}
 		steps := int(horizon * 1000 / 3)
-		for i := 0; i < steps; i++ {
-			m.Step(1e-3)
-		}
+		m.StepN(steps)
 		beWork := 0.0
 		if beID != 0 {
 			st, _ := m.Stats(beID)

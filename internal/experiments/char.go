@@ -276,9 +276,7 @@ func runAppBreakdown(plat platform.Platform, prof workload.Profile, o Options) (
 	if o.Quick {
 		steps = 500
 	}
-	for i := 0; i < steps; i++ {
-		m.Step(1e-3)
-	}
+	m.StepN(steps)
 	st, _ := m.Stats(id)
 	b := st.NormalizedBreakdown()
 	return [4]float64{b.Retiring, b.BadSpec, b.FrontendBound, b.BackendBound}, nil

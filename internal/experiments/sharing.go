@@ -118,9 +118,7 @@ func soloRate(plat platform.Platform, be workload.Profile, k int, o Options) flo
 	if o.Quick {
 		steps = 800
 	}
-	for i := 0; i < steps; i++ {
-		m.Step(1e-3)
-	}
+	m.StepN(steps)
 	st, _ := m.Stats(id)
 	return st.WorkRate()
 }

@@ -25,14 +25,14 @@ import (
 // don't implement the interface and always take the full path.
 type Quiescer interface {
 	Workload
-	// CanQuiesce reports whether the next Step(dt) under an unchanged
+	// CanQuiesce reports whether the next Step under an unchanged
 	// environment is provably identical to the last one. It must not
 	// mutate any state.
-	CanQuiesce(dt float64) bool
+	CanQuiesce() bool
 	// AdvanceQuiesced applies exactly the internal-state mutation that
-	// Step(dt) would have applied, using the same floating-point
+	// Step would have applied, using the same floating-point
 	// operations, without recomputing the Usage.
-	AdvanceQuiesced(dt float64)
+	AdvanceQuiesced()
 }
 
 // taskInc is the captured per-task accumulator increment of one step.
@@ -44,33 +44,33 @@ type taskInc struct {
 	amxFlops   float64
 	avxFlops   float64
 	dramBytes  float64
-	freqInc    float64 // env.GHz * dt
-	utilInc    float64 // u.Util * dt
-	amxBusyInc float64 // u.AMXBusy * dt
-	avxBusyInc float64 // u.AVXBusy * dt
-	energyInc  float64 // eff * CoreWatts(...) * dt
+	freqInc    float64 // env.GHz * DT
+	utilInc    float64 // u.Util * DT
+	amxBusyInc float64 // u.AMXBusy * DT
+	avxBusyInc float64 // u.AVXBusy * DT
+	energyInc  float64 // eff * CoreWatts(...) * DT
 	breakdown  topdown.Breakdown
 }
 
-// scaleBreakdown stores b scaled by dt into d. Every product is rounded
+// scaleBreakdown stores b scaled by DT into d. Every product is rounded
 // by an explicit conversion, which forbids the compiler from fusing it
 // with the later accumulation into an FMA: Step and replayStep must add
 // the identical value.
-func scaleBreakdown(d, b *topdown.Breakdown, dt float64) {
-	d.Retiring = float64(b.Retiring * dt)
-	d.BadSpec = float64(b.BadSpec * dt)
-	d.FrontendBound = float64(b.FrontendBound * dt)
-	d.BackendBound = float64(b.BackendBound * dt)
-	d.CoreBound = float64(b.CoreBound * dt)
-	d.MemBound = float64(b.MemBound * dt)
-	d.Serialize = float64(b.Serialize * dt)
-	d.Ports = float64(b.Ports * dt)
-	d.L1Bound = float64(b.L1Bound * dt)
-	d.L2Bound = float64(b.L2Bound * dt)
-	d.LLCBound = float64(b.LLCBound * dt)
-	d.DRAMBound = float64(b.DRAMBound * dt)
-	d.DRAMBandwidth = float64(b.DRAMBandwidth * dt)
-	d.DRAMLatency = float64(b.DRAMLatency * dt)
+func scaleBreakdown(d, b *topdown.Breakdown) {
+	d.Retiring = float64(b.Retiring * DT)
+	d.BadSpec = float64(b.BadSpec * DT)
+	d.FrontendBound = float64(b.FrontendBound * DT)
+	d.BackendBound = float64(b.BackendBound * DT)
+	d.CoreBound = float64(b.CoreBound * DT)
+	d.MemBound = float64(b.MemBound * DT)
+	d.Serialize = float64(b.Serialize * DT)
+	d.Ports = float64(b.Ports * DT)
+	d.L1Bound = float64(b.L1Bound * DT)
+	d.L2Bound = float64(b.L2Bound * DT)
+	d.LLCBound = float64(b.LLCBound * DT)
+	d.DRAMBound = float64(b.DRAMBound * DT)
+	d.DRAMBandwidth = float64(b.DRAMBandwidth * DT)
+	d.DRAMLatency = float64(b.DRAMLatency * DT)
 }
 
 // addBreakdown accumulates a pre-scaled increment into d.
@@ -98,7 +98,6 @@ func addBreakdown(d, inc *topdown.Breakdown) {
 type stepCapture struct {
 	valid bool
 	empty bool // the zero-task fast path
-	dt    float64
 	n     int
 
 	watts     float64 // lastWatts after the step
@@ -121,11 +120,11 @@ func (m *Machine) invalidateFF() {
 	m.layout.valid = false
 }
 
-// captureFits reports whether the capture describes a full step of dt
-// over the current task set, the precondition of every replay path.
-func (m *Machine) captureFits(dt float64) bool {
+// captureFits reports whether the capture describes a full step over
+// the current task set, the precondition of every replay path.
+func (m *Machine) captureFits() bool {
 	c := &m.ff
-	return c.valid && c.dt == dt && c.n == len(m.tasks)
+	return c.valid && c.n == len(m.tasks)
 }
 
 // InvalidateCapture drops the step capture from outside the
@@ -144,8 +143,8 @@ func (m *Machine) FFSteps() uint64 { return m.ffSteps }
 // capture. All checks are pure except the final gov.ReplayThermal,
 // which commits the thermal advance — it must stay last so a refusal
 // leaves the machine untouched for the full Step that follows.
-func (m *Machine) canReplay(dt float64) bool {
-	if !m.captureFits(dt) {
+func (m *Machine) canReplay() bool {
+	if !m.captureFits() {
 		return false
 	}
 	c := &m.ff
@@ -157,32 +156,32 @@ func (m *Machine) canReplay(dt float64) bool {
 			continue
 		}
 		q := c.quiesce[i]
-		if q == nil || !q.CanQuiesce(dt) {
+		if q == nil || !q.CanQuiesce() {
 			return false
 		}
 	}
-	return m.gov.ReplayThermal(dt)
+	return m.gov.ReplayThermal(DT)
 }
 
 // replayStep advances one tick from the capture: identical accumulator
 // additions and identical telemetry recording.
-func (m *Machine) replayStep(dt float64) {
+func (m *Machine) replayStep() {
 	c := &m.ff
 	m.ffSteps++
 	if c.empty {
 		m.lastWatts = c.watts
 		m.energyJ += c.energyInc
-		m.now += dt
+		m.tick++
 		return
 	}
 	for i, t := range m.tasks {
 		if !c.stepped[i] {
 			continue
 		}
-		c.quiesce[i].AdvanceQuiesced(dt)
+		c.quiesce[i].AdvanceQuiesced()
 		inc := &c.inc[i]
 		st := &t.stats
-		st.TimeS += dt
+		st.TimeS += DT
 		st.Work += inc.work
 		st.Flops += inc.flops
 		st.AMXFlops += inc.amxFlops
@@ -198,7 +197,7 @@ func (m *Machine) replayStep(dt float64) {
 	m.lastWatts = c.watts
 	m.lastLinkUtil = c.linkUtil
 	m.energyJ += c.energyInc
-	m.now += dt
+	m.tick++
 	if m.tel != nil {
 		// The captured solve/demand state is exactly what a sequential
 		// step would have recomputed; the scratch demands and the
@@ -208,73 +207,65 @@ func (m *Machine) replayStep(dt float64) {
 	}
 }
 
-// StepN advances the simulation by k steps of dt seconds each,
-// replaying quiescent steps from the last full step's capture.
-// StepN(dt, k) is byte-identical to k sequential Step(dt) calls.
-func (m *Machine) StepN(dt float64, k int) {
+// StepN advances the simulation by k ticks, replaying quiescent steps
+// from the last full step's capture. StepN(k) is byte-identical to k
+// sequential Step calls.
+func (m *Machine) StepN(k int) {
 	for ; k > 0; k-- {
-		if m.canReplay(dt) {
-			m.replayStep(dt)
+		if m.canReplay() {
+			m.replayStep()
 		} else {
-			m.Step(dt)
+			m.Step()
 		}
 	}
 }
 
-// StepsBefore is the skip rule the stepping loops share (DESIGN.md §9):
-// how many dt steps a loop at now may take back to back when its next
-// event is due at stop. The count stops half a tick short of stop —
-// the margin absorbs the ~1-ulp drift between an accumulated clock and
-// an event time computed arithmetically — and is at least 1, so a loop
-// always advances.
-func StepsBefore(now, stop, dt float64) int {
-	if k := int((stop-now)/dt - 0.5); k > 1 {
-		return k
+// StepTo is the stepping loop colo and the fleet share (DESIGN.md §9):
+// it advances the machine to tick end. due fires whatever is due at
+// the current tick and returns the next tick at which anything might
+// fall due; until then the machine steps back to back through StepN,
+// which still re-checks quiescence every tick. At least one tick
+// passes per call of due, so the loop always advances.
+func (m *Machine) StepTo(end int64, due func(tick int64) (next int64, err error)) error {
+	for t := m.tick; t < end; t = m.tick {
+		next, err := due(t)
+		if err != nil {
+			return err
+		}
+		m.StepN(int(max(min(next, end)-t, 1)))
 	}
-	return 1
-}
-
-// capture records the just-completed full step so subsequent quiescent
-// steps can be replayed. Called at the end of Step.
-func (m *Machine) captureEmpty(dt float64) {
-	c := &m.ff
-	c.valid = true
-	c.empty = true
-	c.dt = dt
-	c.n = 0
-	c.watts = m.lastWatts
-	c.energyInc = m.lastWatts * dt
+	return nil
 }
 
 // BulkQuiescer is an optional Quiescer extension: a workload that can
 // prove — and apply — k identical quiescent steps at once. The bulk
-// application may use k×dt products, so it is *approximately* equal to
+// application may use k×DT products, so it is *approximately* equal to
 // k iterated AdvanceQuiesced calls (same values up to floating-point
 // rounding). The cluster's archetype-memoization path (DESIGN.md §14)
 // is the only caller; byte-identical modes never use it.
 type BulkQuiescer interface {
 	Quiescer
-	// CanQuiesceN reports whether the next k steps of dt under an
-	// unchanged environment are all provably identical to the last full
-	// step. It must not mutate any state.
-	CanQuiesceN(dt float64, k int) bool
+	// CanQuiesceN reports whether the next k steps under an unchanged
+	// environment are all provably identical to the last full step. It
+	// must not mutate any state.
+	CanQuiesceN(k int) bool
 	// AdvanceQuiescedN applies the aggregate internal-state mutation of
 	// k quiescent steps.
-	AdvanceQuiescedN(dt float64, k int)
+	AdvanceQuiescedN(k int)
 }
 
-// CoarseReady reports whether SkipQuiescent could currently succeed for
-// spans of step dt: the capture is valid and every stepped task can
-// bulk-quiesce. Fleet code uses it to decide when a machine may leave
-// the per-barrier stepping set.
-func (m *Machine) CoarseReady(dt float64) bool {
-	return m.bulkQuiescent(dt, 1)
+// CoarseReady reports whether SkipQuiescent could currently succeed:
+// the capture is valid and every stepped task can bulk-quiesce. Fleet
+// code uses it to decide when a machine may leave the per-barrier
+// stepping set.
+func (m *Machine) CoarseReady() bool {
+	return m.bulkQuiescent(1)
 }
 
-// bulkQuiescent reports whether the capture fits dt, no telemetry is
+// bulkQuiescent reports whether the capture fits, no telemetry is
 // attached, and every stepped task can bulk-quiesce k steps. It is pure.
-func (m *Machine) bulkQuiescent(dt float64, k int) bool {
-	if !m.captureFits(dt) || m.tel != nil {
+func (m *Machine) bulkQuiescent(k int) bool {
+	if !m.captureFits() || m.tel != nil {
 		return false
 	}
 	c := &m.ff
@@ -286,14 +277,14 @@ func (m *Machine) bulkQuiescent(dt float64, k int) bool {
 			continue
 		}
 		bq, ok := c.quiesce[i].(BulkQuiescer)
-		if !ok || !bq.CanQuiesceN(dt, k) {
+		if !ok || !bq.CanQuiesceN(k) {
 			return false
 		}
 	}
 	return true
 }
 
-// SkipQuiescent advances k steps of dt in O(1) instead of O(k): every
+// SkipQuiescent advances k ticks in O(1) instead of O(k): every
 // captured per-task increment is applied as a k× product and the
 // governor's thermal average moves in closed form (SkipThermal). The
 // result equals k replayed steps up to floating-point rounding — this
@@ -302,27 +293,27 @@ func (m *Machine) bulkQuiescent(dt float64, k int) bool {
 // leaving the machine untouched, when any task refuses bulk quiescence
 // or the thermal predicate would flip mid-span; the caller then falls
 // back to StepN.
-func (m *Machine) SkipQuiescent(dt float64, k int) bool {
+func (m *Machine) SkipQuiescent(k int) bool {
 	if k <= 0 {
 		return true
 	}
-	if !m.bulkQuiescent(dt, k) {
+	if !m.bulkQuiescent(k) {
 		return false
 	}
 	c := &m.ff
 	kk := float64(k)
 	if !c.empty {
-		if !m.gov.SkipThermal(dt, k) {
+		if !m.gov.SkipThermal(DT, k) {
 			return false
 		}
 		for i, t := range m.tasks {
 			if !c.stepped[i] {
 				continue
 			}
-			c.quiesce[i].(BulkQuiescer).AdvanceQuiescedN(dt, k)
+			c.quiesce[i].(BulkQuiescer).AdvanceQuiescedN(k)
 			inc := &c.inc[i]
 			st := &t.stats
-			st.TimeS += kk * dt
+			st.TimeS += kk * DT
 			st.Work += kk * inc.work
 			st.Flops += kk * inc.flops
 			st.AMXFlops += kk * inc.amxFlops
@@ -339,7 +330,7 @@ func (m *Machine) SkipQuiescent(dt float64, k int) bool {
 	}
 	m.lastWatts = c.watts
 	m.energyJ += kk * c.energyInc
-	m.now += kk * dt
+	m.tick += int64(k)
 	m.ffSteps += uint64(k)
 	return true
 }
@@ -352,7 +343,6 @@ func (m *Machine) SkipQuiescent(dt float64, k int) bool {
 // next full Step.
 type ReplayCapture struct {
 	ok        bool
-	dt        float64
 	n         int
 	empty     bool
 	watts     float64
@@ -371,13 +361,13 @@ func (rc ReplayCapture) Valid() bool { return rc.ok }
 // archetype interning. It succeeds only when the machine is coarse-
 // ready — the capture is valid and every stepped task bulk-quiesces —
 // so the snapshot provably describes a self-repeating (idle) step.
-func (m *Machine) CloneCapture(dt float64) (ReplayCapture, bool) {
-	if !m.CoarseReady(dt) {
+func (m *Machine) CloneCapture() (ReplayCapture, bool) {
+	if !m.CoarseReady() {
 		return ReplayCapture{}, false
 	}
 	c := &m.ff
 	rc := ReplayCapture{
-		ok: true, dt: c.dt, n: c.n, empty: c.empty,
+		ok: true, n: c.n, empty: c.empty,
 		watts: c.watts, linkUtil: c.linkUtil, energyInc: c.energyInc,
 		stepped: append([]bool(nil), c.stepped...),
 		inc:     append([]taskInc(nil), c.inc...),
@@ -395,7 +385,7 @@ func (m *Machine) CloneCapture(dt float64) (ReplayCapture, bool) {
 // (same platform, manager layout, scenario, no co-runner) — cluster
 // archetype memoization derives it from the machine-spec class.
 func (m *Machine) AdoptCapture(rc ReplayCapture) bool {
-	if !rc.ok || m.now != 0 || m.ffSteps != 0 || m.energyJ != 0 {
+	if !rc.ok || m.tick != 0 || m.ffSteps != 0 || m.energyJ != 0 {
 		return false
 	}
 	if len(m.tasks) != rc.n || m.tel != nil {
@@ -404,7 +394,6 @@ func (m *Machine) AdoptCapture(rc ReplayCapture) bool {
 	c := &m.ff
 	c.valid = true
 	c.empty = rc.empty
-	c.dt = rc.dt
 	c.n = rc.n
 	c.watts = rc.watts
 	c.linkUtil = rc.linkUtil

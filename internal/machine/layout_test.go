@@ -37,15 +37,15 @@ func (a *envApp) Demand(env Env) Demand {
 	}
 }
 
-func (a *envApp) Step(env Env, now, dt float64) Usage {
+func (a *envApp) Step(env Env, now float64) Usage {
 	w := a.swing()
 	a.k++
 	return Usage{
-		Work:      float64(env.Cores) * env.GHz * env.ComputeShare * dt,
-		Flops:     env.LLCMB * dt,
-		AMXFlops:  env.L2MB * dt,
-		AVXFlops:  env.LinkUtil * dt,
-		DRAMBytes: env.BWGBs * 1e9 * dt,
+		Work:      float64(env.Cores) * env.GHz * env.ComputeShare * DT,
+		Flops:     env.LLCMB * DT,
+		AMXFlops:  env.L2MB * DT,
+		AVXFlops:  env.LinkUtil * DT,
+		DRAMBytes: env.BWGBs * 1e9 * DT,
 		Util:      a.util * w,
 		Breakdown: topdown.Compose(0.3, 0.02, 0.05, 0.5, 0.5, [4]float64{1, 1, 1, 1}, env.LinkUtil),
 	}
@@ -55,8 +55,8 @@ func (a *envApp) Step(env Env, now, dt float64) Usage {
 // replay its steps from the capture.
 type quietApp struct{ envApp }
 
-func (a *quietApp) CanQuiesce(dt float64) bool { return a.amp == 0 }
-func (a *quietApp) AdvanceQuiesced(dt float64) { a.k++ }
+func (a *quietApp) CanQuiesce() bool { return a.amp == 0 }
+func (a *quietApp) AdvanceQuiesced() { a.k++ }
 
 // layoutTwin builds the machine the layout test mutates: four tasks
 // over three classes of service, one of them an SMT sibling spanning
@@ -116,7 +116,6 @@ func machineBits(m *Machine) []uint64 {
 // layout each time, and the other keeps the layout between mutations.
 // They must agree bit for bit for 200 steps after the mutation.
 func TestStepLayoutTracksMutations(t *testing.T) {
-	const dt = 1e-3
 	cases := []struct {
 		name   string
 		before func(m *Machine, ids []TaskID) error
@@ -166,9 +165,9 @@ func TestStepLayoutTracksMutations(t *testing.T) {
 			rebuilt, _ := layoutTwin(t)
 			step := func(phase string, n int) {
 				for s := 0; s < n; s++ {
-					kept.StepN(dt, 1)
+					kept.StepN(1)
 					rebuilt.InvalidateCapture()
-					rebuilt.StepN(dt, 1)
+					rebuilt.StepN(1)
 					if a, b := machineBits(kept), machineBits(rebuilt); !reflect.DeepEqual(a, b) {
 						t.Fatalf("%s step %d: kept layout diverges from a rebuilt one", phase, s)
 					}

@@ -27,8 +27,33 @@ import (
 
 // DT is the simulator's fixed time step, 1 ms (DESIGN.md §4, decision
 // 2): fine against the controller's 50 ms interval and ~100 ms token
-// SLOs. The colo and cluster run loops both step machines by it.
+// SLOs. A machine's clock counts whole ticks of DT; tick k starts at
+// Time(k).
 const DT = 1e-3
+
+// Time returns the start of tick k in seconds. Every clock in the
+// simulator reads time through it, so two clocks at the same tick agree
+// bit for bit however their steps were grouped.
+func Time(k int64) float64 { return float64(k) * DT }
+
+// TickOf returns the first tick that starts at or after t:
+// Time(TickOf(t)-1) < t <= Time(TickOf(t)). It is exact with respect to
+// Time, so a loop that stops at the tick of an event's time is never
+// late for it. Times at or below 0 map to tick 0; +Inf, NaN and times
+// past any reachable tick map to math.MaxInt64.
+func TickOf(t float64) int64 {
+	if !(t < Time(1<<62)) {
+		return math.MaxInt64
+	}
+	k := int64(max(math.Ceil(t/DT), 0))
+	for k > 0 && Time(k-1) >= t {
+		k--
+	}
+	for Time(k) < t {
+		k++
+	}
+	return k
+}
 
 // Env is the execution environment the machine grants a task for one
 // step.
@@ -73,8 +98,9 @@ type Workload interface {
 	Name() string
 	// Demand returns the unconstrained resource appetite under env.
 	Demand(env Env) Demand
-	// Step executes for dt seconds starting at now under env.
-	Step(env Env, now, dt float64) Usage
+	// Step executes for one tick of DT seconds starting at now under
+	// env.
+	Step(env Env, now float64) Usage
 }
 
 // TaskID identifies a task on a machine.
@@ -119,7 +145,7 @@ type TaskStats struct {
 	AMXBusyInt   float64           // integral of the AMX busy fraction
 	AVXBusyInt   float64           // integral of the AVX busy fraction
 	EnergyJ      float64           // attributed core energy (power model at the task's class/util/freq)
-	Breakdown    topdown.Breakdown // dt-weighted; normalize before reading
+	Breakdown    topdown.Breakdown // DT-weighted; normalize before reading
 }
 
 // MeanWatts returns the task's attributed average core power.
@@ -235,7 +261,7 @@ type Machine struct {
 	plat platform.Platform
 	gov  *power.Governor
 
-	now     float64
+	tick    int64 // ticks of DT stepped so far
 	nextID  TaskID
 	tasks   []*task
 	cos     []COSConfig
@@ -283,17 +309,20 @@ func New(p platform.Platform) *Machine {
 // Platform returns the machine's hardware description.
 func (m *Machine) Platform() platform.Platform { return m.plat }
 
-// Now returns the simulation time in seconds.
-func (m *Machine) Now() float64 { return m.now }
+// Now returns the simulation time in seconds: Time(Tick()).
+func (m *Machine) Now() float64 { return Time(m.tick) }
 
-// AdvanceIdle moves the clock forward without simulating: no task
-// runs, no energy accrues. Fleet simulations use it for powered-off
-// (standby / drained) machines so their clocks stay aligned with the
-// cluster's tick barriers and a later activation sees correct absolute
-// time.
-func (m *Machine) AdvanceIdle(dt float64) {
-	if dt > 0 {
-		m.now += dt
+// Tick returns the number of DT ticks the machine has advanced.
+func (m *Machine) Tick() int64 { return m.tick }
+
+// AdvanceIdle moves the clock forward steps ticks without simulating:
+// no task runs, no energy accrues. Fleet simulations use it for
+// powered-off (standby / drained) machines so their clocks stay aligned
+// with the cluster's tick barriers and a later activation sees correct
+// absolute time.
+func (m *Machine) AdvanceIdle(steps int) {
+	if steps > 0 {
+		m.tick += int64(steps)
 	}
 }
 
@@ -549,17 +578,17 @@ func smtContention(victim power.Class) float64 {
 	}
 }
 
-// Step advances the simulation by dt seconds.
-func (m *Machine) Step(dt float64) {
-	if dt <= 0 {
-		panic("machine: non-positive dt")
-	}
+// Step advances the simulation by one tick.
+func (m *Machine) Step() {
 	n := len(m.tasks)
 	if n == 0 {
 		m.lastWatts = m.plat.UncoreWatts + float64(m.plat.Cores)*m.plat.IdleCoreW
-		m.energyJ += m.lastWatts * dt
-		m.now += dt
-		m.captureEmpty(dt)
+		m.energyJ += m.lastWatts * DT
+		m.tick++
+		// The capture a replay of this zero-task step re-adds.
+		c := &m.ff
+		c.valid, c.empty, c.n = true, true, 0
+		c.watts, c.energyInc = m.lastWatts, m.lastWatts*DT
 		return
 	}
 
@@ -594,7 +623,7 @@ func (m *Machine) Step(dt float64) {
 		}
 		r.Util = math.Min(1.6, r.Util+d.Util*s.cover)
 	}
-	sol := m.gov.Solve(loads, dt)
+	sol := m.gov.Solve(loads, DT)
 
 	// Bandwidth: two-level weighted max-min arbitration — across the
 	// occupied classes of service (weights: core counts, caps: MBA
@@ -662,22 +691,22 @@ func (m *Machine) Step(dt float64) {
 		env.ComputeShare = lay.computeShare(i, demands)
 		env.LinkUtil = linkUtil
 
-		u := t.wl.Step(env, m.now, dt)
+		u := t.wl.Step(env, m.Now())
 		inc := &ffc.inc[i]
 		inc.work = u.Work
 		inc.flops = u.Flops
 		inc.amxFlops = u.AMXFlops
 		inc.avxFlops = u.AVXFlops
 		inc.dramBytes = u.DRAMBytes
-		inc.freqInc = env.GHz * dt
-		inc.utilInc = u.Util * dt
-		inc.amxBusyInc = u.AMXBusy * dt
-		inc.avxBusyInc = u.AVXBusy * dt
+		inc.freqInc = env.GHz * DT
+		inc.utilInc = u.Util * DT
+		inc.amxBusyInc = u.AMXBusy * DT
+		inc.avxBusyInc = u.AVXBusy * DT
 		inc.energyInc = float64(eff[i]) *
-			m.gov.CoreWatts(demands[i].Class, u.Util, env.GHz) * dt
-		scaleBreakdown(&inc.breakdown, &u.Breakdown, dt)
+			m.gov.CoreWatts(demands[i].Class, u.Util, env.GHz) * DT
+		scaleBreakdown(&inc.breakdown, &u.Breakdown)
 		st := &t.stats
-		st.TimeS += dt
+		st.TimeS += DT
 		st.Work += inc.work
 		st.Flops += inc.flops
 		st.AMXFlops += inc.amxFlops
@@ -693,16 +722,15 @@ func (m *Machine) Step(dt float64) {
 
 	m.lastWatts = sol.PackageWatts
 	m.lastLinkUtil = linkUtil
-	m.energyJ += sol.PackageWatts * dt
-	m.now += dt
+	m.energyJ += sol.PackageWatts * DT
+	m.tick++
 
 	ffc.valid = true
 	ffc.empty = false
-	ffc.dt = dt
 	ffc.n = n
 	ffc.watts = sol.PackageWatts
 	ffc.linkUtil = linkUtil
-	ffc.energyInc = sol.PackageWatts * dt
+	ffc.energyInc = sol.PackageWatts * DT
 	ffc.sol = sol
 	ffc.cosGrants = cosGrants
 

@@ -24,12 +24,12 @@ func (c *constApp) Demand(env Env) Demand {
 	return Demand{Class: c.class, Util: c.util, BWGBs: c.bwGBs}
 }
 
-func (c *constApp) Step(env Env, now, dt float64) Usage {
+func (c *constApp) Step(env Env, now float64) Usage {
 	rate := float64(env.Cores) * env.GHz * env.ComputeShare
 	bw := math.Min(c.bwGBs, env.BWGBs)
 	return Usage{
-		Work:      rate * dt,
-		DRAMBytes: bw * 1e9 * dt,
+		Work:      rate * DT,
+		DRAMBytes: bw * 1e9 * DT,
 		Util:      c.util,
 		Breakdown: topdown.Compose(0.3, 0.02, 0.05, 0.5, 0.5, [4]float64{1, 1, 1, 1}, 0.5),
 	}
@@ -45,8 +45,8 @@ func (a *avxApp) Name() string { return "avx" }
 func (a *avxApp) Demand(Env) Demand {
 	return Demand{Class: power.AVXHeavy, Util: 0.6, BWGBs: 10}
 }
-func (a *avxApp) Step(env Env, now, dt float64) Usage {
-	return Usage{Work: dt, AMXBusy: 0.1, AVXBusy: 0.4, Flops: 1e9 * dt, AMXFlops: 4e8 * dt}
+func (a *avxApp) Step(env Env, now float64) Usage {
+	return Usage{Work: DT, AMXBusy: 0.1, AVXBusy: 0.4, Flops: 1e9 * DT, AMXFlops: 4e8 * DT}
 }
 
 // TestUsageMetrics checks the Table II per-phase metrics
@@ -56,7 +56,7 @@ func TestUsageMetrics(t *testing.T) {
 	m := newTestMachine()
 	id, _ := m.AddTask(&avxApp{}, Placement{CoreLo: 0, CoreHi: 3, SMTSlot: 0})
 	for i := 0; i < 50; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	st, _ := m.Stats(id)
 	if got := st.AMXCycleRatio(); math.Abs(got-0.1) > 1e-9 {
@@ -121,7 +121,7 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	st, ok := m.Stats(id)
 	if !ok {
@@ -146,11 +146,11 @@ func TestStatsSub(t *testing.T) {
 	a := &constApp{name: "a", class: power.Scalar, util: 0.5}
 	id, _ := m.AddTask(a, Placement{CoreLo: 0, CoreHi: 7, SMTSlot: 0})
 	for i := 0; i < 50; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	snap, _ := m.Stats(id)
 	for i := 0; i < 50; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	cur, _ := m.Stats(id)
 	d := cur.Sub(snap)
@@ -164,7 +164,7 @@ func TestStatsSub(t *testing.T) {
 
 func TestEnergyAccounting(t *testing.T) {
 	m := newTestMachine()
-	m.Step(1)
+	m.StepN(1000) // 1 s in whole ticks
 	idle := m.EnergyJ()
 	// An empty GenA machine draws uncore + 96 idle cores.
 	p := platform.GenA()
@@ -176,7 +176,7 @@ func TestEnergyAccounting(t *testing.T) {
 	if _, err := m.AddTask(a, Placement{CoreLo: 0, CoreHi: 95, SMTSlot: 0}); err != nil {
 		t.Fatal(err)
 	}
-	m.Step(1)
+	m.StepN(1000) // 1 s in whole ticks
 	if m.EnergyJ()-idle <= idle {
 		t.Fatal("a loaded machine should draw far more than idle")
 	}
@@ -190,7 +190,7 @@ func TestSMTComputeShare(t *testing.T) {
 	solo := &constApp{name: "s", class: power.Scalar, util: 1}
 	idSolo, _ := mSolo.AddTask(solo, Placement{CoreLo: 0, CoreHi: 15, SMTSlot: 0})
 	for i := 0; i < 200; i++ {
-		mSolo.Step(1e-3)
+		mSolo.Step()
 	}
 	stSolo, _ := mSolo.Stats(idSolo)
 
@@ -202,7 +202,7 @@ func TestSMTComputeShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		mPair.Step(1e-3)
+		mPair.Step()
 	}
 	stA, _ := mPair.Stats(idA)
 	if stA.Work >= stSolo.Work {
@@ -219,7 +219,7 @@ func TestCOSBandwidthThrottle(t *testing.T) {
 	hog := &constApp{name: "hog", class: power.Scalar, util: 0.6, bwGBs: 500}
 	idFree, _ := free.AddTask(hog, Placement{CoreLo: 0, CoreHi: 47, SMTSlot: 0, COS: 1})
 	for i := 0; i < 100; i++ {
-		free.Step(1e-3)
+		free.Step()
 	}
 	stFree, _ := free.Stats(idFree)
 
@@ -230,7 +230,7 @@ func TestCOSBandwidthThrottle(t *testing.T) {
 	hog2 := &constApp{name: "hog", class: power.Scalar, util: 0.6, bwGBs: 500}
 	idCap, _ := capped.AddTask(hog2, Placement{CoreLo: 0, CoreHi: 47, SMTSlot: 0, COS: 1})
 	for i := 0; i < 100; i++ {
-		capped.Step(1e-3)
+		capped.Step()
 	}
 	stCap, _ := capped.Stats(idCap)
 	if stCap.DRAMBytes >= stFree.DRAMBytes/2 {
@@ -285,7 +285,7 @@ func TestDeterminism(t *testing.T) {
 		a := &constApp{name: "a", class: power.AMXHeavy, util: 0.9, bwGBs: 100}
 		id, _ := m.AddTask(a, Placement{CoreLo: 0, CoreHi: 63, SMTSlot: 0})
 		for i := 0; i < 500; i++ {
-			m.Step(1e-3)
+			m.Step()
 		}
 		st, _ := m.Stats(id)
 		return st.Work, m.EnergyJ()
@@ -318,7 +318,7 @@ func TestPerTaskEnergyAttribution(t *testing.T) {
 	hotID, _ := m.AddTask(hot, Placement{CoreLo: 0, CoreHi: 47, SMTSlot: 0})
 	coolID, _ := m.AddTask(cool, Placement{CoreLo: 48, CoreHi: 95, SMTSlot: 0})
 	for i := 0; i < 200; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	hs, _ := m.Stats(hotID)
 	cs, _ := m.Stats(coolID)
@@ -341,7 +341,7 @@ func TestOfflineCoresStallWork(t *testing.T) {
 	a := &constApp{name: "a", class: power.Scalar, util: 0.8}
 	id, _ := m.AddTask(a, Placement{CoreLo: 0, CoreHi: 47, SMTSlot: 0})
 	for i := 0; i < 100; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	full, _ := m.Stats(id)
 	fullRate := full.Work / full.TimeS
@@ -355,7 +355,7 @@ func TestOfflineCoresStallWork(t *testing.T) {
 	}
 	m.ResetStats(id)
 	for i := 0; i < 100; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	half, _ := m.Stats(id)
 	halfRate := half.Work / half.TimeS
@@ -369,7 +369,7 @@ func TestOfflineCoresStallWork(t *testing.T) {
 	}
 	m.ResetStats(id)
 	for i := 0; i < 50; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	dead, _ := m.Stats(id)
 	if dead.Work != 0 || dead.TimeS != 0 {
@@ -383,7 +383,7 @@ func TestOfflineCoresStallWork(t *testing.T) {
 	}
 	m.ResetStats(id)
 	for i := 0; i < 100; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	back, _ := m.Stats(id)
 	if r := back.Work / back.TimeS; r < 0.99*fullRate {
@@ -403,14 +403,14 @@ func TestFreqDerate(t *testing.T) {
 	a := &constApp{name: "a", class: power.Scalar, util: 0.8}
 	id, _ := m.AddTask(a, Placement{CoreLo: 0, CoreHi: 47, SMTSlot: 0})
 	for i := 0; i < 100; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	full, _ := m.Stats(id)
 
 	m.SetFreqDerate(0.5)
 	m.ResetStats(id)
 	for i := 0; i < 100; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	derated, _ := m.Stats(id)
 	if derated.MeanGHz() >= 0.55*full.MeanGHz() {
@@ -421,7 +421,7 @@ func TestFreqDerate(t *testing.T) {
 	m.SetFreqDerate(0)
 	m.ResetStats(id)
 	for i := 0; i < 100; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	back, _ := m.Stats(id)
 	if back.MeanGHz() < 0.99*full.MeanGHz() {

@@ -76,7 +76,7 @@ func (t *machTelemetry) record(m *Machine, sol power.Solution, cosGrants []float
 		if sol.Throttled {
 			name = "throttle-engage"
 		}
-		t.reg.Emit(m.now, "power", name,
+		t.reg.Emit(m.Now(), "power", name,
 			telemetry.Ff("watts", sol.PackageWatts),
 			telemetry.Fb("hotspot", sol.Hotspot))
 		t.lastThrottled = sol.Throttled
@@ -108,7 +108,7 @@ func (t *machTelemetry) record(m *Machine, sol power.Solution, cosGrants []float
 		if last, seen := t.lastClass[id]; !seen {
 			t.lastClass[id] = cls
 		} else if last != cls {
-			t.reg.Emit(m.now, "power", "license-transition",
+			t.reg.Emit(m.Now(), "power", "license-transition",
 				telemetry.F("task", key),
 				telemetry.F("from", last.String()),
 				telemetry.F("to", cls.String()))

@@ -106,7 +106,7 @@ func TestRPAUFeedback(t *testing.T) {
 	// Simulate to populate token latencies, then tick; the feedback
 	// ladder should move in some direction without error.
 	for i := 0; i < 200; i++ {
-		e.M.Step(1e-3)
+		e.M.Step()
 	}
 	for i := 0; i < 20; i++ {
 		if err := r.Tick(e, float64(i)*0.05); err != nil {

@@ -14,8 +14,8 @@ func (n *nullApp) Name() string { return n.name }
 func (n *nullApp) Demand(machine.Env) machine.Demand {
 	return machine.Demand{Class: power.Scalar, Util: 0.5}
 }
-func (n *nullApp) Step(env machine.Env, now, dt float64) machine.Usage {
-	return machine.Usage{Work: dt}
+func (n *nullApp) Step(env machine.Env, now float64) machine.Usage {
+	return machine.Usage{Work: machine.DT}
 }
 
 func setup(t *testing.T) (*Controller, machine.TaskID) {

@@ -70,9 +70,8 @@ func workerRun(t *testing.T, fresh bool) uint64 {
 		}
 	}
 	h := fnv.New64a()
-	const dt = 1e-3
 	for step := 0; step < 3000; step++ {
-		now := float64(step) * dt
+		now := machine.Time(int64(step))
 		if step%500 == 0 {
 			submit(now, 8)
 		}
@@ -87,7 +86,7 @@ func workerRun(t *testing.T, fresh bool) uint64 {
 			if fresh {
 				w.costs, w.demands = costCache{}, demandCache{}
 			}
-			hashBits(h, reflect.ValueOf(w.Step(sEnv, now, dt)))
+			hashBits(h, reflect.ValueOf(w.Step(sEnv, now)))
 			hashBits(h, reflect.ValueOf(w.lastCostS))
 		}
 	}

@@ -15,10 +15,9 @@ func stepEngine(e *Engine, horizon float64) {
 	plat := platform.GenA()
 	env := machine.Env{Plat: &plat, Cores: 32, GHz: 2.0,
 		ComputeShare: 1, LLCMB: 100, L2MB: 64, BWGBs: 200}
-	dt := 1e-3
-	for now := 0.0; now < horizon; now += dt {
-		e.PrefillWorker().Step(env, now, dt)
-		e.DecodeWorker().Step(env, now, dt)
+	for k := int64(0); machine.Time(k) < horizon; k++ {
+		e.PrefillWorker().Step(env, machine.Time(k))
+		e.DecodeWorker().Step(env, machine.Time(k))
 	}
 }
 
@@ -90,12 +89,12 @@ func TestIdleSeesInflightPrefill(t *testing.T) {
 	if err := e.Submit(r); err != nil {
 		t.Fatal(err)
 	}
-	// One tiny step: the worker pops the request into a prefill job it
-	// cannot finish, so the queue is empty but the engine is not idle.
+	// One tick: the worker pops the request into a prefill job it cannot
+	// finish, so the queue is empty but the engine is not idle.
 	plat := platform.GenA()
 	env := machine.Env{Plat: &plat, Cores: 1, GHz: 0.5,
 		ComputeShare: 1, LLCMB: 10, L2MB: 2, BWGBs: 10}
-	e.PrefillWorker().Step(env, 0, 1e-6)
+	e.PrefillWorker().Step(env, 0)
 	if e.QueueLen() != 0 {
 		t.Skip("prefill job not yet formed") // defensive; should not happen
 	}

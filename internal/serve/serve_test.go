@@ -45,11 +45,10 @@ func TestSubmitValidation(t *testing.T) {
 func runEngine(e *Engine, steps int, cores int) {
 	envP := fullEnv(cores, 2.5)
 	envD := fullEnv(cores, 3.1)
-	now := 0.0
 	for i := 0; i < steps; i++ {
-		e.PrefillWorker().Step(envP, now, 1e-3)
-		e.DecodeWorker().Step(envD, now, 1e-3)
-		now += 1e-3
+		now := machine.Time(int64(i))
+		e.PrefillWorker().Step(envP, now)
+		e.DecodeWorker().Step(envD, now)
 	}
 }
 
@@ -98,16 +97,15 @@ func TestContinuousBatchingCap(t *testing.T) {
 	}
 	envP := fullEnv(48, 2.5)
 	envD := fullEnv(48, 3.1)
-	now := 0.0
 	peak := 0
 	for i := 0; i < 8000; i++ {
-		e.PrefillWorker().Step(envP, now, 1e-3)
-		e.DecodeWorker().Step(envD, now, 1e-3)
+		now := machine.Time(int64(i))
+		e.PrefillWorker().Step(envP, now)
+		e.DecodeWorker().Step(envD, now)
 		if e.DecodeBatch() > MaxBatch {
 			t.Fatalf("decode batch %d exceeds cap %d", e.DecodeBatch(), MaxBatch)
 		}
 		peak = max(peak, e.DecodeBatch())
-		now += 1e-3
 	}
 	if peak != MaxBatch {
 		t.Fatalf("decode batch peaked at %d, never reached the cap %d", peak, MaxBatch)
@@ -208,7 +206,7 @@ func TestWorkerIdleSpins(t *testing.T) {
 	if d.Util <= 0 {
 		t.Fatal("starved worker should report spin utilization")
 	}
-	u := e.PrefillWorker().Step(env, 0, 1e-3)
+	u := e.PrefillWorker().Step(env, 0)
 	if u.Work != 0 {
 		t.Fatal("starved worker produced work")
 	}

@@ -205,9 +205,10 @@ func (w *Worker) Demand(env machine.Env) machine.Demand {
 	}
 }
 
-// Step implements machine.Workload: execute for dt under env,
+// Step implements machine.Workload: execute for one tick under env,
 // completing as many iteration boundaries as fit.
-func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
+func (w *Worker) Step(env machine.Env, now float64) machine.Usage {
+	const dt = machine.DT
 	var u machine.Usage
 	// entered is the job already in flight when the step began. A step
 	// that pulls a new job is never steady: the machine estimated this
@@ -276,12 +277,10 @@ func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
 		}
 	}
 	w.lastSteady = steady
-	// Convert time-weighted sums to dt-averages.
-	if dt > 0 {
-		u.AMXBusy /= dt
-		u.AVXBusy /= dt
-		u.Util /= dt
-	}
+	// Convert time-weighted sums to tick averages.
+	u.AMXBusy /= dt
+	u.AVXBusy /= dt
+	u.Util /= dt
 	u.Breakdown.Normalize()
 	return u
 }
@@ -336,7 +335,7 @@ func stallFractions(p *llm.IterationPlan, env machine.Env, totalS float64) (memb
 // invalidates its capture on any placement/COS/fault mutation), so
 // lastCostS — the TotalS of the cached cost the next step would
 // recompute — is still exact.
-func (w *Worker) CanQuiesce(dt float64) bool {
+func (w *Worker) CanQuiesce() bool {
 	if !w.lastSteady {
 		return false
 	}
@@ -351,24 +350,24 @@ func (w *Worker) CanQuiesce(dt float64) bool {
 	if ts <= 0 {
 		ts = 1e-9
 	}
-	if j.remaining*ts <= dt {
+	if j.remaining*ts <= machine.DT {
 		return false // the iteration boundary lands inside the next step
 	}
 	// The post-step remaining must clear the completion epsilon too.
-	return j.remaining-dt/ts > 1e-9
+	return j.remaining-machine.DT/ts > 1e-9
 }
 
 // CanQuiesceN implements machine.BulkQuiescer: whether the next k
-// steps of dt are all provably quiescent at once. Only the starved
+// steps are all provably quiescent at once. Only the starved
 // shape qualifies — an empty feed stays empty for any k without help —
 // so a worker with a job in flight (whose remaining-work countdown
 // could cross an iteration boundary mid-span) always refuses and falls
 // back to per-step advancement.
-func (w *Worker) CanQuiesceN(dt float64, k int) bool {
+func (w *Worker) CanQuiesceN(k int) bool {
 	if w.current != nil {
 		return false
 	}
-	if w.CanQuiesce(dt) {
+	if w.CanQuiesce() {
 		return true
 	}
 	// Never-worked starved: a worker that has done no productive work
@@ -389,12 +388,12 @@ func (w *Worker) CanQuiesceN(dt float64, k int) bool {
 // change no worker state, so the span is a no-op. This path belongs to
 // the cluster's approximate archetype mode, never the byte-identical
 // one.
-func (w *Worker) AdvanceQuiescedN(dt float64, k int) {}
+func (w *Worker) AdvanceQuiescedN(k int) {}
 
 // AdvanceQuiesced implements machine.Quiescer: the exact state
 // mutation Step would apply on the quiescent path, with the same
 // floating-point operations.
-func (w *Worker) AdvanceQuiesced(dt float64) {
+func (w *Worker) AdvanceQuiesced() {
 	j := w.current
 	if j == nil {
 		return
@@ -403,6 +402,6 @@ func (w *Worker) AdvanceQuiesced(dt float64) {
 	if ts <= 0 {
 		ts = 1e-9
 	}
-	j.remaining -= dt / ts
-	w.busyTime += dt
+	j.remaining -= machine.DT / ts
+	w.busyTime += machine.DT
 }

@@ -206,11 +206,11 @@ func (a *App) Demand(env machine.Env) machine.Demand {
 }
 
 // Step implements machine.Workload.
-func (a *App) Step(env machine.Env, now, dt float64) machine.Usage {
+func (a *App) Step(env machine.Env, now float64) machine.Usage {
 	a.dirty = false
 	if a.prof.BurstAmp > 0 {
 		if a.held == 0 {
-			a.advanceBurst(dt)
+			a.advanceBurst()
 		}
 		a.held--
 	}
@@ -232,7 +232,7 @@ func (a *App) Step(env machine.Env, now, dt float64) machine.Usage {
 		rate /= 1 + a.prof.LatencySens*(membw.QueuePenalty(env.LinkUtil)-1)
 	}
 
-	work := rate * dt
+	work := rate * machine.DT
 	memStallFrac := 0.0
 	if r0 > 0 {
 		memStallFrac = 1 - rate/r0
@@ -261,13 +261,13 @@ func (a *App) Step(env machine.Env, now, dt float64) machine.Usage {
 // the phase after the first increment and held for the whole quantum.
 // The step that advances estimated its demand at the old burst, so it
 // marks the app dirty: the next step must run in full.
-func (a *App) advanceBurst(dt float64) {
+func (a *App) advanceBurst() {
 	period := a.prof.BurstPeriod
 	if period <= 0 {
 		period = 1
 	}
 	for i := 0; i < burstQuantum; i++ {
-		a.phase += dt / period * (0.5 + a.rng.Float64())
+		a.phase += machine.DT / period * (0.5 + a.rng.Float64())
 		if i == 0 {
 			a.burst = 1 + a.prof.BurstAmp*math.Sin(2*math.Pi*a.phase)
 		}
@@ -281,13 +281,13 @@ func (a *App) advanceBurst(dt float64) {
 // every step repeats exactly unless the step is a quantum boundary,
 // follows the step that advanced the burst, or follows a chaos
 // injection that changed the app's behaviour (the last two set dirty).
-func (a *App) CanQuiesce(dt float64) bool {
+func (a *App) CanQuiesce() bool {
 	return !a.dirty && (a.prof.BurstAmp <= 0 || a.held > 0)
 }
 
 // AdvanceQuiesced implements machine.Quiescer: a quiescent step of a
 // bursty app counts down its held quantum; it mutates nothing else.
-func (a *App) AdvanceQuiesced(dt float64) {
+func (a *App) AdvanceQuiesced() {
 	if a.prof.BurstAmp > 0 {
 		a.held--
 	}

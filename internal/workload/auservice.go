@@ -106,7 +106,8 @@ func (s *AUService) Demand(env machine.Env) machine.Demand {
 // Step implements machine.Workload. Arrivals are admitted at their
 // actual timestamps within the step, so a query is never served before
 // it exists.
-func (s *AUService) Step(env machine.Env, now, dt float64) machine.Usage {
+func (s *AUService) Step(env machine.Env, now float64) machine.Usage {
+	const dt = machine.DT
 	// Materialize this step's arrivals.
 	for s.nextAt <= now+dt {
 		s.arrivals = append(s.arrivals, s.nextAt)
@@ -189,7 +190,7 @@ func (s *AUService) Step(env machine.Env, now, dt float64) machine.Usage {
 	}
 	busy := busyS / dt
 	u.Util = 0.55 + 0.4*busy
-	if dt > 0 && cost > 0 {
+	if cost > 0 {
 		rawAMX := env.Plat.AMXPeakGFLOPSPerCore(env.GHz) * 1e9 * float64(env.Cores)
 		if rawAMX > 0 {
 			u.AMXBusy = u.AMXFlops / rawAMX / dt

@@ -41,34 +41,34 @@ func TestCatalog(t *testing.T) {
 
 func TestRateScaling(t *testing.T) {
 	a := New(Compute(), 1)
-	base := a.Step(env(16, 3.2, 100, 200), 0, 1).Work
-	double := New(Compute(), 1).Step(env(32, 3.2, 100, 200), 0, 1).Work
+	base := a.Step(env(16, 3.2, 100, 200), 0).Work
+	double := New(Compute(), 1).Step(env(32, 3.2, 100, 200), 0).Work
 	if double < base*1.8 {
 		t.Fatalf("compute-bound work should scale with cores: %v -> %v", base, double)
 	}
-	slow := New(Compute(), 1).Step(env(16, 1.6, 100, 200), 0, 1).Work
+	slow := New(Compute(), 1).Step(env(16, 1.6, 100, 200), 0).Work
 	if slow > base*0.6 {
 		t.Fatalf("compute-bound work should scale with frequency: %v -> %v", base, slow)
 	}
 	// OLAP is much less frequency sensitive (FreqSens 0.35).
-	o1 := New(OLAP(), 1).Step(env(16, 3.2, 300, 200), 0, 1).Work
-	o2 := New(OLAP(), 1).Step(env(16, 1.6, 300, 200), 0, 1).Work
+	o1 := New(OLAP(), 1).Step(env(16, 3.2, 300, 200), 0).Work
+	o2 := New(OLAP(), 1).Step(env(16, 1.6, 300, 200), 0).Work
 	if o2 < o1*0.6 {
 		t.Fatalf("OLAP too frequency sensitive: %v -> %v", o1, o2)
 	}
 }
 
 func TestBandwidthLimit(t *testing.T) {
-	free := New(OLAP(), 1).Step(env(32, 3.2, 300, 200), 0, 1)
-	starved := New(OLAP(), 1).Step(env(32, 3.2, 300, 5), 0, 1)
+	free := New(OLAP(), 1).Step(env(32, 3.2, 300, 200), 0)
+	starved := New(OLAP(), 1).Step(env(32, 3.2, 300, 5), 0)
 	if starved.Work >= free.Work*0.5 {
 		t.Fatalf("OLAP not bandwidth-limited: %v vs %v", starved.Work, free.Work)
 	}
 }
 
 func TestCacheSensitivity(t *testing.T) {
-	rich := New(SPECjbb(), 1).Step(env(16, 3.2, 180, 50), 0, 1)
-	poor := New(SPECjbb(), 1).Step(env(16, 3.2, 5, 50), 0, 1)
+	rich := New(SPECjbb(), 1).Step(env(16, 3.2, 180, 50), 0)
+	poor := New(SPECjbb(), 1).Step(env(16, 3.2, 5, 50), 0)
 	if poor.DRAMBytes <= rich.DRAMBytes {
 		t.Fatal("a starved LLC should raise DRAM traffic")
 	}
@@ -77,8 +77,8 @@ func TestCacheSensitivity(t *testing.T) {
 func TestSMTSensExponent(t *testing.T) {
 	e := env(16, 3.2, 100, 200)
 	e.ComputeShare = 0.6
-	jbb := New(SPECjbb(), 1).Step(e, 0, 1).Work
-	full := New(SPECjbb(), 1).Step(env(16, 3.2, 100, 200), 0, 1).Work
+	jbb := New(SPECjbb(), 1).Step(e, 0).Work
+	full := New(SPECjbb(), 1).Step(env(16, 3.2, 100, 200), 0).Work
 	// SPECjbb (SMTSens 2.8) collapses super-linearly: 0.6 share keeps
 	// well under 0.6 of throughput.
 	if jbb > 0.45*full {
@@ -88,7 +88,7 @@ func TestSMTSensExponent(t *testing.T) {
 
 func TestBreakdownValidity(t *testing.T) {
 	for _, p := range []Profile{Compute(), OLAP(), SPECjbb(), MCF(), Ads()} {
-		u := New(p, 2).Step(env(16, 3.2, 100, 100), 0, 1)
+		u := New(p, 2).Step(env(16, 3.2, 100, 100), 0)
 		if err := u.Breakdown.Valid(1e-6); err != nil {
 			t.Fatalf("%s breakdown: %v", p.Name, err)
 		}
@@ -97,8 +97,8 @@ func TestBreakdownValidity(t *testing.T) {
 
 func TestCharacterizationShapes(t *testing.T) {
 	// Figure 7: ads is frontend-heavy, mcf is backend/memory heavy.
-	ads := New(Ads(), 3).Step(env(16, 3.2, 60, 100), 0, 1).Breakdown
-	mcf := New(MCF(), 3).Step(env(16, 3.2, 60, 100), 0, 1).Breakdown
+	ads := New(Ads(), 3).Step(env(16, 3.2, 60, 100), 0).Breakdown
+	mcf := New(MCF(), 3).Step(env(16, 3.2, 60, 100), 0).Breakdown
 	if ads.FrontendBound < 3*mcf.FrontendBound {
 		t.Fatalf("ads FE bound (%.2f) should dwarf mcf's (%.2f)", ads.FrontendBound, mcf.FrontendBound)
 	}
@@ -111,8 +111,8 @@ func TestBurstModulation(t *testing.T) {
 	a := New(SPECjbb(), 7)
 	e := env(16, 3.2, 100, 100)
 	minW, maxW := 1e18, 0.0
-	for i := 0; i < 2000; i++ {
-		w := a.Step(e, float64(i)*1e-2, 1e-2).Work
+	for i := int64(0); i < 20000; i++ {
+		w := a.Step(e, machine.Time(i)).Work
 		if w < minW {
 			minW = w
 		}
@@ -159,7 +159,7 @@ func TestAUServiceServesQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4000; i++ {
-		m.Step(1e-3)
+		m.Step()
 	}
 	if svc.QueriesDone < 300 {
 		t.Fatalf("served only %d queries in 4 s at 200/s", svc.QueriesDone)
@@ -187,8 +187,8 @@ func TestAUServiceDegradesWhenStarved(t *testing.T) {
 	mPoor := machine.New(platform.GenC())
 	mPoor.AddTask(poor, machine.Placement{CoreLo: 0, CoreHi: 3, SMTSlot: 0})
 	for i := 0; i < 3000; i++ {
-		mRich.Step(1e-3)
-		mPoor.Step(1e-3)
+		mRich.Step()
+		mPoor.Step()
 	}
 	if poor.GuaranteeRatio() >= rich.GuaranteeRatio() {
 		t.Fatalf("4-core service (%v) should violate more than 60-core (%v)",
@@ -285,7 +285,7 @@ func TestAppMemoBitIdentity(t *testing.T) {
 					t.Fatalf("step %d: Demand %+v, recomputed %+v", s, dm, df)
 				}
 				fresh.missMemo, fresh.freqMemo = memo2{}, memo2{}
-				um, uf := memo.Step(exec, float64(s)*1e-3, 1e-3), fresh.Step(exec, float64(s)*1e-3, 1e-3)
+				um, uf := memo.Step(exec, machine.Time(int64(s))), fresh.Step(exec, machine.Time(int64(s)))
 				if !reflect.DeepEqual(usageBits(um), usageBits(uf)) {
 					t.Fatalf("step %d: Usage %+v, recomputed %+v", s, um, uf)
 				}
@@ -302,7 +302,7 @@ func TestAppMemoBitIdentity(t *testing.T) {
 // FlipPhase. Quiescent steps alternate between Step and AdvanceQuiesced,
 // the machine's two ways of advancing an app.
 func TestHeldBurstWalk(t *testing.T) {
-	const dt, steps = 1e-3, 20 * burstQuantum
+	const steps = 20 * burstQuantum
 	e := env(16, 3.2, 100, 100)
 	for _, seed := range []uint64{1, 2, 7, 42, 1234} {
 		p := SPECjbb()
@@ -310,7 +310,7 @@ func TestHeldBurstWalk(t *testing.T) {
 		refPhase := make([]float64, steps+1) // phase after s steps
 		refBurst := make([]float64, steps)   // burst during step s
 		for s := 0; s < steps; s++ {
-			refPhase[s+1] = refPhase[s] + dt/p.BurstPeriod*(0.5+ref.Float64())
+			refPhase[s+1] = refPhase[s] + machine.DT/p.BurstPeriod*(0.5+ref.Float64())
 			refBurst[s] = 1 + p.BurstAmp*math.Sin(2*math.Pi*refPhase[s+1])
 		}
 
@@ -325,13 +325,13 @@ func TestHeldBurstWalk(t *testing.T) {
 				a.FlipPhase()
 			}
 			want := pos > 1 && s != flipAt
-			if got := a.CanQuiesce(dt); got != want {
+			if got := a.CanQuiesce(); got != want {
 				t.Fatalf("seed %d step %d (quantum step %d): CanQuiesce %v, want %v", seed, s, pos, got, want)
 			}
 			if want && s%2 == 0 {
-				a.AdvanceQuiesced(dt)
+				a.AdvanceQuiesced()
 			} else {
-				a.Step(e, float64(s)*dt, dt)
+				a.Step(e, machine.Time(int64(s)))
 			}
 			first := s - pos
 			if math.Float64bits(a.burst) != math.Float64bits(refBurst[first]) {

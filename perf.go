@@ -93,28 +93,30 @@ func coloStepLoop() func() {
 			panic(err)
 		}
 	}
-	const dt = 1e-3
 	for eng.DecodeBatch() < serve.MaxBatch {
-		m.Step(dt)
+		m.Step()
 	}
-	return func() { m.Step(dt) }
+	return m.Step
 }
 
 // MeasureHotPaths benchmarks the simulator hot paths in-process —
 // the same loops bench_test.go's microbenchmarks time — so the
 // timing report can pin the per-step cost and its allocation count
 // (the allocation-budget tests hold machine_step at exactly zero).
+// Every machine row is per tick: one machine.DT step of one machine.
 func MeasureHotPaths() []HotPathBench {
+	// One full Step of the analytic three-task co-location.
 	full := benchMachine()
-	step := measureLoop("machine_step", 2_000, 50_000, func() { full.Step(1e-3) })
+	step := measureLoop("machine_step", 2_000, 50_000, full.Step)
 
-	// The full step under every paper table: serving workers whose cost
-	// caches and cost structs the analytic machine_step row never
-	// exercises.
+	// One full Step of the machine under every paper table: serving
+	// workers whose cost caches and cost structs the analytic
+	// machine_step row never exercises.
 	coloRow := measureLoop("colo_step", 2_000, 50_000, coloStepLoop())
 
-	// The replay row uses a burst-free workload so every StepN step
-	// replays (a bursty profile runs two full steps per burst quantum).
+	// One replayed tick, timed as StepN(10) divided by 10. The row uses
+	// a burst-free workload so every tick replays (a bursty profile
+	// runs two full steps per burst quantum).
 	plat := platform.GenA()
 	ff := machine.New(plat)
 	if _, err := ff.AddTask(workload.New(workload.Compute(), 7), machine.Placement{
@@ -122,12 +124,13 @@ func MeasureHotPaths() []HotPathBench {
 	}); err != nil {
 		panic(err)
 	}
-	replay := measureLoop("machine_stepn_replay", 200, 5_000, func() { ff.StepN(1e-3, 10) })
+	replay := measureLoop("machine_stepn_replay", 200, 5_000, func() { ff.StepN(10) })
 	replay.NsPerOp /= 10
 	replay.AllocsPerOp /= 10
 
-	// The machine a fleet actually steps: an idle serving node built as
-	// the cluster builds one, replaying its starved workers' step.
+	// One replayed tick of the machine a fleet actually steps: an idle
+	// serving node built as the cluster builds one, replaying its
+	// starved workers' step (StepN(10) divided by 10).
 	node := measureLoop("fleet_node_replay", 200, 5_000, cluster.NodeReplayBenchLoop(NewExclusive(), 10))
 	node.NsPerOp /= 10
 	node.AllocsPerOp /= 10
