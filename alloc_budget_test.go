@@ -22,6 +22,7 @@ import (
 	"aum/internal/reqtrace"
 	"aum/internal/roofline"
 	"aum/internal/serve"
+	"aum/internal/telemetry"
 	"aum/internal/trace"
 	"aum/internal/workload"
 )
@@ -160,12 +161,26 @@ func TestAllocBudgetColoStep(t *testing.T) {
 // TestAllocBudgetStepN pins the fast-forward replay path at zero
 // allocations per replayed step.
 func TestAllocBudgetStepN(t *testing.T) {
-	plat := platform.GenA()
-	m := machine.New(plat)
-	if _, err := m.AddTask(workload.New(workload.Compute(), 7), machine.Placement{CoreLo: 0, CoreHi: plat.Cores - 1, SMTSlot: 0}); err != nil {
-		t.Fatal(err)
-	}
+	m := replayMachine()
 	allocBudget(t, "machine.StepN", 0, 100, func() { m.StepN(8) })
+}
+
+// TestAllocBudgetStepNObserved pins the replay path of an observed
+// machine at zero allocations: a replayed tick only adds to the step
+// counters.
+func TestAllocBudgetStepNObserved(t *testing.T) {
+	m := replayMachine()
+	m.SetTelemetry(telemetry.NewRegistry())
+	allocBudget(t, "observed machine.StepN", 0, 100, func() { m.StepN(8) })
+}
+
+// TestAllocBudgetFleetBarrier pins one executed barrier of an idle
+// 64-node fleet (cluster.FleetBarrierBenchLoop) at four allocations:
+// the caller's shard closure, runner.Shard's job, and its cancellable
+// context with the cancel func; nothing per shard or per node.
+// AllocsPerRun measures at GOMAXPROCS 1, where Shard recruits no helper.
+func TestAllocBudgetFleetBarrier(t *testing.T) {
+	allocBudget(t, "fleet barrier", 4, 20, cluster.FleetBarrierBenchLoop(NewExclusive()))
 }
 
 // TestAllocBudgetFleetNodeReplay pins the machine a fleet steps — an

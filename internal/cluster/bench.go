@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"context"
+
 	"aum/internal/chaos"
 	"aum/internal/colo"
 	"aum/internal/llm"
 	"aum/internal/platform"
+	"aum/internal/runner"
 	"aum/internal/serve"
 )
 
@@ -25,6 +28,41 @@ func NodeReplayBenchLoop(mgr colo.Manager, k int) func() {
 	}
 	m := s.nodes[0].env.M
 	return func() { m.StepN(k) }
+}
+
+// FleetBarrierBenchLoop returns a closure that steps an idle fleet of
+// 64 nodes through its next barrier: one runner.Shard over 64 one-node
+// shards, each node replaying its starved workers' step for one barrier
+// interval, as an executed barrier of a near-idle fleet does. The nodes
+// are built by newSession as a fleet builds them, without telemetry.
+// MeasureHotPaths (perf.go) times it for the hot_paths table.
+func FleetBarrierBenchLoop(mgr colo.Manager) func() {
+	specs := make([]MachineSpec, 64)
+	for i := range specs {
+		specs[i] = MachineSpec{Plat: platform.GenA(), Mgr: mgr}
+	}
+	cfg, err := Config{Machines: specs}.withDefaults()
+	if err != nil {
+		panic(err)
+	}
+	s, err := newSession(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return func() {
+		if err := runner.Shard(s.ctx, len(s.nodes), 1, s.ropt,
+			func(_ context.Context, lo, hi int) error {
+				for _, n := range s.nodes[lo:hi] {
+					if err := s.stepEpoch(n, s.bi); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+			panic(err)
+		}
+		s.bi++
+	}
 }
 
 // FailoverBenchLoop returns a closure that exercises the fleet

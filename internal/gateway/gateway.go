@@ -252,6 +252,7 @@ func (g *Gateway) drive() {
 	// Catch-up runs in bounded strides so Stop stays responsive while
 	// a long-elided span is replayed.
 	const maxStride = 64
+	var timer *time.Timer
 	for {
 		next := g.sess.NextEventAt() + g.barrierS
 		if !g.ready.Load() {
@@ -268,16 +269,16 @@ func (g *Gateway) drive() {
 			case <-g.nudge:
 			}
 		} else if d := time.Until(g.wallAt(next)); d > 0 {
-			t := time.NewTimer(d)
+			resetTimer(&timer, d)
 			select {
 			case <-g.stop:
-				t.Stop()
+				stopTimer(timer)
 				return
 			case <-g.nudge:
 				// A new arrival may precede the scheduled bound;
 				// recompute against the warped clock below.
-				t.Stop()
-			case <-t.C:
+				stopTimer(timer)
+			case <-timer.C:
 			}
 		}
 		select {

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -488,5 +490,56 @@ func TestTokenTextDeterministic(t *testing.T) {
 	}
 	if fmt.Sprint(words[0]) != fillerWords[0] {
 		t.Fatalf("first word %q", words[0])
+	}
+}
+
+// TestStartStopCyclesLeakNoGoroutines runs five gateway lifetimes, each
+// serving one streamed completion, and checks that the goroutine count
+// after every later cycle settles at or below its level after the
+// first: the driver, the handlers and the HTTP plumbing all exit, and
+// the fleet's barrier helpers are parked for reuse, not leaked.
+func TestStartStopCyclesLeakNoGoroutines(t *testing.T) {
+	cycle := func() {
+		g, err := New(WithFleet(fourMachineFleet()), WithWarpFactor(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(g.Handler())
+		client := &http.Client{Transport: &http.Transport{}}
+		waitReady(t, g)
+		resp, err := client.Post(srv.URL+"/v1/chat/completions", "application/json", completionBody(true, "", 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, want 200", resp.StatusCode)
+		}
+		client.CloseIdleConnections()
+		srv.Close()
+		if _, err := g.Stop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// settled polls the goroutine count for up to d and returns the
+	// lowest reading, early once it is at or below limit.
+	settled := func(limit int, d time.Duration) int {
+		low := runtime.NumGoroutine()
+		for end := time.Now().Add(d); low > limit && time.Now().Before(end); {
+			time.Sleep(5 * time.Millisecond)
+			low = min(low, runtime.NumGoroutine())
+		}
+		return low
+	}
+	cycle()
+	first := settled(0, 200*time.Millisecond)
+	for c := 2; c <= 5; c++ {
+		cycle()
+		if n := settled(first, 5*time.Second); n > first {
+			t.Fatalf("cycle %d: %d goroutines, %d after the first cycle", c, n, first)
+		}
 	}
 }

@@ -216,7 +216,8 @@ collect:
 		g.writeOutcomeError(w, out.outcome)
 		return
 	}
-	if err := g.pace(ctx, out.simT); err != nil {
+	p := pacer{g: g}
+	if err := p.pace(ctx, out.simT); err != nil {
 		return
 	}
 	ttft := toks[0].simT - lr.arrival
@@ -258,6 +259,7 @@ collect:
 // unknown until the last token — travels as an HTTP trailer.
 func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, lr *liveReq, _ int) {
 	ctx := r.Context()
+	p := pacer{g: g}
 	// First event decides between an error status and the SSE stream.
 	var first event
 	select {
@@ -272,7 +274,7 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, lr *l
 		WriteError(w, http.StatusServiceUnavailable, ErrUnavailable, "gateway shutting down")
 		return
 	}
-	if err := g.pace(ctx, first.simT); err != nil {
+	if err := p.pace(ctx, first.simT); err != nil {
 		return
 	}
 
@@ -321,7 +323,7 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, lr *l
 	for {
 		select {
 		case ev := <-lr.tokens:
-			if err := g.pace(ctx, ev.simT); err != nil {
+			if err := p.pace(ctx, ev.simT); err != nil {
 				return
 			}
 			chunk(&chatMessage{Content: tokenText(n)}, nil)
@@ -332,7 +334,7 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, lr *l
 			for {
 				select {
 				case ev := <-lr.tokens:
-					if err := g.pace(ctx, ev.simT); err != nil {
+					if err := p.pace(ctx, ev.simT); err != nil {
 						return
 					}
 					chunk(&chatMessage{Content: tokenText(n)}, nil)

@@ -163,8 +163,10 @@ func (m *Machine) canReplay() bool {
 	return m.gov.ReplayThermal(DT)
 }
 
-// replayStep advances one tick from the capture: identical accumulator
-// additions and identical telemetry recording.
+// replayStep advances one tick from the capture with identical
+// accumulator additions. It publishes nothing: every gauge already
+// holds the captured step's value and no transition can fire, so
+// StepN adds the replayed ticks to the step counters in one batch.
 func (m *Machine) replayStep() {
 	c := &m.ff
 	m.ffSteps++
@@ -198,25 +200,28 @@ func (m *Machine) replayStep() {
 	m.lastLinkUtil = c.linkUtil
 	m.energyJ += c.energyInc
 	m.tick++
-	if m.tel != nil {
-		// The captured solve/demand state is exactly what a sequential
-		// step would have recomputed; the scratch demands and the
-		// layout's regionOf are untouched during replay.
-		m.tel.record(m, c.sol, c.cosGrants, c.linkUtil, m.scratch.demands, m.layout.regionOf)
-		m.tel.ffSteps.Inc()
-	}
 }
 
 // StepN advances the simulation by k ticks, replaying quiescent steps
 // from the last full step's capture. StepN(k) is byte-identical to k
-// sequential Step calls.
+// sequential Step calls, telemetry totals included.
 func (m *Machine) StepN(k int) {
+	var replayed, throttled uint64
 	for ; k > 0; k-- {
-		if m.canReplay() {
-			m.replayStep()
-		} else {
+		if !m.canReplay() {
 			m.Step()
+			continue
 		}
+		m.replayStep()
+		if !m.ff.empty {
+			replayed++
+			if m.ff.sol.Throttled {
+				throttled++
+			}
+		}
+	}
+	if replayed > 0 {
+		m.tel.replayed(replayed, throttled)
 	}
 }
 

@@ -31,7 +31,8 @@ type machTelemetry struct {
 }
 
 // SetTelemetry attaches a registry; pass nil to detach. Attach before
-// the first Step: the per-step recording is unconditional once set.
+// the first Step: once set, every full step records its state and
+// every replayed tick is counted.
 func (m *Machine) SetTelemetry(reg *telemetry.Registry) {
 	m.invalidateFF()
 	if reg == nil {
@@ -57,7 +58,21 @@ func (m *Machine) SetTelemetry(reg *telemetry.Registry) {
 	m.tel = t
 }
 
-// record publishes one step's state and emits transition events
+// replayed counts n replayed ticks, throttled of them under a
+// throttled capture. A replayed tick re-adds the last full step's
+// capture, so the gauges record set still hold its values and no
+// transition can fire: only the step counters move. Nil-safe, for a
+// bare machine.
+func (t *machTelemetry) replayed(n, throttled uint64) {
+	if t == nil {
+		return
+	}
+	t.steps.Add(n)
+	t.ffSteps.Add(n)
+	t.throttledSteps.Add(throttled)
+}
+
+// record publishes one full step's state and emits transition events
 // (throttle engage/release, per-task license class changes).
 func (t *machTelemetry) record(m *Machine, sol power.Solution, cosGrants []float64, linkUtil float64, demands []Demand, regionOf []int) {
 	t.steps.Inc()

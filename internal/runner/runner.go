@@ -165,11 +165,17 @@ func run(ctx context.Context, i int, o Options, fn func(context.Context, int) er
 // fn(ctx, lo, hi) for each across the pool — the bulk-iteration
 // counterpart to ForEach for callers whose per-index work is too small to
 // pay a channel round-trip each (a fleet stepping 100k machines per
-// barrier). Chunks are fixed-size and dispatched in index order, so
-// which indices share a chunk — and hence every per-chunk computation
-// — is independent of the worker width; fn must touch only state owned
-// by indices in [lo, hi) for the determinism contract to hold.
-// chunk <= 0 picks a size that gives every worker about four chunks.
+// barrier). Chunks are fixed-size, so which indices share a chunk — and
+// hence every per-chunk computation — is independent of the worker
+// width; fn must touch only state owned by indices in [lo, hi) for the
+// determinism contract to hold. chunk <= 0 picks a size that gives
+// every worker about four chunks.
+//
+// Unlike ForEach, Shard starts no goroutines per call: the caller works
+// chunks itself beside parked helpers it recruits (DESIGN.md §6), and
+// chunks are claimed in index order through an atomic counter. Errors,
+// panics and cancellation follow ForEach, with chunk indices as
+// scenario indices.
 func Shard(ctx context.Context, n, chunk int, o Options, fn func(ctx context.Context, lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -181,12 +187,139 @@ func Shard(ctx context.Context, n, chunk int, o Options, fn func(ctx context.Con
 		}
 	}
 	shards := (n + chunk - 1) / chunk
-	return ForEach(ctx, shards, o, func(ctx context.Context, i int) error {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	j := &shardJob{parent: ctx, n: n, chunk: chunk, shards: shards, o: o, fn: fn,
+		failAt: shards, cancelledAt: shards}
+	j.ctx, j.cancel = context.WithCancel(ctx)
+	defer j.cancel()
+	if w := o.workers(shards); w > 1 {
+		j.wg.Add(w - 1)
+		recruit(j, w-1)
+	}
+	j.work()
+	j.wg.Wait()
+	if j.failAt < shards {
+		return fmt.Errorf("runner: scenario %d: %w", j.failAt, j.failErr)
+	}
+	if j.cancelledAt < shards {
+		return fmt.Errorf("runner: scenario %d: %w", j.cancelledAt, j.cancelledErr)
+	}
+	return nil
+}
+
+// shardJob is one Shard call, shared by the caller and its helpers.
+type shardJob struct {
+	parent, ctx context.Context
+	cancel      context.CancelFunc
+	n, chunk    int
+	shards      int
+	o           Options
+	fn          func(ctx context.Context, lo, hi int) error
+
+	next atomic.Int64 // the next chunk to claim
+	wg   sync.WaitGroup
+
+	// The lowest-indexed failure of each kind, under mu; an index of
+	// shards means none. failAt is ForEach's minFail.
+	mu                    sync.Mutex
+	failAt, cancelledAt   int
+	failErr, cancelledErr error
+}
+
+// work claims chunks in index order until none is left. A chunk that
+// fails for a reason of its own cancels the job's context; claims after
+// it skip, as ForEach's workers skip indices dispatched after a failure.
+func (j *shardJob) work() {
+	for {
+		i := int(j.next.Add(1) - 1)
+		if i >= j.shards {
+			return
 		}
-		return fn(ctx, lo, hi)
-	})
+		if err := j.ctx.Err(); err != nil && (j.parent.Err() != nil || i > j.lowestFail()) {
+			j.fail(i, err)
+			continue
+		}
+		if err := run(j.ctx, i, j.o, j.chunkAt); err != nil {
+			j.fail(i, err)
+			j.cancel()
+		}
+	}
+}
+
+// chunkAt runs fn over chunk i.
+func (j *shardJob) chunkAt(ctx context.Context, i int) error {
+	lo := i * j.chunk
+	return j.fn(ctx, lo, min(lo+j.chunk, j.n))
+}
+
+// fail records chunk i's error if it is the lowest of its kind. A
+// failure is recorded before work cancels the context, so a claim that
+// sees the cancellation also sees the failure's index.
+func (j *shardJob) fail(i int, err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if i < j.cancelledAt {
+			j.cancelledAt, j.cancelledErr = i, err
+		}
+	} else if i < j.failAt {
+		j.failAt, j.failErr = i, err
+	}
+}
+
+// lowestFail is the lowest chunk that failed for a reason of its own,
+// or shards if none has.
+func (j *shardJob) lowestFail() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.failAt
+}
+
+// idle holds the parked Shard helpers, each waiting on its own channel
+// for the next job. Like a sync.Pool it is shared by every caller in
+// the process; helpers never exit, and their number is the peak count
+// ever recruited at once.
+var idle struct {
+	sync.Mutex
+	helpers []chan *shardJob
+}
+
+// recruit hands j to k helpers, parked ones first, and starts a new
+// helper only for each one short.
+func recruit(j *shardJob, k int) {
+	for ; k > 0; k-- {
+		jobs := unpark()
+		if jobs == nil {
+			jobs = make(chan *shardJob, 1)
+			go helper(jobs)
+		}
+		jobs <- j // buffered and empty: a parked helper holds no job
+	}
+}
+
+// unpark takes a parked helper's channel, or nil when none is idle.
+func unpark() chan *shardJob {
+	idle.Lock()
+	defer idle.Unlock()
+	last := len(idle.helpers) - 1
+	if last < 0 {
+		return nil
+	}
+	jobs := idle.helpers[last]
+	idle.helpers[last] = nil
+	idle.helpers = idle.helpers[:last]
+	return jobs
+}
+
+// helper works each job it is handed, then parks. It parks before it
+// reports done, so once Shard returns every helper it recruited can be
+// recruited again, and sequential calls never need more helpers than
+// the widest one. A parked helper keeps no reference to its last job.
+func helper(jobs chan *shardJob) {
+	for j := range jobs {
+		j.work()
+		idle.Lock()
+		idle.helpers = append(idle.helpers, jobs)
+		idle.Unlock()
+		j.wg.Done()
+	}
 }

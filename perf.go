@@ -16,6 +16,7 @@ import (
 	"aum/internal/rdt"
 	"aum/internal/reqtrace"
 	"aum/internal/serve"
+	"aum/internal/telemetry"
 	"aum/internal/trace"
 	"aum/internal/workload"
 )
@@ -67,6 +68,20 @@ func benchMachine() *machine.Machine {
 	return m
 }
 
+// replayMachine builds the machine the replay rows step: one
+// burst-free workload over every core, so every tick replays (a bursty
+// profile runs two full steps per burst quantum).
+func replayMachine() *machine.Machine {
+	plat := platform.GenA()
+	m := machine.New(plat)
+	if _, err := m.AddTask(workload.New(workload.Compute(), 7), machine.Placement{
+		CoreLo: 0, CoreHi: plat.Cores - 1, SMTSlot: 0,
+	}); err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // coloStepLoop returns a closure that takes one full 1 ms step of the
 // machine the paper tables step: GenA serving llama2-7b with its
 // prefill and decode workers placed as NewExclusive places them, a
@@ -114,19 +129,19 @@ func MeasureHotPaths() []HotPathBench {
 	// machine_step row never exercises.
 	coloRow := measureLoop("colo_step", 2_000, 50_000, coloStepLoop())
 
-	// One replayed tick, timed as StepN(10) divided by 10. The row uses
-	// a burst-free workload so every tick replays (a bursty profile
-	// runs two full steps per burst quantum).
-	plat := platform.GenA()
-	ff := machine.New(plat)
-	if _, err := ff.AddTask(workload.New(workload.Compute(), 7), machine.Placement{
-		CoreLo: 0, CoreHi: plat.Cores - 1, SMTSlot: 0,
-	}); err != nil {
-		panic(err)
-	}
+	// One replayed tick, timed as StepN(10) divided by 10.
+	ff := replayMachine()
 	replay := measureLoop("machine_stepn_replay", 200, 5_000, func() { ff.StepN(10) })
 	replay.NsPerOp /= 10
 	replay.AllocsPerOp /= 10
+
+	// The same replayed tick on an observed machine: a replayed tick
+	// publishes only its step counts, once per StepN call.
+	observed := replayMachine()
+	observed.SetTelemetry(telemetry.NewRegistry())
+	replayObs := measureLoop("machine_stepn_replay_observed", 200, 5_000, func() { observed.StepN(10) })
+	replayObs.NsPerOp /= 10
+	replayObs.AllocsPerOp /= 10
 
 	// One replayed tick of the machine a fleet actually steps: an idle
 	// serving node built as the cluster builds one, replaying its
@@ -134,6 +149,10 @@ func MeasureHotPaths() []HotPathBench {
 	node := measureLoop("fleet_node_replay", 200, 5_000, cluster.NodeReplayBenchLoop(NewExclusive(), 10))
 	node.NsPerOp /= 10
 	node.AllocsPerOp /= 10
+
+	// One executed barrier of an idle 64-node fleet: the runner.Shard
+	// fan-out over one-node shards and each node's replayed interval.
+	barrier := measureLoop("fleet_barrier", 20, 500, cluster.FleetBarrierBenchLoop(NewExclusive()))
 
 	// The per-retry cost of fleet failover: schedule with jittered
 	// backoff, sample queue state, dispatch through the balancer.
@@ -152,5 +171,5 @@ func MeasureHotPaths() []HotPathBench {
 		rt.Token(tid, 0.3, 0.1, true, 0.05, 0, 0)
 	})
 
-	return []HotPathBench{step, coloRow, replay, node, failover, token}
+	return []HotPathBench{step, coloRow, replay, replayObs, node, barrier, failover, token}
 }
