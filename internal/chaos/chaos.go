@@ -196,7 +196,7 @@ func (in *Injector) Done() bool {
 // pending auto-revert, or +Inf when the schedule is exhausted — the
 // fast-forward horizon contract (DESIGN.md §9): Advance is a no-op for
 // any now strictly below this time.
-func (in *Injector) NextEventAt(now float64) float64 {
+func (in *Injector) NextEventAt() float64 {
 	next := math.Inf(1)
 	if in.pos < len(in.events) {
 		next = in.events[in.pos].At

@@ -81,8 +81,8 @@ func TestInjectorAppliesAndReverts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := in.NextEventAt(0); got != 1 {
-		t.Fatalf("NextEventAt(0) = %v, want 1", got)
+	if got := in.NextEventAt(); got != 1 {
+		t.Fatalf("NextEventAt = %v, want 1", got)
 	}
 	step(0.5)
 	if _, _, off := tgt.M.OfflineRange(); off {
@@ -104,8 +104,8 @@ func TestInjectorAppliesAndReverts(t *testing.T) {
 	if lo, hi, off := tgt.M.OfflineRange(); !off || lo != 0 || hi != 5 {
 		t.Fatalf("offline range = %d..%d (%v), want 0..5", lo, hi, off)
 	}
-	if got := in.NextEventAt(2); got != 2.5 {
-		t.Fatalf("NextEventAt(2) = %v, want the 2.5 reverts", got)
+	if got := in.NextEventAt(); got != 2.5 {
+		t.Fatalf("NextEventAt = %v, want the 2.5 reverts", got)
 	}
 	step(2.5)
 	if tgt.BE.PhaseFlipped() {

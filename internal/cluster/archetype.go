@@ -13,10 +13,11 @@
 // stepped barrier by barrier with the exact epoch stepper until it
 // drains back to quiescence (copy-on-divergence).
 //
-// Accounting (upS/activeS) is settled once at finish: states are
-// frozen, so the per-barrier additions collapse to one product per
-// node. Results are approximate with respect to the exact loop only
-// in warmup-snapshot placement (quantized to a barrier boundary) and
+// State-time accounting is settled once at finish: states are frozen,
+// so every node is charged the whole run's barrier count, which is
+// exactly what the exact loop's per-barrier charges add up to. Results
+// are approximate with respect to the exact loop only in
+// warmup-snapshot placement (quantized to a barrier boundary) and
 // coarse-idle float summation; the differential test pins the
 // tolerance.
 package cluster
@@ -106,59 +107,38 @@ func newArchState(s *session) *archState {
 }
 
 // stepArch advances one barrier in archetype mode. Only the busy set
-// is stepped; barriers with no busy machines and no arrivals due are
+// is stepped; barriers with no busy machines and no event due are
 // elided in O(classes).
 func (s *session) stepArch() error {
-	cfg, a := s.cfg, s.arch
-	start, end := s.now(), s.at(s.bi+1)
-
-	for s.qpsIdx < len(cfg.QPS) && cfg.QPS[s.qpsIdx].At <= start+1e-9 {
-		s.rate = cfg.QPS[s.qpsIdx].RatePerS
-		s.qpsIdx++
-	}
-	s.setRate(s.rate)
-
-	due := false
-	for _, g := range s.gens {
-		if g.NextEventAt(start) <= end {
-			due = true
-			break
-		}
-	}
-	if !due && len(a.busy) == 0 {
-		s.ev.cElided.Inc()
-		s.rt.Publish()
-		if cfg.Progress != nil {
-			cfg.Progress(end)
-		}
-		s.bi++
+	a := s.arch
+	if len(a.busy) == 0 && s.nextDue() > s.bi {
+		s.elideBarrier()
 		return nil
 	}
-
-	if due {
-		for k, g := range s.gens {
-			arrivals := g.Emit(start, end-start)
-			if len(arrivals) == 0 {
-				continue
-			}
-			routable := a.routable[k]
-			if len(routable) == 0 {
-				s.shed += len(arrivals)
-				continue
-			}
-			for _, r := range arrivals {
-				if s.rt != nil {
-					r.TraceID = reqtrace.MakeTraceID(k, r.ID)
-				}
-				i := s.bal.pick(k, s.nodes, routable)
-				if err := s.archTouch(i); err != nil {
-					return err
-				}
-				s.nodes[i].inbox = append(s.nodes[i].inbox, r)
-				s.nodes[i].requests++
-			}
-			s.cRouted.Add(uint64(len(arrivals)))
+	start, end := s.now(), s.at(s.bi+1)
+	s.openBarrier()
+	for k, g := range s.gens {
+		arrivals := g.Emit(start, end-start)
+		if len(arrivals) == 0 {
+			continue
 		}
+		routable := a.routable[k]
+		if len(routable) == 0 {
+			s.shed += len(arrivals)
+			continue
+		}
+		for _, r := range arrivals {
+			if s.rt != nil {
+				r.TraceID = reqtrace.MakeTraceID(k, r.ID)
+			}
+			i := s.bal.pick(k, s.nodes, routable)
+			if err := s.archTouch(i); err != nil {
+				return err
+			}
+			s.nodes[i].inbox = append(s.nodes[i].inbox, r)
+			s.nodes[i].requests++
+		}
+		s.cRouted.Add(uint64(len(arrivals)))
 	}
 
 	// Step the busy set with the exact epoch stepper; every member is
@@ -215,11 +195,7 @@ func (s *session) stepArch() error {
 		s.gUtil.Set(s.rate / a.capSum)
 	}
 	s.gAvail.Set(1) // no fault engine in the archetype envelope
-	s.rt.Publish()
-	if cfg.Progress != nil {
-		cfg.Progress(end)
-	}
-	s.bi++
+	s.closeBarrier()
 	return nil
 }
 
@@ -266,8 +242,8 @@ func (s *session) archAdvance(i, from, k int) error {
 
 // archSpan advances one contiguous quiescent span of kb barriers:
 // closed-form skip on the machine's own capture, adoption of the class
-// archetype for virgins, or — when neither applies — exact per-barrier
-// replay.
+// archetype for virgins, or — when neither applies — exact stepping
+// through the span.
 func (s *session) archSpan(i, fromB, kb int) error {
 	if kb <= 0 {
 		return nil
@@ -292,12 +268,7 @@ func (s *session) archSpan(i, fromB, kb int) error {
 			return nil
 		}
 	}
-	for b := fromB; b < fromB+kb; b++ {
-		if err := s.stepEpoch(n, b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.stepEpoch(n, fromB+kb-1)
 }
 
 // archFinish syncs every lazy machine to the last barrier and settles
@@ -328,11 +299,10 @@ func (s *session) archFinish() error {
 	}
 	// Deferred accounting: states are frozen in this mode, so the
 	// exact loop's per-barrier charges collapse to one charge of the
-	// whole span, made from zero so a repeated Finish stays idempotent.
-	span := float64(to) * s.cfg.BarrierS
+	// whole run, made from zero so a repeated Finish stays idempotent.
 	for _, n := range s.nodes {
-		n.upS, n.downtimeS, n.activeS = 0, 0, 0
-		n.charge(span)
+		n.upB, n.downB, n.activeB = 0, 0, 0
+		n.charge(int64(to))
 	}
 	return nil
 }

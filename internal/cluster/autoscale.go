@@ -3,6 +3,8 @@ package cluster
 import (
 	"math"
 
+	"aum/internal/machine"
+
 	"aum/internal/vcfg"
 )
 
@@ -81,12 +83,13 @@ type autoscaler struct {
 	loStreak int
 }
 
-// observe runs one barrier's scaling decision. Activation prefers a
-// draining machine (already warm) and otherwise the highest-capacity
-// standby; draining targets the lowest-capacity active machine, so
-// the fleet sheds its least efficient capacity first. Ties break on
-// the lowest index — the choice is deterministic.
-func (a *autoscaler) observe(now, offered float64, nodes []*node, events *[]ScaleEvent) {
+// observe runs the scaling decision of the barrier starting at tick.
+// Activation prefers a draining machine (already warm) and otherwise
+// the highest-capacity standby; draining targets the lowest-capacity
+// active machine, so the fleet sheds its least efficient capacity
+// first. Ties break on the lowest index — the choice is deterministic.
+func (a *autoscaler) observe(tick int64, offered float64, nodes []*node, events *[]ScaleEvent) {
+	now := machine.Time(tick)
 	var capacity float64
 	powered := 0
 	for _, n := range nodes {
@@ -116,7 +119,7 @@ func (a *autoscaler) observe(now, offered float64, nodes []*node, events *[]Scal
 			*events = append(*events, ScaleEvent{At: now, Machine: d.name, Action: "undrain"})
 		} else if s := bestStandby(nodes); s != nil {
 			s.state = stateWarming
-			s.activeAt = now + a.cfg.WarmupDelayS
+			s.activeAt = tick + machine.TickOf(a.cfg.WarmupDelayS)
 			*events = append(*events, ScaleEvent{At: now, Machine: s.name, Action: "warmup"})
 		}
 	}

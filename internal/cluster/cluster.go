@@ -150,10 +150,14 @@ type Config struct {
 	// core: quiescent machines advance in O(1) closed form from an
 	// interned per-class step capture (machine.ReplayCapture), adopted
 	// by machines that have never stepped, with copy-on-divergence when
-	// a request lands. This is the 100k-machine scale mode; it is
-	// *approximate* (k× products instead of k iterated additions; see
-	// DESIGN.md §14 for the error bound) and therefore restricted to
-	// configurations whose idle dynamics are provably self-repeating:
+	// a request lands. This is the 100k-machine scale mode. It is
+	// *approximate* in two places (DESIGN.md §14): an idle machine's
+	// work, energy and busy-time integrals advance as k× products
+	// rather than k iterated additions, and its warmup snapshot lands on
+	// a barrier start. Clocks, routing and the state-time accounting
+	// (MachineSecondsActive, Availability, per-node ActiveS/DowntimeS)
+	// stay exact. The mode is restricted to configurations whose idle
+	// dynamics are provably self-repeating:
 	// all-mixed roles, round-robin routing, interval-free managers, and
 	// no faults, autoscaler, co-runner, live source, or request tracing.
 	// Hits are counted in aum_cluster_archetype_hits_total.
@@ -405,20 +409,20 @@ type node struct {
 	capacity float64 // profiled requests/s (requestCapacity)
 
 	state    nodeState
-	activeAt float64 // warming/recovering -> active time
-	interval int64   // manager cadence in ticks (0 = no ticks)
-	nextTick int64   // tick of the next manager decision
+	activeAt int64 // warming/recovering -> active tick
+	interval int64 // manager cadence in ticks (0 = no ticks)
+	nextTick int64 // tick of the next manager decision
 
 	// Health state (all zero unless Config.Faults is set).
-	downSince    float64 // start of the current outage
-	confirmAt    float64 // suspect -> down confirmation time
-	crashes      int     // lifetime crash count (feeds the breaker)
-	outages      int     // completed crash -> ready cycles
-	breakerOpen  bool    // circuit breaker tripped
-	linkDown     bool    // KV egress partitioned
-	redispatched int     // crashed-elsewhere requests re-routed here
-	upS          float64 // seconds spent serving (active/draining)
-	downtimeS    float64 // seconds in suspect/down/recovering
+	downSince    int64 // tick the current outage began
+	confirmAt    int64 // suspect -> down confirmation tick
+	crashes      int   // lifetime crash count (feeds the breaker)
+	outages      int   // completed crash -> ready cycles
+	breakerOpen  bool  // circuit breaker tripped
+	linkDown     bool  // KV egress partitioned
+	redispatched int   // crashed-elsewhere requests re-routed here
+	upB          int64 // barriers spent serving (active/draining)
+	downB        int64 // barriers in suspect/down/recovering
 	gState       *telemetry.Gauge
 
 	inbox   []*serve.Request // this epoch's arrivals, sorted by Arrival
@@ -426,9 +430,9 @@ type node struct {
 	pending []handoff        // KV transfers headed here; sorted from handIdx
 	handIdx int
 
-	requests int     // total fresh arrivals routed here
-	handRecv int     // handed-off requests delivered here
-	activeS  float64 // powered seconds
+	requests int   // total fresh arrivals routed here
+	handRecv int   // handed-off requests delivered here
+	activeB  int64 // powered barriers
 
 	measured   bool
 	baseStats  serve.Stats
@@ -439,24 +443,22 @@ type node struct {
 // undelivered reports KV transfers still in flight toward the node.
 func (n *node) undelivered() int { return len(n.pending) - n.handIdx }
 
-// charge books dt seconds spent in the node's current state — serving
+// charge books k barriers spent in the node's current state — serving
 // (active, draining), outage (suspect, down, recovering) and powered
 // (every live non-standby state; a recovering node reboots on power) —
-// and reports whether the node was powered. The executed barrier and
-// the replay of an elided span both charge once per barrier, so the
-// per-node additions stay iterated in the same order however the span
-// was advanced.
-func (n *node) charge(dt float64) (powered bool) {
+// and reports whether the node was powered. The counts are whole
+// barriers, so a span charges the same however it was grouped.
+func (n *node) charge(k int64) (powered bool) {
 	switch n.state {
 	case stateActive, stateDraining:
-		n.upS += dt
+		n.upB += k
 	case stateSuspect, stateDown, stateRecovering:
-		n.downtimeS += dt
+		n.downB += k
 	}
 	if n.state == stateStandby || n.dead() {
 		return false
 	}
-	n.activeS += dt
+	n.activeB += k
 	return true
 }
 
@@ -561,10 +563,11 @@ func run(cfg Config) (Result, error) {
 	return s.finishAt(cfg.HorizonS)
 }
 
-// stepEpoch advances one machine through barrier b, the ticks
-// [b·steps, (b+1)·steps), submitting its epoch inbox and delivering
-// matured KV handoffs at their in-epoch ticks. It runs on a runner
-// goroutine; it touches only its own node.
+// stepEpoch advances one machine from its current tick to the end of
+// barrier b, tick (b+1)·steps — one barrier when executed, a whole
+// deferred span in catchUp — submitting its epoch inbox and
+// delivering matured KV handoffs at their in-epoch ticks. It runs on a
+// runner goroutine; it touches only its own node.
 func (s *session) stepEpoch(n *node, b int) error {
 	m := n.env.M
 	end := s.barrierTick(b + 1)

@@ -92,8 +92,10 @@ func diffFixtures() map[string]Config {
 }
 
 // update rewrites the event-core goldens. The checked-in files were
-// generated by the fixed-cadence loop the event core replaced, so a
-// diff here is a behavior change, not a re-baseline to take lightly.
+// first generated by the fixed-cadence loop the event core replaced and
+// since rewritten only by changes that name every value they moved
+// (DESIGN.md §14), so a diff here is a behavior change, not a
+// re-baseline to take lightly.
 var update = flag.Bool("update", false, "rewrite the event-core goldens under testdata/eventcore")
 
 // goldenBytes runs cfg at the given width and renders what the golden
@@ -131,11 +133,11 @@ func goldenBytes(t *testing.T, cfg Config, workers int) []byte {
 
 // TestEventDrivenByteIdentity is the compatibility lockdown: for every
 // fixture, the event core must reproduce testdata/eventcore/<fixture>.json
-// byte-for-byte across worker widths 1/2/8. The goldens were written by
-// the fixed-cadence barrier loop (width 1) before it was retired, so
-// they pin that elided spans replay exactly what executing every
-// barrier produced. -update rewrites them from the current loop at
-// width 1.
+// byte-for-byte across worker widths 1/2/8. The goldens were first
+// written by the fixed-cadence barrier loop (width 1) before it was
+// retired, so they pin that elided spans settle to exactly what
+// executing every barrier produced. -update rewrites them from the
+// current loop at width 1.
 func TestEventDrivenByteIdentity(t *testing.T) {
 	for name, base := range diffFixtures() {
 		t.Run(name, func(t *testing.T) {
@@ -259,18 +261,138 @@ func TestArchetypesApproximation(t *testing.T) {
 	within("GoodTokensPS", approx.GoodTokensPS, exact.GoodTokensPS, 0.05)
 	within("Watts", approx.Watts, exact.Watts, 0.05)
 	within("PerfH", approx.PerfH, exact.PerfH, 0.05)
-	within("MachineSecondsActive", approx.MachineSecondsActive, exact.MachineSecondsActive, 0.01)
+	// State-time accounting counts whole barriers in both loops, so it
+	// must match exactly.
+	if approx.MachineSecondsActive != exact.MachineSecondsActive {
+		t.Errorf("MachineSecondsActive: archetype %v vs exact %v", approx.MachineSecondsActive, exact.MachineSecondsActive)
+	}
+	if approx.Availability != exact.Availability {
+		t.Errorf("Availability: archetype %v vs exact %v", approx.Availability, exact.Availability)
+	}
 	if approx.Unrouted != exact.Unrouted {
 		t.Errorf("Unrouted: archetype %d vs exact %d", approx.Unrouted, exact.Unrouted)
 	}
 	// Routing is identical in-envelope (same generators, same
 	// round-robin cursor), so request counts must match exactly.
-	for i := range exact.PerNode {
-		if approx.PerNode[i].Requests != exact.PerNode[i].Requests {
-			t.Errorf("node %d requests: archetype %d vs exact %d",
-				i, approx.PerNode[i].Requests, exact.PerNode[i].Requests)
+	for i, e := range exact.PerNode {
+		a := approx.PerNode[i]
+		if a.Requests != e.Requests || a.ActiveS != e.ActiveS || a.DowntimeS != e.DowntimeS {
+			t.Errorf("node %d requests/active/downtime: archetype %d/%v/%v vs exact %d/%v/%v",
+				i, a.Requests, a.ActiveS, a.DowntimeS, e.Requests, e.ActiveS, e.DowntimeS)
 		}
 	}
+}
+
+// TestNextEventAtExact steps every fixture, and a live-source session,
+// from one executed barrier to the next: whenever the session is idle,
+// NextEventAt must be the start of the next barrier that executes,
+// every barrier before it must be elided, and some event source must
+// fire at the barrier that executes. The fixtures are busy most of
+// the time, so the live session idles on purpose: its arrivals are
+// short and few (one exactly at a barrier start, which the barrier
+// before emits), and its rate only drives the autoscaler, so a QPS
+// surge, a standby's warming and activation, a drain and a straggler's
+// injection and revert each fall due while every machine is idle.
+func TestNextEventAtExact(t *testing.T) {
+	fixtures := diffFixtures()
+	// One machine's capacity: the surge breaches the high watermark on
+	// one machine and sits between the watermarks on two.
+	c := requestCapacity(platform.GenA(), llm.Llama2_7B(), trace.Chatbot())
+	fixtures["live-source"] = Config{
+		Machines: []MachineSpec{
+			{Plat: platform.GenA(), Mgr: manager.AllAU{}},
+			{Plat: platform.GenA(), Mgr: manager.AllAU{}, Standby: true},
+		},
+		HorizonS: 12, RatePerS: 0.1 * c,
+		QPS:       []RatePoint{{At: 3, RatePerS: 1.2 * c}, {At: 5.5, RatePerS: 0.1 * c}},
+		Autoscale: &AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1},
+		Faults: &chaos.FleetSchedule{Events: []chaos.FleetEvent{
+			{At: 8.0123, Kind: chaos.Straggler, Machine: 0, Duration: 1, Factor: 0.5},
+		}},
+	}
+	for name, cfg := range fixtures {
+		t.Run(name, func(t *testing.T) {
+			if name == "live-source" {
+				src := trace.NewLiveSource()
+				for _, at := range []float64{0.237, 1.5, 7.0001, 10} {
+					src.Submit(at, 64, 4)
+				}
+				cfg.Source = src
+			}
+			sess, err := NewSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := sess.s
+			horizon := sess.Config().HorizonS
+			spans := 0
+			for s.now() < horizon {
+				next, from, idle := sess.NextEventAt(), s.bi, s.ev.idle()
+				if next > s.now() {
+					spans++
+				}
+				if err := sess.StepUntil(math.Min(next, horizon)); err != nil {
+					t.Fatal(err)
+				}
+				if s.ev.deferFrom != from {
+					t.Fatalf("barrier %d executed before NextEventAt %v", s.ev.deferFrom-1, next)
+				}
+				if s.now() >= horizon {
+					break
+				}
+				if math.Float64bits(s.now()) != math.Float64bits(next) {
+					t.Fatalf("NextEventAt %v is not a barrier start; stepping stopped at %v", next, s.now())
+				}
+				pulse := eventSources(s, true)
+				if err := sess.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if s.ev.deferFrom != s.bi {
+					t.Fatalf("barrier %d at NextEventAt %v was elided", s.bi-1, next)
+				}
+				if idle && eventSources(s, false) == pulse {
+					t.Fatalf("idle barrier %d executed, but no event source fired at it", s.bi-1)
+				}
+			}
+			if spans == 0 {
+				t.Fatal("the session was never idle; nothing was checked")
+			}
+		})
+	}
+}
+
+// sources is what the event sources leave behind: the QPS cursor, scale
+// and health events, routed and shed arrivals, the fault injector's
+// next event, the retry queue and the autoscaler streaks.
+type sources struct {
+	qps, events, faults, retries, routed, hi, lo int
+	inj                                          float64
+}
+
+// eventSources reads the sources; with pulse, the streaks read as an
+// elided barrier would leave them (elideBarrier), so the reading
+// before a barrier equals the one after it iff no source fired.
+func eventSources(s *session, pulse bool) sources {
+	st := sources{qps: s.qpsIdx, events: len(s.events), routed: s.shed}
+	for _, n := range s.nodes {
+		st.routed += n.requests
+	}
+	if fe := s.fe; fe != nil {
+		st.faults, st.retries, st.inj = len(fe.events), len(fe.retryq), fe.inj.NextEventAt()
+	}
+	if sc := s.scaler; sc != nil {
+		st.hi, st.lo = sc.hiStreak, sc.loStreak
+		if pulse {
+			st.hi, st.lo = 0, 0
+			if s.ev.spanHi {
+				st.hi = sc.hiStreak + 1
+			}
+			if s.ev.spanLo {
+				st.lo = sc.loStreak + 1
+			}
+		}
+	}
+	return st
 }
 
 // TestNodeClocksAtBarriers checks that the fleet and its machines keep

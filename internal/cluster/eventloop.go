@@ -1,18 +1,18 @@
 // Event-queue fleet core: the exact barrier loop, with barrier
 // elision. A barrier is *inert* when no event source — arrival
 // generators, QPS schedule, warming completions, fault injector, retry
-// queue, autoscaler watermarks — can observably fire during it and
-// every machine is quiescent. Inert barriers are elided: the loop
-// advances its clock without touching any machine; deferred per-node
-// work is replayed barrier by barrier (stepEvent -> catchUp) right
-// before the next executed barrier, with exactly the call sequence
-// executing every barrier would have made, so results are the same at
-// every worker width.
+// queue, autoscaler watermarks — fires at it and every machine is
+// quiescent. Inert barriers are elided: the loop advances its clock
+// without touching any machine, and each node's deferred span is
+// settled in one step (stepEvent -> catchUp) right before the next
+// executed barrier. Machines count whole ticks and the accounting
+// counts whole barriers, so a span settled at once reads exactly what
+// executing every barrier would have, at every worker width.
 //
 // The elision predicate is deliberately conservative: any state it
-// cannot prove inert (draining or unhealthy nodes, a live source with
-// arrivals due, a watermark streak one barrier from firing) forces the
-// barrier to execute the full step body. DESIGN.md §14 gives the
+// cannot prove inert (draining or unhealthy nodes, a node with work)
+// forces the barrier to execute the full step body. nextDue states
+// each event source's firing rule once; DESIGN.md §14 gives the
 // determinism argument source by source.
 package cluster
 
@@ -20,9 +20,13 @@ import (
 	"context"
 	"math"
 
+	"aum/internal/machine"
 	"aum/internal/runner"
 	"aum/internal/telemetry"
 )
+
+// never is the due barrier of a source with nothing scheduled.
+const never = math.MaxInt
 
 // eventState is the event core's bookkeeping between barriers.
 type eventState struct {
@@ -37,11 +41,10 @@ type eventState struct {
 	// every executed barrier and frozen across an elided span (no event
 	// can fire inside the span, so no node state or queue content can
 	// change).
-	allIdle      bool // every non-standby live node has empty queues and an idle engine
-	drainingAny  bool // a draining node may transition at any barrier
-	unhealthyAny bool // suspect/down/recovering nodes force execution
-	warmingAny   bool
-	minActiveAt  float64 // earliest warming -> active completion
+	allIdle      bool  // every non-standby live node has empty queues and an idle engine
+	drainingAny  bool  // a draining node may transition at any barrier
+	unhealthyAny bool  // suspect/down/recovering nodes force execution
+	minActiveAt  int64 // earliest warming -> active tick (math.MaxInt64: none warming)
 
 	// Autoscaler span freeze: utilization is constant across an elided
 	// span (rate, states and capacities frozen), so the watermark
@@ -76,17 +79,14 @@ func (s *session) refreshEventScan() {
 	ev := &s.ev
 	ev.spanFrozen = false
 	ev.allIdle = true
-	ev.drainingAny, ev.unhealthyAny, ev.warmingAny = false, false, false
-	ev.minActiveAt = math.Inf(1)
+	ev.drainingAny, ev.unhealthyAny = false, false
+	ev.minActiveAt = math.MaxInt64
 	for _, n := range s.nodes {
 		switch n.state {
 		case stateDraining:
 			ev.drainingAny = true
 		case stateWarming:
-			ev.warmingAny = true
-			if n.activeAt < ev.minActiveAt {
-				ev.minActiveAt = n.activeAt
-			}
+			ev.minActiveAt = min(ev.minActiveAt, n.activeAt)
 		case stateSuspect, stateDown, stateRecovering:
 			ev.unhealthyAny = true
 		}
@@ -100,58 +100,56 @@ func (s *session) refreshEventScan() {
 	}
 }
 
-// canElide reports whether the barrier starting at now() is inert.
-// Every comparison replicates the corresponding step check exactly
-// (same epsilons, same pop conditions), so "no source fires" here
-// means the executed barrier would have been a no-op for that source.
-func (s *session) canElide() bool {
-	ev, cfg := &s.ev, s.cfg
-	start := s.now()
-	if !ev.allIdle || ev.drainingAny || ev.unhealthyAny {
-		return false
-	}
-	// Warming completion (step's lifecycle loop): start >= activeAt-1e-9.
-	if ev.warmingAny && start >= ev.minActiveAt-1e-9 {
-		return false
-	}
-	// QPS schedule pop: At <= start+1e-9.
-	if s.qpsIdx < len(cfg.QPS) && cfg.QPS[s.qpsIdx].At <= start+1e-9 {
-		return false
-	}
-	// Arrival generators: Emit(start, B) pops events with At in
-	// (start, start+B]; NextEventAt past the window means Emit would
-	// return nothing and mutate nothing.
+// idle reports the frozen fleet facts elision needs: every live node
+// quiescent, none draining, none unhealthy.
+func (ev *eventState) idle() bool {
+	return ev.allIdle && !ev.drainingAny && !ev.unhealthyAny
+}
+
+// canElide reports whether the barrier about to run is inert.
+func (s *session) canElide() bool { return s.ev.idle() && s.nextDue() > s.bi }
+
+// nextDue returns the first barrier at or after bi at which an event
+// source fires: the one firing rule per source that canElide,
+// stepArch and Session.NextEventAt share, and that step's own
+// comparisons match. A timed event is seen by the first barrier that
+// starts at or after it, except an arrival, which the barrier before
+// emits: its window (start, end] holds the arrival. An autoscaler
+// watermark fires when its breach streak reaches HoldBarriers.
+func (s *session) nextDue() int {
+	due := never
+	fire := func(b int) { due = min(due, b) }
+	fireAt := func(t float64) { fire(s.barrierOf(machine.TickOf(t))) }
 	for _, g := range s.gens {
-		if g.NextEventAt(start) <= s.at(s.bi+1) {
-			return false
+		if b := s.barrierOf(machine.TickOf(g.NextEventAt())); b != never {
+			fire(b - 1)
 		}
 	}
+	if s.qpsIdx < len(s.cfg.QPS) {
+		fireAt(s.cfg.QPS[s.qpsIdx].At)
+	}
+	fire(s.barrierOf(s.ev.minActiveAt))
 	if fe := s.fe; fe != nil {
-		// Injector Fire pops At <= now; retry dispatch pops at <= now.
-		if fe.inj.NextEventAt() <= start {
-			return false
-		}
+		fireAt(fe.inj.NextEventAt())
 		for _, e := range fe.retryq {
-			if e.at <= start {
-				return false
-			}
+			fireAt(e.at)
 		}
 	}
 	if sc := s.scaler; sc != nil {
-		if !ev.spanFrozen {
+		if !s.ev.spanFrozen {
 			s.freezeScalerSpan()
 		}
-		// observe increments the streak first, then compares >= Hold:
-		// a barrier fires iff streak+1 crosses. A low-watermark breach
-		// with powered <= MinActive grows the streak without firing.
-		if ev.spanHi && sc.hiStreak+1 >= sc.cfg.HoldBarriers {
-			return false
+		// observe grows the streak, then fires when it reaches Hold; a
+		// low-watermark breach with powered <= MinActive never fires.
+		hold := sc.cfg.HoldBarriers - 1
+		if s.ev.spanHi {
+			fire(s.bi + hold - sc.hiStreak)
 		}
-		if ev.spanLo && sc.loStreak+1 >= sc.cfg.HoldBarriers && ev.spanPowered > sc.cfg.MinActive {
-			return false
+		if s.ev.spanLo && s.ev.spanPowered > sc.cfg.MinActive {
+			fire(s.bi + hold - sc.loStreak)
 		}
 	}
-	return true
+	return max(due, s.bi)
 }
 
 // freezeScalerSpan evaluates the autoscaler's watermark comparisons
@@ -178,9 +176,9 @@ func (s *session) freezeScalerSpan() {
 
 // elideBarrier is the cheap pulse for an inert barrier: advance the
 // autoscaler streaks exactly as observe would (minus the firing
-// branches canElide ruled out), publish, progress, tick the clock.
-// Gauges keep their last executed values — they are sampled
-// final-value-only, and the next executed barrier rewrites them all.
+// branches nextDue ruled out), then close the barrier. Gauges keep
+// their last executed values — they are sampled final-value-only, and
+// the next executed barrier rewrites them all.
 func (s *session) elideBarrier() {
 	if sc := s.scaler; sc != nil {
 		if s.ev.spanHi {
@@ -194,38 +192,27 @@ func (s *session) elideBarrier() {
 			sc.loStreak = 0
 		}
 	}
-	s.rt.Publish()
-	if s.cfg.Progress != nil {
-		s.cfg.Progress(s.at(s.bi + 1))
-	}
-	s.bi++
 	s.ev.cElided.Inc()
+	s.closeBarrier()
 }
 
-// catchUp replays the deferred span [deferFrom, bi) for every node,
-// barrier by barrier — the same stepEpoch calls in the same per-node
-// order the executed barriers would have made, plus the accounting
-// charges step's tail makes (node.charge). Iterated per-barrier float
-// additions are preserved (one fused k*B add is not byte-identical),
-// which is the whole reason this loop is per-barrier rather than one
-// span advance.
-// Nodes are independent across the span (all idle, no merges), so the
-// replay parallelizes over contiguous shards of nodes.
+// catchUp settles the deferred span [deferFrom, bi) for every node:
+// one stepEpoch to the span's end and one charge of its barriers.
+// Nodes are independent across the span (all idle, no merges, states
+// frozen), so the settlement parallelizes over contiguous shards of
+// nodes.
 func (s *session) catchUp() error {
 	from, to := s.ev.deferFrom, s.bi
 	if from >= to {
 		return nil
 	}
-	cfg := s.cfg
 	err := runner.Shard(s.ctx, len(s.nodes), 0, s.ropt,
 		func(_ context.Context, lo, hi int) error {
 			for _, n := range s.nodes[lo:hi] {
-				for b := from; b < to; b++ {
-					if err := s.stepEpoch(n, b); err != nil {
-						return err
-					}
-					n.charge(cfg.BarrierS)
+				if err := s.stepEpoch(n, to-1); err != nil {
+					return err
 				}
+				n.charge(int64(to - from))
 			}
 			return nil
 		})

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"aum/internal/chaos"
+	"aum/internal/machine"
 	"aum/internal/reqtrace"
 	"aum/internal/rng"
 	"aum/internal/serve"
@@ -88,7 +89,7 @@ type faultEngine struct {
 	rerouted     int
 	failed       int
 	outages      int
-	mttrSum      float64
+	mttrTicks    int64 // summed crash -> ready ticks of completed outages
 
 	events []HealthEvent
 	rt     *reqtrace.Tracer // per-request causal tracer (nil-safe)
@@ -128,19 +129,20 @@ func (fe *faultEngine) event(now float64, n *node, state string) {
 		telemetry.F("machine", n.name), telemetry.F("state", state))
 }
 
-// apply fires every scheduled fault (and expiry) due at this barrier
-// and then advances detection/recovery timers. Called once per barrier
-// before routing, so the balancer and decode-target picker already see
-// the post-fault health states.
-func (fe *faultEngine) apply(now float64, cfg Config, nodes []*node, link *kvLink) {
+// apply fires every scheduled fault (and expiry) due at the barrier
+// starting at tick and then advances detection/recovery timers. Called
+// once per barrier before routing, so the balancer and decode-target
+// picker already see the post-fault health states.
+func (fe *faultEngine) apply(tick int64, cfg Config, nodes []*node, link *kvLink) {
+	now := machine.Time(tick)
 	for _, f := range fe.inj.Fire(now) {
 		n := nodes[f.Event.Machine]
 		switch f.Event.Kind {
 		case chaos.MachineCrash:
 			if f.Revert {
-				fe.beginRecovery(now, cfg, nodes, link, n)
+				fe.beginRecovery(tick, cfg, nodes, link, n)
 			} else {
-				fe.crash(now, n)
+				fe.crash(tick, n)
 			}
 		case chaos.LinkDown:
 			n.linkDown = !f.Revert
@@ -171,16 +173,16 @@ func (fe *faultEngine) apply(now float64, cfg Config, nodes []*node, link *kvLin
 	for _, n := range nodes {
 		switch n.state {
 		case stateSuspect:
-			if now >= n.confirmAt-1e-9 {
+			if tick >= n.confirmAt {
 				n.state = stateDown
 				fe.event(now, n, "down")
 				fe.harvest(now, cfg, nodes, link, n)
 			}
 		case stateRecovering:
-			if now >= n.activeAt-1e-9 {
+			if tick >= n.activeAt {
 				n.state = stateActive
 				fe.outages++
-				fe.mttrSum += now - n.downSince
+				fe.mttrTicks += tick - n.downSince
 				n.outages++
 				fe.event(now, n, "ready")
 			}
@@ -193,7 +195,8 @@ func (fe *faultEngine) apply(now float64, cfg Config, nodes []*node, link *kvLin
 // noticed yet, so its in-flight requests sit unharvested until the
 // Down confirmation. Crashing a powered-off standby machine is a
 // no-op.
-func (fe *faultEngine) crash(now float64, n *node) {
+func (fe *faultEngine) crash(tick int64, n *node) {
+	now := machine.Time(tick)
 	switch n.state {
 	case stateStandby, stateSuspect, stateDown:
 		return
@@ -201,7 +204,7 @@ func (fe *faultEngine) crash(now float64, n *node) {
 		// Crashed again mid-reboot: back to Suspect; the original
 		// downSince stands so MTTR spans the whole compound outage.
 		n.state = stateSuspect
-		n.confirmAt = now + confirmDownS
+		n.confirmAt = tick + machine.TickOf(confirmDownS)
 		n.crashes++
 		fe.crashes++
 		fe.cCrashes.Inc()
@@ -209,8 +212,8 @@ func (fe *faultEngine) crash(now float64, n *node) {
 		return
 	}
 	n.state = stateSuspect
-	n.downSince = now
-	n.confirmAt = now + confirmDownS
+	n.downSince = tick
+	n.confirmAt = tick + machine.TickOf(confirmDownS)
 	n.crashes++
 	fe.crashes++
 	fe.cCrashes.Inc()
@@ -224,7 +227,8 @@ func (fe *faultEngine) crash(now float64, n *node) {
 // If the loss was never confirmed (outage shorter than confirmDownS),
 // the in-flight state is still gone — a blip loses memory contents just
 // as thoroughly — so the harvest happens now instead.
-func (fe *faultEngine) beginRecovery(now float64, cfg Config, nodes []*node, link *kvLink, n *node) {
+func (fe *faultEngine) beginRecovery(tick int64, cfg Config, nodes []*node, link *kvLink, n *node) {
+	now := machine.Time(tick)
 	switch n.state {
 	case stateSuspect:
 		fe.harvest(now, cfg, nodes, link, n)
@@ -234,13 +238,12 @@ func (fe *faultEngine) beginRecovery(now float64, cfg Config, nodes []*node, lin
 		return // crash never applied (standby at injection time)
 	}
 	n.state = stateRecovering
-	rejoin := now + recoveryWarmupS
+	n.activeAt = tick + machine.TickOf(recoveryWarmupS)
 	if n.crashes >= breakerThreshold && !n.breakerOpen {
 		n.breakerOpen = true
-		rejoin += breakerHoldS
+		n.activeAt += machine.TickOf(breakerHoldS)
 		fe.event(now, n, "breaker-open")
 	}
-	n.activeAt = rejoin
 	fe.event(now, n, "recovering")
 }
 

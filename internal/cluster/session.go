@@ -185,9 +185,8 @@ func newSession(cfg Config) (*session, error) {
 	}
 	if cfg.Archetypes {
 		s.arch = newArchState(s)
-	} else {
-		s.refreshEventScan()
 	}
+	s.refreshEventScan()
 	return s, nil
 }
 
@@ -203,6 +202,15 @@ func (s *session) advance() error {
 // barrierTick is the machine tick at which barrier b starts.
 func (s *session) barrierTick(b int) int64 { return int64(b) * int64(s.steps) }
 
+// barrierOf is the first barrier that starts at or after tick k, or
+// never for math.MaxInt64 (machine.TickOf of a time that never comes).
+func (s *session) barrierOf(k int64) int {
+	if k == math.MaxInt64 {
+		return never
+	}
+	return int((k + int64(s.steps) - 1) / int64(s.steps))
+}
+
 // at is the simulated time of barrier b's start, on the machines' own
 // clock: every node's Now() reads at(b) when barrier b begins.
 func (s *session) at(b int) float64 { return machine.Time(s.barrierTick(b)) }
@@ -210,36 +218,52 @@ func (s *session) at(b int) float64 { return machine.Time(s.barrierTick(b)) }
 // now is the simulated time of the next barrier's start.
 func (s *session) now() float64 { return s.at(s.bi) }
 
+// openBarrier is every executed barrier's prologue: the QPS points due
+// at its start take effect.
+func (s *session) openBarrier() {
+	qps := s.cfg.QPS
+	for s.qpsIdx < len(qps) && machine.TickOf(qps[s.qpsIdx].At) <= s.barrierTick(s.bi) {
+		s.rate = qps[s.qpsIdx].RatePerS
+		s.qpsIdx++
+	}
+	s.setRate(s.rate)
+}
+
+// closeBarrier is every barrier's epilogue, executed or elided:
+// publish the request traces, report progress, advance the clock.
+func (s *session) closeBarrier() {
+	s.rt.Publish()
+	if s.cfg.Progress != nil {
+		s.cfg.Progress(s.at(s.bi + 1))
+	}
+	s.bi++
+}
+
 // step executes one barrier interval across the whole fleet — the
 // event core's executed-barrier body — ending with the single-threaded
 // merge and telemetry publish.
 func (s *session) step() error {
 	cfg, nodes, rt, fe := s.cfg, s.nodes, s.rt, s.fe
-	start, end := s.now(), s.at(s.bi+1)
-
-	for s.qpsIdx < len(cfg.QPS) && cfg.QPS[s.qpsIdx].At <= start+1e-9 {
-		s.rate = cfg.QPS[s.qpsIdx].RatePerS
-		s.qpsIdx++
-	}
-	s.setRate(s.rate)
+	tick, start, end := s.barrierTick(s.bi), s.now(), s.at(s.bi+1)
+	s.openBarrier()
 
 	// Fleet faults strike before any routing or scaling decision, so
 	// the rest of the barrier already sees the post-fault health
 	// states — a crashed node takes no arrivals this barrier.
 	if fe != nil {
-		fe.apply(start, cfg, nodes, s.link)
+		fe.apply(tick, cfg, nodes, s.link)
 	}
 
 	// Lifecycle transitions, then this barrier's scaling decision.
 	for _, n := range nodes {
-		if n.state == stateWarming && start >= n.activeAt-1e-9 {
+		if n.state == stateWarming && tick >= n.activeAt {
 			n.state = stateActive
 			s.events = append(s.events, ScaleEvent{At: start, Machine: n.name, Action: "active"})
 		}
 	}
 	if s.scaler != nil {
 		before := len(s.events)
-		s.scaler.observe(start, s.rate, nodes, &s.events)
+		s.scaler.observe(tick, s.rate, nodes, &s.events)
 		s.cScale.Add(uint64(len(s.events) - before))
 	}
 	for _, n := range nodes {
@@ -370,18 +394,18 @@ func (s *session) step() error {
 	}
 
 	active, powered, capacity := 0, 0, 0.0
-	upSum, downSum := 0.0, 0.0
+	var up, down int64
 	for _, n := range nodes {
 		n.gState.Set(float64(n.state))
 		if n.state == stateActive {
 			active++
 		}
-		if n.charge(cfg.BarrierS) {
+		if n.charge(1) {
 			powered++
 			capacity += n.capacity
 		}
-		upSum += n.upS
-		downSum += n.downtimeS
+		up += n.upB
+		down += n.downB
 	}
 	s.gActive.Set(float64(active))
 	s.gPowered.Set(float64(powered))
@@ -390,17 +414,18 @@ func (s *session) step() error {
 	if capacity > 0 {
 		s.gUtil.Set(s.rate / capacity)
 	}
-	avail := 1.0
-	if downSum > 0 {
-		avail = upSum / (upSum + downSum)
-	}
-	s.gAvail.Set(avail)
-	rt.Publish()
-	if cfg.Progress != nil {
-		cfg.Progress(end)
-	}
-	s.bi++
+	s.gAvail.Set(availability(up, down))
+	s.closeBarrier()
 	return nil
+}
+
+// availability is the serving-time fraction up/(up+down) of barrier
+// counts, 1 when no barrier was spent in an outage.
+func availability(up, down int64) float64 {
+	if down == 0 {
+		return 1
+	}
+	return float64(up) / float64(up+down)
 }
 
 // finishAt runs the accounting tail over the measurement window
@@ -419,8 +444,10 @@ func (s *session) finishAt(endS float64) (Result, error) {
 	s.rt.Publish()
 
 	elapsed := endS - cfg.WarmupS
+	secs := func(barriers int64) float64 { return machine.Time(barriers * int64(s.steps)) }
 	res := Result{Policy: cfg.Policy.String(), Nodes: len(nodes), Unrouted: s.shed}
 	var prefills, ttftMet, tokMet, tokAll float64
+	var activeB, upB, downB int64
 	var counts []int
 	for _, n := range nodes {
 		n.snapshot() // no-op unless warmup was never crossed
@@ -441,15 +468,17 @@ func (s *session) finishAt(endS float64) (Result, error) {
 		ttftMet += float64(st.TTFTMetScaled - n.baseStats.TTFTMetScaled)
 		tokAll += st.DecodeTokens - n.baseStats.DecodeTokens
 		tokMet += st.TPOTMet - n.baseStats.TPOTMet
-		res.MachineSecondsActive += n.activeS
+		activeB += n.activeB
+		upB += n.upB
+		downB += n.downB
 		if n.spec.Role != RoleDecode && !n.spec.Standby {
 			counts = append(counts, n.requests)
 		}
 		res.PerNode = append(res.PerNode, NodeResult{
 			Name: n.name, Role: n.spec.Role.String(), State: n.state.String(),
 			Requests: n.requests, HandoffsIn: n.handRecv,
-			PerfH: perfH, PerfL: perfL, Watts: watts, ActiveS: n.activeS,
-			DowntimeS: n.downtimeS, Crashes: n.crashes,
+			PerfH: perfH, PerfL: perfL, Watts: watts, ActiveS: secs(n.activeB),
+			DowntimeS: secs(n.downB), Crashes: n.crashes,
 		})
 	}
 	if prefills > 0 {
@@ -466,15 +495,8 @@ func (s *session) finishAt(endS float64) (Result, error) {
 		res.MeanKVDelayS = s.link.delaySum / float64(s.link.count)
 	}
 	res.ScaleEvents = s.events
-	res.Availability = 1
-	var upSum, downSum float64
-	for _, n := range nodes {
-		upSum += n.upS
-		downSum += n.downtimeS
-	}
-	if downSum > 0 {
-		res.Availability = upSum / (upSum + downSum)
-	}
+	res.MachineSecondsActive = secs(activeB)
+	res.Availability = availability(upB, downB)
 	var ttfts []float64
 	for _, n := range nodes {
 		ttfts = append(ttfts, n.env.Engine.Stats().RecentTTFTs()...)
@@ -484,7 +506,7 @@ func (s *session) finishAt(endS float64) (Result, error) {
 		res.Crashes = s.fe.crashes
 		res.Outages = s.fe.outages
 		if s.fe.outages > 0 {
-			res.MTTRs = s.fe.mttrSum / float64(s.fe.outages)
+			res.MTTRs = machine.Time(s.fe.mttrTicks) / float64(s.fe.outages)
 		}
 		res.Retried = s.fe.retried
 		res.Redispatched = s.fe.redispatched
@@ -529,12 +551,12 @@ func (s *Session) Now() float64 { return s.s.now() }
 // event core (or the archetype loop when Config.Archetypes is set).
 func (s *Session) Step() error { return s.s.advance() }
 
-// StepUntil advances barriers until the simulated clock reaches at
-// least t. Inert barriers inside the span are elided, so catching a
-// long-idle session up to "now" costs far less than stepping each
-// barrier's fleet scan.
+// StepUntil advances barriers until the simulated clock reaches t: it
+// stops at the first barrier start at or after t. Inert barriers on
+// the way are elided, so catching a long-idle session up costs far
+// less than stepping each barrier's fleet scan.
 func (s *Session) StepUntil(t float64) error {
-	for s.s.now() < t-1e-9 {
+	for k := machine.TickOf(t); s.s.barrierTick(s.s.bi) < k; {
 		if err := s.s.advance(); err != nil {
 			return err
 		}
@@ -542,61 +564,22 @@ func (s *Session) StepUntil(t float64) error {
 	return nil
 }
 
-// NextEventAt reports a lower bound on the simulated time of the next
-// barrier the event core must actually execute: Now() when the
-// upcoming barrier is not provably inert, +Inf when no event source
-// has anything scheduled (a fully idle session with a live source is
-// woken by its next Submit), otherwise the start of the earliest
-// barrier that observes a scheduled event. The bound may be early —
-// the core re-checks at every barrier — never late. The archetype
-// loop keeps no event scan, so under Config.Archetypes it is Now().
-func (s *Session) NextEventAt() float64 { return s.s.nextBusyBarrierAt() }
-
-func (s *session) nextBusyBarrierAt() float64 {
-	if s.arch != nil {
-		return s.now()
+// NextEventAt reports the start of the next barrier the event core
+// must execute: Now() when the upcoming barrier is not inert, +Inf
+// when no event source has anything scheduled (a fully idle session
+// with a live source is woken by its next Submit), otherwise the start
+// of the first barrier at which a scheduled event fires. Every barrier
+// before it is elided. The archetype loop keeps no event scan, so
+// under Config.Archetypes it is Now().
+func (s *Session) NextEventAt() float64 {
+	ss := s.s
+	if ss.arch != nil || !ss.ev.idle() {
+		return ss.now()
 	}
-	if !s.canElide() {
-		return s.now()
+	if due := ss.nextDue(); due != never {
+		return ss.at(due)
 	}
-	next := math.Inf(1)
-	add := func(t float64) {
-		if t < next {
-			next = t
-		}
-	}
-	for _, g := range s.gens {
-		add(g.NextEventAt(s.now()))
-	}
-	if s.qpsIdx < len(s.cfg.QPS) {
-		add(s.cfg.QPS[s.qpsIdx].At)
-	}
-	if s.ev.warmingAny {
-		add(s.ev.minActiveAt)
-	}
-	if fe := s.fe; fe != nil {
-		add(fe.inj.NextEventAt())
-		for _, e := range fe.retryq {
-			add(e.at)
-		}
-	}
-	if sc := s.scaler; sc != nil {
-		if s.ev.spanHi {
-			add(s.at(s.bi + sc.cfg.HoldBarriers - sc.hiStreak))
-		}
-		if s.ev.spanLo && s.ev.spanPowered > sc.cfg.MinActive {
-			add(s.at(s.bi + sc.cfg.HoldBarriers - sc.loStreak))
-		}
-	}
-	if math.IsInf(next, 1) {
-		return next
-	}
-	// Snap to the start of the barrier whose window (start, end]
-	// holds the event's tick; an event due at a barrier start is seen
-	// a barrier later, so the bound is early, never late, and the
-	// per-barrier re-check makes early safe.
-	bi := int((machine.TickOf(next) - 1) / int64(s.steps))
-	return s.at(max(bi, s.bi))
+	return math.Inf(1)
 }
 
 // Finish closes the measurement window and returns the fleet result.

@@ -457,9 +457,9 @@ func Run(cfg Config) (Result, error) {
 		}
 		// Emit's guard fires once an arrival is due by the tick's end,
 		// so the arrival's own tick is one too late.
-		next := min(machine.TickOf(src.NextEventAt(now))-1, sloMon.nextAt)
+		next := min(machine.TickOf(src.NextEventAt())-1, sloMon.nextAt)
 		if inj != nil {
-			next = min(next, machine.TickOf(inj.NextEventAt(now)))
+			next = min(next, machine.TickOf(inj.NextEventAt()))
 		}
 		if interval > 0 {
 			next = min(next, nextTick)

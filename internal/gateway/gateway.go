@@ -237,20 +237,20 @@ func (g *Gateway) Stop() (cluster.Result, error) {
 // warp * wall-elapsed (completions are computed from arrival stamps
 // against that clock), so the driver sleeps toward the warped wall
 // instant of the next barrier the event core must execute: one
-// interval ahead while work is in flight, the barrier observing the
-// next scheduled event while the fleet is coasting, and indefinitely
-// (+Inf) when nothing is scheduled — in which case only a Submit
-// nudge or Stop wakes it. On wake it catches the session up to the
-// warped clock with StepUntil; the event core turns the inert barriers
-// in between into cheap pulses, so a long-idle session
-// catches up in microseconds instead of running every barrier's fleet
-// scan. Token release order is unchanged: releases are paced by the
-// handlers (pace) from simulated timestamps, which this loop only
-// ever produces at or behind their warped wall instants.
+// interval ahead while work is in flight, the barrier at which the
+// next scheduled event fires while the fleet is coasting, and
+// indefinitely (+Inf) when nothing is scheduled — in which case only a
+// Submit nudge or Stop wakes it. On wake it steps the session up to
+// the warped clock; the event core turns the inert barriers in between
+// into cheap pulses, so a long-idle session catches up in microseconds
+// instead of running every barrier's fleet scan. Token release order
+// is unchanged: releases are paced by the handlers (pace) from
+// simulated timestamps, which this loop only ever produces at or
+// behind their warped wall instants.
 func (g *Gateway) drive() {
 	defer close(g.done)
-	// Catch-up runs in bounded strides so Stop stays responsive while
-	// a long-elided span is replayed.
+	// Catch-up runs in strides of maxStride barriers so Stop stays
+	// responsive while a long elided span is replayed.
 	const maxStride = 64
 	var timer *time.Timer
 	for {
@@ -287,11 +287,12 @@ func (g *Gateway) drive() {
 		default:
 		}
 		target := g.warpedSimNow()
-		for g.sess.Now() < target-1e-9 {
-			stride := math.Min(target, g.sess.Now()+maxStride*g.barrierS)
-			if err := g.sess.StepUntil(stride); err != nil {
-				g.failure.Store(fmt.Errorf("gateway: fleet step: %w", err))
-				return
+		for g.sess.Now() < target {
+			for i := 0; i < maxStride && g.sess.Now() < target; i++ {
+				if err := g.sess.Step(); err != nil {
+					g.failure.Store(fmt.Errorf("gateway: fleet step: %w", err))
+					return
+				}
 			}
 			g.simNowBits.Store(math.Float64bits(g.sess.Now()))
 			g.ready.Store(true)

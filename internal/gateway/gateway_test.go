@@ -493,6 +493,36 @@ func TestTokenTextDeterministic(t *testing.T) {
 	}
 }
 
+// TestChunkEncoderMatchesMarshal pins the stream writer's bytes: each
+// chunk is the SSE frame of json.Marshal of the chatCompletion chunk it
+// stands for — the role chunk, tokens 0–40 (past a wrap of
+// fillerWords) and both finish reasons, under a model name json must
+// escape.
+func TestChunkEncoderMatchesMarshal(t *testing.T) {
+	const id, created, model = "chatcmpl-7", int64(1700000000), `llama <"q&a">`
+	enc := newChunkEncoder(id, created, model)
+	check := func(got []byte, delta chatMessage, finish *string) {
+		t.Helper()
+		b, err := json.Marshal(chatCompletion{
+			ID: id, Object: "chat.completion.chunk", Created: created, Model: model,
+			Choices: []chatChoice{{Delta: &delta, FinishReason: finish}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "data: " + string(b) + "\n\n"; string(got) != want {
+			t.Fatalf("chunk bytes differ from json.Marshal\n got %q\nwant %q", got, want)
+		}
+	}
+	check(enc.chunk("assistant", "", ""), chatMessage{Role: "assistant"}, nil)
+	for i := 0; i <= 40; i++ {
+		check(enc.chunk("", tokenText(i), ""), chatMessage{Content: tokenText(i)}, nil)
+	}
+	for _, reason := range []string{"stop", "length"} {
+		check(enc.chunk("", "", reason), chatMessage{}, &reason)
+	}
+}
+
 // TestStartStopCyclesLeakNoGoroutines runs five gateway lifetimes, each
 // serving one streamed completion, and checks that the goroutine count
 // after every later cycle settles at or below its level after the

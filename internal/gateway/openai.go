@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -278,8 +279,7 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, lr *l
 		return
 	}
 
-	id := fmt.Sprintf("chatcmpl-%d", lr.id)
-	created := time.Now().Unix()
+	enc := newChunkEncoder(fmt.Sprintf("chatcmpl-%d", lr.id), time.Now().Unix(), g.served.Name)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Trailer", HeaderTPOT)
@@ -287,28 +287,33 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, lr *l
 	w.Header().Set(HeaderWarp, fmt.Sprintf("%g", g.warp))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	chunk := func(delta *chatMessage, finish *string) {
-		b, _ := json.Marshal(chatCompletion{
-			ID: id, Object: "chat.completion.chunk", Created: created,
-			Model:   g.served.Name,
-			Choices: []chatChoice{{Delta: delta, FinishReason: finish}},
-		})
-		fmt.Fprintf(w, "data: %s\n\n", b)
+	write := func(frame []byte) {
+		_, _ = w.Write(frame) // a gone client surfaces through ctx
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	chunk(&chatMessage{Role: "assistant"}, nil)
-	chunk(&chatMessage{Content: tokenText(0)}, nil)
+	write(enc.chunk("assistant", "", ""))
+	write(enc.chunk("", tokenText(0), ""))
 	n := 1
 	firstT, lastT := first.simT, first.simT
-
+	// release paces one token to its wall instant and writes its chunk;
+	// false when the client left or the gateway is stopping.
+	release := func(ev event) bool {
+		if err := p.pace(ctx, ev.simT); err != nil {
+			return false
+		}
+		write(enc.chunk("", tokenText(n), ""))
+		n++
+		lastT = ev.simT
+		return true
+	}
 	finish := func(outcome string) {
 		reason := "length"
 		if outcome == "done" {
 			reason = "stop"
 		}
-		chunk(&chatMessage{}, &reason)
+		write(enc.chunk("", "", reason))
 		fmt.Fprint(w, "data: [DONE]\n\n")
 		tpot := 0.0
 		if n > 1 {
@@ -323,23 +328,17 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, lr *l
 	for {
 		select {
 		case ev := <-lr.tokens:
-			if err := p.pace(ctx, ev.simT); err != nil {
+			if !release(ev) {
 				return
 			}
-			chunk(&chatMessage{Content: tokenText(n)}, nil)
-			n++
-			lastT = ev.simT
 		case out := <-lr.outcome:
 			// Drain tokens buffered ahead of the outcome, then close.
 			for {
 				select {
 				case ev := <-lr.tokens:
-					if err := p.pace(ctx, ev.simT); err != nil {
+					if !release(ev) {
 						return
 					}
-					chunk(&chatMessage{Content: tokenText(n)}, nil)
-					n++
-					lastT = ev.simT
 				default:
 					finish(out.outcome)
 					return
@@ -352,4 +351,58 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, lr *l
 			return
 		}
 	}
+}
+
+// chunkEncoder writes one stream's SSE chunks. Every chunk of a stream
+// carries the same id, created stamp and model, so the JSON before the
+// delta is encoded once per stream, and a chunk appends only its delta
+// and finish reason — the bytes json.Marshal writes for the
+// chatCompletion chunk it stands for.
+type chunkEncoder struct {
+	prefix []byte // `data: {"id":…,"choices":[{"index":0,"delta":`
+	buf    []byte
+}
+
+func newChunkEncoder(id string, created int64, model string) *chunkEncoder {
+	b := appendJSONString([]byte(`data: {"id":`), id)
+	b = append(b, `,"object":"chat.completion.chunk","created":`...)
+	b = strconv.AppendInt(b, created, 10)
+	b = append(b, `,"model":`...)
+	b = appendJSONString(b, model)
+	b = append(b, `,"choices":[{"index":0,"delta":`...)
+	return &chunkEncoder{prefix: b}
+}
+
+// chunk returns the SSE frame of the chunk whose delta carries role and
+// content and whose finish reason is finish ("" encodes null). The
+// frame is overwritten by the next call.
+func (e *chunkEncoder) chunk(role, content, finish string) []byte {
+	b := append(e.buf[:0], e.prefix...)
+	b = append(b, `{"role":`...)
+	b = appendJSONString(b, role)
+	b = append(b, `,"content":`...)
+	b = appendJSONString(b, content)
+	b = append(b, `},"finish_reason":`...)
+	if finish == "" {
+		b = append(b, "null"...)
+	} else {
+		b = appendJSONString(b, finish)
+	}
+	e.buf = append(b, "}]}\n\n"...)
+	return e.buf
+}
+
+// appendJSONString appends s as encoding/json writes a string: text
+// json would not escape is copied between quotes, anything else goes
+// through json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

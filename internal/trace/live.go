@@ -18,7 +18,7 @@ import (
 type Source interface {
 	Emit(now, dt float64) []*serve.Request
 	SetRate(r float64)
-	NextEventAt(now float64) float64
+	NextEventAt() float64
 }
 
 // The two implementations must keep satisfying the contract.
@@ -104,7 +104,7 @@ func (s *LiveSource) SetRate(float64) {}
 
 // NextEventAt reports the earliest pending arrival, or +Inf when no
 // request is waiting — the skip-horizon contract (DESIGN.md §9).
-func (s *LiveSource) NextEventAt(now float64) float64 {
+func (s *LiveSource) NextEventAt() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.pending) == 0 {

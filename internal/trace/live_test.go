@@ -15,7 +15,7 @@ func TestLiveSourceEmitWindow(t *testing.T) {
 	if at1 != 0.10 || at2 != 0.30 {
 		t.Fatalf("arrivals = %g, %g, want as requested", at1, at2)
 	}
-	if got := s.NextEventAt(0); got != 0.10 {
+	if got := s.NextEventAt(); got != 0.10 {
 		t.Fatalf("NextEventAt = %g, want 0.10", got)
 	}
 
@@ -34,8 +34,8 @@ func TestLiveSourceEmitWindow(t *testing.T) {
 	if len(got) != 1 || got[0].ID != 2 {
 		t.Fatalf("Emit(0.10, 0.20) = %+v, want request 2", got)
 	}
-	if !math.IsInf(s.NextEventAt(0.3), 1) {
-		t.Fatalf("NextEventAt on empty source = %g, want +Inf", s.NextEventAt(0.3))
+	if !math.IsInf(s.NextEventAt(), 1) {
+		t.Fatalf("NextEventAt on empty source = %g, want +Inf", s.NextEventAt())
 	}
 }
 

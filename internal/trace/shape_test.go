@@ -100,7 +100,7 @@ func TestShapedNextEventAtContract(t *testing.T) {
 			g := NewGenerator(scen, 11)
 			now := 0.0
 			for i := 0; i < 200 && now < 120; i++ {
-				at := g.NextEventAt(now)
+				at := g.NextEventAt()
 				if at <= now {
 					t.Fatalf("NextEventAt %v not ahead of now %v", at, now)
 				}

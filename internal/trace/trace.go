@@ -204,4 +204,4 @@ func (g *Generator) sampleArrival() (promptLen, outputLen int) {
 // NextEventAt reports the absolute arrival time of the next request —
 // the fast-forward horizon contract (DESIGN.md §9): no Emit call with
 // now+dt strictly below this time produces a request.
-func (g *Generator) NextEventAt(now float64) float64 { return g.nextAt }
+func (g *Generator) NextEventAt() float64 { return g.nextAt }
