@@ -187,7 +187,7 @@ func TestAllocBudgetFleetBarrier(t *testing.T) {
 // idle serving node built as the cluster builds one — at zero
 // allocations per replayed step.
 func TestAllocBudgetFleetNodeReplay(t *testing.T) {
-	allocBudget(t, "fleet node StepN", 0, 100, cluster.NodeReplayBenchLoop(NewExclusive(), 8))
+	allocBudget(t, "fleet node StepN", 0, 100, nodeReplayLoop(NewExclusive(), 8))
 }
 
 // TestAllocBudgetGovernorSolve pins the TDP/license solve at zero: its

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"aum/internal/cluster"
 	"aum/internal/core"
 	"aum/internal/experiments"
 	"aum/internal/llm"
@@ -144,7 +143,7 @@ func BenchmarkColoStep(b *testing.B) {
 // fleet session builds it — the per-node work of a sparse barrier.
 func BenchmarkFleetNodeReplay(b *testing.B) {
 	b.ReportAllocs()
-	step := cluster.NodeReplayBenchLoop(NewExclusive(), 1)
+	step := nodeReplayLoop(NewExclusive(), 1)
 	for i := 0; i < 100; i++ {
 		step()
 	}

@@ -79,7 +79,7 @@ func newArchState(s *session) *archState {
 	ids := map[string]int{}
 	var primed []bool
 	for i, n := range s.nodes {
-		key := fmt.Sprintf("%d|%s", n.class, n.spec.Plat.Name)
+		key := fmt.Sprintf("%d|%s", n.class, n.Plat.Name)
 		id, ok := ids[key]
 		if !ok {
 			id = len(ids)
@@ -135,7 +135,7 @@ func (s *session) stepArch() error {
 			if err := s.archTouch(i); err != nil {
 				return err
 			}
-			s.nodes[i].inbox = append(s.nodes[i].inbox, r)
+			s.nodes[i].Inbox = append(s.nodes[i].Inbox, r)
 			s.nodes[i].requests++
 		}
 		s.cRouted.Add(uint64(len(arrivals)))
@@ -162,14 +162,14 @@ func (s *session) stepArch() error {
 	a.retire = a.retire[:0]
 	for bj, i := range a.busy {
 		n := nodes[i]
-		if !n.env.Engine.Idle() || n.undelivered() != 0 {
+		if !n.Engine.Idle() || n.undelivered() != 0 {
 			continue
 		}
-		if !n.env.M.CoarseReady() {
+		if !n.M.CoarseReady() {
 			continue
 		}
 		if id := a.archOf[i]; !a.caps[id].Valid() {
-			if c, ok := n.env.M.CloneCapture(); ok {
+			if c, ok := n.M.CloneCapture(); ok {
 				a.caps[id] = c
 			}
 		}
@@ -185,7 +185,7 @@ func (s *session) stepArch() error {
 
 	queued := 0
 	for _, i := range a.busy {
-		queued += nodes[i].env.Engine.QueueLen()
+		queued += nodes[i].Engine.QueueLen()
 	}
 	s.gActive.Set(float64(a.activeN))
 	s.gPowered.Set(float64(a.poweredN))
@@ -224,18 +224,18 @@ func (s *session) archTouch(i int) error {
 func (s *session) archAdvance(i, from, k int) error {
 	n := s.nodes[i]
 	warmB := int((s.warm + int64(s.steps) - 1) / int64(s.steps))
-	if !n.measured && from < warmB && from+k >= warmB {
+	if !n.Measured && from < warmB && from+k >= warmB {
 		if err := s.archSpan(i, from, warmB-from); err != nil {
 			return err
 		}
-		n.snapshot()
+		n.Snapshot()
 		from, k = warmB, from+k-warmB
 	}
 	if err := s.archSpan(i, from, k); err != nil {
 		return err
 	}
 	if s.barrierTick(from+k) >= s.warm {
-		n.snapshot()
+		n.Snapshot()
 	}
 	return nil
 }
@@ -250,11 +250,7 @@ func (s *session) archSpan(i, fromB, kb int) error {
 	}
 	a := s.arch
 	n := s.nodes[i]
-	m := n.env.M
-	if n.state == stateStandby || n.dead() {
-		m.AdvanceIdle(kb * s.steps)
-		return nil
-	}
+	m := n.M
 	if m.SkipQuiescent(kb * s.steps) {
 		if a.adopted[i] {
 			a.cHits.Inc()

@@ -102,7 +102,7 @@ func (a *autoscaler) observe(tick int64, offered float64, nodes []*node, events 
 	if capacity > 0 {
 		util = offered / capacity
 	}
-	if util > a.cfg.HighUtil {
+	if util > a.cfg.HighUtil && canGrow(nodes) {
 		a.hiStreak++
 	} else {
 		a.hiStreak = 0
@@ -116,20 +116,27 @@ func (a *autoscaler) observe(tick int64, offered float64, nodes []*node, events 
 		a.hiStreak = 0
 		if d := firstDraining(nodes); d != nil {
 			d.state = stateActive
-			*events = append(*events, ScaleEvent{At: now, Machine: d.name, Action: "undrain"})
+			*events = append(*events, ScaleEvent{At: now, Machine: d.Name, Action: "undrain"})
 		} else if s := bestStandby(nodes); s != nil {
 			s.state = stateWarming
 			s.activeAt = tick + machine.TickOf(a.cfg.WarmupDelayS)
-			*events = append(*events, ScaleEvent{At: now, Machine: s.name, Action: "warmup"})
+			*events = append(*events, ScaleEvent{At: now, Machine: s.Name, Action: "warmup"})
 		}
 	}
 	if a.loStreak >= a.cfg.HoldBarriers && powered > a.cfg.MinActive {
 		a.loStreak = 0
 		if w := worstActive(nodes); w != nil {
 			w.state = stateDraining
-			*events = append(*events, ScaleEvent{At: now, Machine: w.name, Action: "drain"})
+			*events = append(*events, ScaleEvent{At: now, Machine: w.Name, Action: "drain"})
 		}
 	}
+}
+
+// canGrow reports whether a scale-up candidate exists: the
+// high-watermark streak counts only while one does, so a saturated
+// fleet with nothing to add holds no barrier due.
+func canGrow(nodes []*node) bool {
+	return firstDraining(nodes) != nil || bestStandby(nodes) != nil
 }
 
 func firstDraining(nodes []*node) *node {

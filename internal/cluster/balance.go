@@ -69,8 +69,8 @@ func newBalancer(p BalancePolicy, n int) *balancer {
 func (b *balancer) sample(nodes []*node) {
 	for i, n := range nodes {
 		b.assigned[i] = 0
-		b.qlen[i] = n.env.Engine.QueueLen()
-		b.batch[i] = n.env.Engine.DecodeBatch() + n.env.Engine.BacklogLen()
+		b.qlen[i] = n.Engine.QueueLen()
+		b.batch[i] = n.Engine.DecodeBatch() + n.Engine.BacklogLen()
 	}
 }
 

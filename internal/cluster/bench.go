@@ -1,34 +1,12 @@
 package cluster
 
 import (
-	"context"
-
 	"aum/internal/chaos"
 	"aum/internal/colo"
 	"aum/internal/llm"
 	"aum/internal/platform"
-	"aum/internal/runner"
 	"aum/internal/serve"
 )
-
-// NodeReplayBenchLoop returns a closure that advances one idle fleet
-// node k machine steps through StepN — the per-node work a sparse
-// fleet repeats at every barrier. The node is built by newSession
-// exactly as a fleet builds one: a GenA machine set up by mgr, with
-// idle prefill and decode workers and no per-machine telemetry.
-// MeasureHotPaths (perf.go) times it for the hot_paths table.
-func NodeReplayBenchLoop(mgr colo.Manager, k int) func() {
-	cfg, err := Config{Machines: []MachineSpec{{Plat: platform.GenA(), Mgr: mgr}}}.withDefaults()
-	if err != nil {
-		panic(err)
-	}
-	s, err := newSession(cfg)
-	if err != nil {
-		panic(err)
-	}
-	m := s.nodes[0].env.M
-	return func() { m.StepN(k) }
-}
 
 // FleetBarrierBenchLoop returns a closure that steps an idle fleet of
 // 64 nodes through its next barrier: one runner.Shard over 64 one-node
@@ -50,15 +28,7 @@ func FleetBarrierBenchLoop(mgr colo.Manager) func() {
 		panic(err)
 	}
 	return func() {
-		if err := runner.Shard(s.ctx, len(s.nodes), 1, s.ropt,
-			func(_ context.Context, lo, hi int) error {
-				for _, n := range s.nodes[lo:hi] {
-					if err := s.stepEpoch(n, s.bi); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
+		if err := s.stepNodes(s.bi, 1); err != nil {
 			panic(err)
 		}
 		s.bi++
@@ -85,9 +55,8 @@ func FailoverBenchLoop() func() {
 	nodes := make([]*node, 2)
 	for i := range nodes {
 		nodes[i] = &node{
-			name:  "bench",
 			state: stateActive,
-			env:   &colo.Env{Engine: serve.NewEngine(serve.Config{Model: model})},
+			Node:  &colo.Node{Name: "bench", Env: colo.Env{Engine: serve.NewEngine(serve.Config{Model: model})}},
 		}
 	}
 	bal := newBalancer(RoundRobin, len(nodes))
@@ -98,7 +67,7 @@ func FailoverBenchLoop() func() {
 		fe.scheduleRetry(0, req, 0)
 		bal.sample(nodes)
 		fe.dispatchDue(1, nodes, bal)
-		nodes[0].inbox = nodes[0].inbox[:0]
-		nodes[1].inbox = nodes[1].inbox[:0]
+		nodes[0].Inbox = nodes[0].Inbox[:0]
+		nodes[1].Inbox = nodes[1].Inbox[:0]
 	}
 }

@@ -398,20 +398,19 @@ func (s nodeState) String() string {
 	return "unknown"
 }
 
-// node is one machine plus its epoch-local state. During an epoch
+// node is one serving node plus its fleet state. During an epoch
 // exactly one runner goroutine touches a node; between epochs only the
-// single-threaded barrier code does.
+// single-threaded barrier code does. Its Inbox holds the epoch's
+// arrivals.
 type node struct {
-	name     string
-	spec     MachineSpec
+	*colo.Node
+	role     Role
+	standby  bool // configured as a standby (MachineSpec.Standby)
 	class    int
-	env      *colo.Env
 	capacity float64 // profiled requests/s (requestCapacity)
 
 	state    nodeState
 	activeAt int64 // warming/recovering -> active tick
-	interval int64 // manager cadence in ticks (0 = no ticks)
-	nextTick int64 // tick of the next manager decision
 
 	// Health state (all zero unless Config.Faults is set).
 	downSince    int64 // tick the current outage began
@@ -425,19 +424,13 @@ type node struct {
 	downB        int64 // barriers in suspect/down/recovering
 	gState       *telemetry.Gauge
 
-	inbox   []*serve.Request // this epoch's arrivals, sorted by Arrival
-	exports []export         // prefill completions awaiting transfer
-	pending []handoff        // KV transfers headed here; sorted from handIdx
+	exports []export  // prefill completions awaiting transfer
+	pending []handoff // KV transfers headed here; sorted from handIdx
 	handIdx int
 
 	requests int   // total fresh arrivals routed here
 	handRecv int   // handed-off requests delivered here
 	activeB  int64 // powered barriers
-
-	measured   bool
-	baseStats  serve.Stats
-	baseEnergy float64
-	baseBE     machine.TaskStats
 }
 
 // undelivered reports KV transfers still in flight toward the node.
@@ -460,20 +453,6 @@ func (n *node) charge(k int64) (powered bool) {
 	}
 	n.activeB += k
 	return true
-}
-
-// snapshot opens the node's measurement window; only the first call
-// counts.
-func (n *node) snapshot() {
-	if n.measured {
-		return
-	}
-	n.measured = true
-	n.baseStats = n.env.Engine.Stats().Clone()
-	n.baseEnergy = n.env.M.EnergyJ()
-	if n.env.BEID != 0 {
-		n.baseBE, _ = n.env.M.Stats(n.env.BEID)
-	}
 }
 
 // Result aggregates fleet-level outcomes. Rates are post-warmup deltas
@@ -563,74 +542,46 @@ func run(cfg Config) (Result, error) {
 	return s.finishAt(cfg.HorizonS)
 }
 
-// stepEpoch advances one machine from its current tick to the end of
+// stepEpoch advances one node from its current tick to the end of
 // barrier b, tick (b+1)·steps — one barrier when executed, a whole
-// deferred span in catchUp — submitting its epoch inbox and
-// delivering matured KV handoffs at their in-epoch ticks. It runs on a
-// runner goroutine; it touches only its own node.
+// deferred span in catchUp — through the node stepper, with KV
+// deliveries as the fleet's own events. It runs on a runner goroutine;
+// it touches only its own node.
 func (s *session) stepEpoch(n *node, b int) error {
-	m := n.env.M
 	end := s.barrierTick(b + 1)
 	if n.state == stateStandby || n.dead() {
 		// Powered off (standby) or crashed (suspect/down): the clock
 		// advances, nothing runs, no energy accrues.
-		m.AdvanceIdle(int(end - m.Tick()))
+		n.M.AdvanceIdle(int(end - n.M.Tick()))
 		if end >= s.warm {
-			n.snapshot()
+			n.Snapshot()
 		}
 		return nil
 	}
-	ri := 0
-	// due fires what falls due at tick t and bounds the next such tick
-	// (DESIGN.md §9). Inbox arrivals and KV deliveries land at the end
-	// of the tick they fall in, so each is due one tick before its own;
-	// both lists are sorted by time, so their heads are the next.
-	err := m.StepTo(end, func(t int64) (int64, error) {
-		tickEnd := machine.Time(t + 1)
-		for ri < len(n.inbox) && n.inbox[ri].Arrival <= tickEnd {
-			if err := n.env.Engine.Submit(n.inbox[ri]); err != nil {
-				return 0, err
-			}
-			ri++
+	return n.StepTo(end, n.deliver)
+}
+
+// deliver is the node's StepTo hook: it hands the KV transfers that
+// land by the end of tick t to the decode engine, and returns the tick
+// before the next one lands (the list is sorted, so its head is next).
+func (n *node) deliver(t int64) (int64, error) {
+	tickEnd := machine.Time(t + 1)
+	for ; n.handIdx < len(n.pending) && n.pending[n.handIdx].deliverAt <= tickEnd; n.handIdx++ {
+		if err := n.Engine.InjectDecode(n.pending[n.handIdx].req, tickEnd); err != nil {
+			return 0, fmt.Errorf("cluster: %s: %w", n.Name, err)
 		}
-		for n.handIdx < len(n.pending) && n.pending[n.handIdx].deliverAt <= tickEnd {
-			if err := n.env.Engine.InjectDecode(n.pending[n.handIdx].req, tickEnd); err != nil {
-				return 0, fmt.Errorf("cluster: %s: %w", n.name, err)
-			}
-			n.handIdx++
-		}
-		if n.interval > 0 && t >= n.nextTick {
-			if err := n.spec.Mgr.Tick(n.env, machine.Time(t)); err != nil {
-				return 0, fmt.Errorf("cluster: %s tick: %w", n.name, err)
-			}
-			n.nextTick += n.interval
-		}
-		next := end
-		if t >= s.warm {
-			n.snapshot()
-		} else {
-			next = s.warm
-		}
-		if n.handIdx < len(n.pending) {
-			next = min(next, machine.TickOf(n.pending[n.handIdx].deliverAt)-1)
-		}
-		if ri < len(n.inbox) {
-			next = min(next, machine.TickOf(n.inbox[ri].Arrival)-1)
-		}
-		if n.interval > 0 {
-			next = min(next, n.nextTick)
-		}
-		return next, nil
-	})
-	n.inbox = n.inbox[:0]
-	return err
+	}
+	if n.handIdx < len(n.pending) {
+		return machine.TickOf(n.pending[n.handIdx].deliverAt) - 1, nil
+	}
+	return math.MaxInt64, nil
 }
 
 // routableNodes lists the machines that may receive class-k arrivals:
 // active, serving the class, and able to prefill.
 func routableNodes(nodes []*node, class int, buf []int) []int {
 	for i, n := range nodes {
-		if n.state == stateActive && n.class == class && n.spec.Role != RoleDecode {
+		if n.state == stateActive && n.class == class && n.role != RoleDecode {
 			buf = append(buf, i)
 		}
 	}
@@ -648,10 +599,10 @@ func pickDecodeTarget(nodes []*node, class, src int) int {
 			if i == src || n.class != class || n.state != stateActive {
 				continue
 			}
-			if dedicated != (n.spec.Role == RoleDecode) || n.spec.Role == RolePrefill {
+			if dedicated != (n.role == RoleDecode) || n.role == RolePrefill {
 				continue
 			}
-			load := n.env.Engine.DecodeBatch() + n.env.Engine.BacklogLen() + n.undelivered()
+			load := n.Engine.DecodeBatch() + n.Engine.BacklogLen() + n.undelivered()
 			if load < bestLoad {
 				best, bestLoad = i, load
 			}

@@ -21,11 +21,13 @@ import (
 // event source the elision predicate reasons about appears in at least
 // one — arrival generators, QPS schedule, autoscaler watermarks and
 // warming completions, fault injector with retries, disaggregated
-// exports, and long idle gaps (the sparse rows) where elision actually
-// fires.
+// exports, and long idle gaps where elision fires (fleet-idle elides
+// most of its barriers; the sparse rows only some).
 func diffFixtures() map[string]Config {
 	model := llm.Llama2_7B()
 	scen := trace.Chatbot()
+	short := scen
+	short.MeanInput, short.MeanOutput = 64, 4
 	hetero := func() []MachineSpec {
 		return []MachineSpec{
 			{Plat: platform.GenA(), Mgr: manager.AllAU{}},
@@ -71,9 +73,17 @@ func diffFixtures() map[string]Config {
 			Autoscale: &AutoscaleConfig{HoldBarriers: 2, WarmupDelayS: 1},
 			Faults:    stormOf(chaos.CrashStorm(4, 2, 24, 3, 7)),
 		},
-		// Sparse traffic: mean arrival gap of ~20 barriers, so most
-		// barriers are inert. This is the row that proves elided spans
-		// replay byte-identically, not just that busy fleets never elide.
+		// Short requests at 1 req/s: each finishes well inside the mean
+		// arrival gap of 20 barriers, so most barriers are inert and the
+		// elided spans run long. This is the row that proves such spans
+		// settle byte-identically, not just that busy fleets never elide.
+		"fleet-idle": {
+			Machines: hetero(), Model: model, Scen: short, Policy: RoundRobin,
+			HorizonS: 48, Seed: 7, RatePerS: 1,
+		},
+		// Sparse traffic: a mean arrival gap of ~100 barriers, but a
+		// chatbot request outlives many gaps, so only some barriers
+		// are inert.
 		"fleet-sparse": {
 			Machines: hetero(), Model: model, Scen: scen, Policy: RoundRobin,
 			HorizonS: 48, Seed: 7, RatePerS: 0.2,
@@ -165,12 +175,13 @@ func TestEventDrivenByteIdentity(t *testing.T) {
 	}
 }
 
-// TestEventDrivenElides proves the sparse fixtures actually exercise
-// elision — a sweep that never elides would vacuously pass the
-// identity test — and that the counter is exported under the
-// documented name.
+// TestEventDrivenElides proves the idle and sparse fixtures actually
+// exercise elision — a sweep that never elides would vacuously pass
+// the identity test — and that the counter is exported under the
+// documented name. fleet-idle must elide most of its barriers, so the
+// goldens cover long elided spans, not just a few short ones.
 func TestEventDrivenElides(t *testing.T) {
-	for _, name := range []string{"fleet-sparse", "fleet-sparse-scaled"} {
+	for _, name := range []string{"fleet-idle", "fleet-sparse", "fleet-sparse-scaled"} {
 		cfg := diffFixtures()[name]
 		reg := telemetry.NewRegistry()
 		cfg.Telemetry = reg
@@ -178,10 +189,14 @@ func TestEventDrivenElides(t *testing.T) {
 			t.Fatal(err)
 		}
 		elided := reg.Counter("aum_cluster_barriers_elided_total").Value()
+		barriers := uint64(math.Round(cfg.HorizonS / 0.05)) // default BarrierS
 		if elided == 0 {
 			t.Fatalf("%s: no barriers elided; the golden suite is not exercising elision", name)
 		}
-		t.Logf("%s: elided %d barriers", name, elided)
+		if name == "fleet-idle" && 2*elided <= barriers {
+			t.Fatalf("%s: elided %d of %d barriers, want more than half", name, elided, barriers)
+		}
+		t.Logf("%s: elided %d of %d barriers", name, elided, barriers)
 	}
 }
 
@@ -361,6 +376,39 @@ func TestNextEventAtExact(t *testing.T) {
 	}
 }
 
+// TestSaturatedScalerElides checks that an autoscaler with nothing to
+// add holds no barrier due: two active machines and no standby, at
+// three times one machine's capacity, breach the high watermark at
+// every barrier, but with no draining or standby machine the streak
+// never grows, so the idle session elides nearly every barrier instead
+// of executing one per HoldBarriers.
+func TestSaturatedScalerElides(t *testing.T) {
+	c := requestCapacity(platform.GenA(), llm.Llama2_7B(), trace.Chatbot())
+	src := trace.NewLiveSource()
+	src.Submit(1, 64, 4)
+	reg := telemetry.NewRegistry()
+	sess, err := NewSession(Config{
+		Machines: []MachineSpec{
+			{Plat: platform.GenA(), Mgr: manager.AllAU{}},
+			{Plat: platform.GenA(), Mgr: manager.AllAU{}},
+		},
+		HorizonS: 12, RatePerS: 3 * c, Source: src, Telemetry: reg,
+		Autoscale: &AutoscaleConfig{HoldBarriers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.StepUntil(12); err != nil {
+		t.Fatal(err)
+	}
+	const barriers = 240
+	elided := reg.Counter("aum_cluster_barriers_elided_total").Value()
+	if elided*10 < barriers*9 {
+		t.Fatalf("elided %d of %d barriers; a streak with no scale-up candidate keeps barriers due", elided, barriers)
+	}
+	t.Logf("elided %d of %d barriers", elided, barriers)
+}
+
 // sources is what the event sources leave behind: the QPS cursor, scale
 // and health events, routed and shed arrivals, the fault injector's
 // next event, the retry queue and the autoscaler streaks.
@@ -419,7 +467,7 @@ func TestNodeClocksAtBarriers(t *testing.T) {
 			check := func(when string) {
 				t.Helper()
 				for i, n := range s.nodes {
-					if got, want := n.env.M.Now(), s.now(); math.Float64bits(got) != math.Float64bits(want) {
+					if got, want := n.M.Now(), s.now(); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s, barrier %d: node %d (%s) at %v s, barrier starts at %v s", when, s.bi, i, n.state, got, want)
 					}
 				}

@@ -93,8 +93,8 @@ func (s *session) refreshEventScan() {
 		if n.state == stateStandby || n.dead() {
 			continue
 		}
-		if len(n.inbox) != 0 || len(n.exports) != 0 || n.undelivered() != 0 ||
-			!n.env.Engine.Idle() {
+		if len(n.Inbox) != 0 || len(n.exports) != 0 || n.undelivered() != 0 ||
+			!n.Engine.Idle() {
 			ev.allIdle = false
 		}
 	}
@@ -168,7 +168,7 @@ func (s *session) freezeScalerSpan() {
 	if capacity > 0 {
 		util = s.rate / capacity
 	}
-	ev.spanHi = util > s.scaler.cfg.HighUtil
+	ev.spanHi = util > s.scaler.cfg.HighUtil && canGrow(s.nodes)
 	ev.spanLo = util < s.scaler.cfg.LowUtil
 	ev.spanPowered = powered
 	ev.spanFrozen = true
@@ -199,25 +199,35 @@ func (s *session) elideBarrier() {
 // catchUp settles the deferred span [deferFrom, bi) for every node:
 // one stepEpoch to the span's end and one charge of its barriers.
 // Nodes are independent across the span (all idle, no merges, states
-// frozen), so the settlement parallelizes over contiguous shards of
-// nodes.
+// frozen), so the settlement parallelizes like an executed barrier.
 func (s *session) catchUp() error {
 	from, to := s.ev.deferFrom, s.bi
 	if from >= to {
 		return nil
 	}
-	err := runner.Shard(s.ctx, len(s.nodes), 0, s.ropt,
+	if err := s.stepNodes(to-1, 0); err != nil {
+		return err
+	}
+	for _, n := range s.nodes {
+		n.charge(int64(to - from))
+	}
+	s.ev.deferFrom = to
+	return nil
+}
+
+// stepNodes steps every node to the end of barrier b, concurrently, in
+// contiguous shards of chunk nodes (0: the runner's default size).
+// stepEpoch touches only its own node, so the result is independent of
+// the worker width; each shard stops at its first failure, so the
+// lowest-indexed one is reported.
+func (s *session) stepNodes(b, chunk int) error {
+	return runner.Shard(s.ctx, len(s.nodes), chunk, s.ropt,
 		func(_ context.Context, lo, hi int) error {
 			for _, n := range s.nodes[lo:hi] {
-				if err := s.stepEpoch(n, to-1); err != nil {
+				if err := s.stepEpoch(n, b); err != nil {
 					return err
 				}
-				n.charge(int64(to - from))
 			}
 			return nil
 		})
-	if err == nil {
-		s.ev.deferFrom = to
-	}
-	return err
 }

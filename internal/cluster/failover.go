@@ -124,9 +124,9 @@ func newFaultEngine(cfg Config) (*faultEngine, error) {
 }
 
 func (fe *faultEngine) event(now float64, n *node, state string) {
-	fe.events = append(fe.events, HealthEvent{At: now, Machine: n.name, State: state})
+	fe.events = append(fe.events, HealthEvent{At: now, Machine: n.Name, State: state})
 	fe.reg.Emit(now, "cluster", "node-health",
-		telemetry.F("machine", n.name), telemetry.F("state", state))
+		telemetry.F("machine", n.Name), telemetry.F("state", state))
 }
 
 // apply fires every scheduled fault (and expiry) due at the barrier
@@ -161,10 +161,10 @@ func (fe *faultEngine) apply(tick int64, cfg Config, nodes []*node, link *kvLink
 			}
 		case chaos.Straggler:
 			if f.Revert {
-				n.env.M.SetFreqDerate(1)
+				n.M.SetFreqDerate(1)
 				fe.event(now, n, "straggler-clear")
 			} else {
-				n.env.M.SetFreqDerate(f.Event.Factor)
+				n.M.SetFreqDerate(f.Event.Factor)
 				fe.event(now, n, "straggler")
 			}
 		}
@@ -219,7 +219,7 @@ func (fe *faultEngine) crash(tick int64, n *node) {
 	fe.cCrashes.Inc()
 	// The machine's workers will be mutated behind its back at harvest;
 	// a stale quiescence capture must never replay across the outage.
-	n.env.M.InvalidateCapture()
+	n.M.InvalidateCapture()
 	fe.event(now, n, "suspect")
 }
 
@@ -261,8 +261,8 @@ func (fe *faultEngine) harvest(now float64, cfg Config, nodes []*node, link *kvL
 			break
 		}
 	}
-	lost := n.env.Engine.Crash(now)
-	n.env.M.InvalidateCapture()
+	lost := n.Engine.Crash(now)
+	n.M.InvalidateCapture()
 	for _, ex := range n.exports {
 		lost = append(lost, ex.req)
 	}
@@ -297,7 +297,7 @@ func (fe *faultEngine) harvest(now float64, cfg Config, nodes []*node, link *kvL
 		fe.scheduleRetry(now, r, n.class)
 	}
 	fe.reg.Emit(now, "cluster", "node-harvest",
-		telemetry.F("machine", n.name), telemetry.Ff("lost", float64(len(lost))))
+		telemetry.F("machine", n.Name), telemetry.Ff("lost", float64(len(lost))))
 }
 
 // scheduleRetry resets a crashed request and queues it for re-dispatch
@@ -359,7 +359,7 @@ func (fe *faultEngine) dispatchDue(now float64, nodes []*node, bal *balancer) {
 			continue
 		}
 		i := bal.pick(e.class, nodes, routable)
-		nodes[i].inbox = append(nodes[i].inbox, e.req)
+		nodes[i].Inbox = append(nodes[i].Inbox, e.req)
 		nodes[i].redispatched++
 		fe.redispatched++
 		fe.cRedispatched.Inc()

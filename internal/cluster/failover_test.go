@@ -129,9 +129,9 @@ func TestFleetChaosWidthDeterminism(t *testing.T) {
 func TestRoutingSkipsUnhealthyNodes(t *testing.T) {
 	mk := func(st nodeState, role Role) *node {
 		return &node{
-			spec:  MachineSpec{Role: role},
+			role:  role,
 			state: st,
-			env:   &colo.Env{Engine: serve.NewEngine(serve.Config{Model: llm.Llama2_7B()})},
+			Node:  &colo.Node{Env: colo.Env{Engine: serve.NewEngine(serve.Config{Model: llm.Llama2_7B()})}},
 		}
 	}
 	nodes := []*node{
@@ -163,7 +163,7 @@ func TestRoutingSkipsUnhealthyNodes(t *testing.T) {
 	nodes[7].state = stateActive
 	// No eligible sink at all.
 	for _, n := range nodes {
-		if n.spec.Role != RolePrefill {
+		if n.role != RolePrefill {
 			n.state = stateDown
 		}
 	}

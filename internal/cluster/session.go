@@ -18,14 +18,12 @@ import (
 	"aum/internal/machine"
 	"aum/internal/metrics"
 	"aum/internal/perfmon"
-	"aum/internal/rdt"
 	"aum/internal/reqtrace"
 	"aum/internal/rng"
 	"aum/internal/runner"
 	"aum/internal/serve"
 	"aum/internal/telemetry"
 	"aum/internal/trace"
-	"aum/internal/workload"
 )
 
 // session holds everything run()'s barrier loop used to keep in
@@ -84,7 +82,6 @@ func newSession(cfg Config) (*session, error) {
 	nodes := make([]*node, len(cfg.Machines))
 	for i, spec := range cfg.Machines {
 		scen := classes[classOf[i]]
-		m := machine.New(spec.Plat)
 		// Archetype mode leaves machines bare: a per-machine telemetry
 		// scope would pin every machine to the exact per-tick path
 		// (machine.CoarseReady refuses observed machines), defeating the
@@ -94,33 +91,23 @@ func newSession(cfg Config) (*session, error) {
 		if !cfg.Archetypes && cfg.Telemetry != nil {
 			scope = cfg.Telemetry.Child(fmt.Sprintf("m%02d", i))
 		}
-		m.SetTelemetry(scope)
-		n := &node{name: fmt.Sprintf("%s-%d", spec.Plat.Name, i), spec: spec, class: classOf[i]}
-		engCfg := serve.Config{Model: cfg.Model, SLO: scen.SLO, Telemetry: scope,
-			ReqTrace: rt, Node: i, Admission: cfg.Admission}
+		name := fmt.Sprintf("%s-%d", spec.Plat.Name, i)
+		n := &node{role: spec.Role, standby: spec.Standby, class: classOf[i]}
+		var handoff func(r *serve.Request, now float64)
 		if spec.Role == RolePrefill {
-			engCfg.Handoff = func(r *serve.Request, now float64) {
+			handoff = func(r *serve.Request, now float64) {
 				n.exports = append(n.exports, export{req: r, readyAt: now})
 			}
 		}
-		env := &colo.Env{
-			Plat: spec.Plat, M: m, RDT: rdt.New(m),
-			Engine: serve.NewEngine(engCfg), Scen: scen,
+		var err error
+		n.Node, err = colo.NewNode(colo.Config{Plat: spec.Plat, Model: cfg.Model, Scen: scen, BE: cfg.BE,
+			Manager: spec.Mgr, WarmupS: cfg.WarmupS, Admission: cfg.Admission, Telemetry: scope, ReqTrace: rt},
+			rng.Derive(cfg.Seed, uint64(i)).Uint64(), i, handoff)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %s: %w", name, err)
 		}
-		env.RDT.SetTelemetry(scope)
-		if cfg.BE != nil {
-			env.BEApp = workload.New(*cfg.BE, rng.Derive(cfg.Seed, uint64(i)).Uint64())
-		}
-		if err := spec.Mgr.Setup(env); err != nil {
-			return nil, fmt.Errorf("cluster: %s setup: %w", n.name, err)
-		}
-		if env.PrefillID == 0 || env.DecodeID == 0 {
-			return nil, fmt.Errorf("cluster: %s manager placed no LLM", n.name)
-		}
-		n.env = env
+		n.Name = name
 		n.capacity = requestCapacity(spec.Plat, cfg.Model, scen)
-		n.interval = machine.TickOf(spec.Mgr.Interval())
-		n.nextTick = n.interval
 		n.state = stateActive
 		if spec.Standby {
 			n.state = stateStandby
@@ -258,7 +245,7 @@ func (s *session) step() error {
 	for _, n := range nodes {
 		if n.state == stateWarming && tick >= n.activeAt {
 			n.state = stateActive
-			s.events = append(s.events, ScaleEvent{At: start, Machine: n.name, Action: "active"})
+			s.events = append(s.events, ScaleEvent{At: start, Machine: n.Name, Action: "active"})
 		}
 	}
 	if s.scaler != nil {
@@ -267,9 +254,9 @@ func (s *session) step() error {
 		s.cScale.Add(uint64(len(s.events) - before))
 	}
 	for _, n := range nodes {
-		if n.state == stateDraining && n.env.Engine.Idle() && n.undelivered() == 0 {
+		if n.state == stateDraining && n.Engine.Idle() && n.undelivered() == 0 {
 			n.state = stateStandby
-			s.events = append(s.events, ScaleEvent{At: start, Machine: n.name, Action: "offline"})
+			s.events = append(s.events, ScaleEvent{At: start, Machine: n.Name, Action: "offline"})
 		}
 	}
 
@@ -311,26 +298,16 @@ func (s *session) step() error {
 				r.TraceID = reqtrace.MakeTraceID(k, r.ID)
 			}
 			i := s.bal.pick(k, nodes, s.routable)
-			nodes[i].inbox = append(nodes[i].inbox, r)
+			nodes[i].Inbox = append(nodes[i].Inbox, r)
 			nodes[i].requests++
 		}
 		s.cRouted.Add(uint64(len(arrivals)))
 	}
 
-	// Step every machine one epoch, concurrently, in contiguous
-	// shards. stepEpoch touches only its own node and the merge below
-	// runs in machine-index order, so the simulation is independent of
-	// the worker width; each shard stops at its first failure, so the
-	// lowest-indexed one is reported.
-	if err := runner.Shard(s.ctx, len(nodes), 0, s.ropt,
-		func(_ context.Context, lo, hi int) error {
-			for _, n := range nodes[lo:hi] {
-				if err := s.stepEpoch(n, s.bi); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
+	// Step every machine one epoch; the merge below runs in
+	// machine-index order, so the simulation is independent of the
+	// worker width.
+	if err := s.stepNodes(s.bi, 0); err != nil {
 		return err
 	}
 
@@ -450,34 +427,27 @@ func (s *session) finishAt(endS float64) (Result, error) {
 	var activeB, upB, downB int64
 	var counts []int
 	for _, n := range nodes {
-		n.snapshot() // no-op unless warmup was never crossed
-		st := n.env.Engine.Stats()
-		d := func(a, b float64) float64 { return (a - b) / elapsed }
-		perfH := d(st.GuaranteedPrefillTokens, n.baseStats.GuaranteedPrefillTokens)
-		perfL := d(st.TPOTMet, n.baseStats.TPOTMet)
-		watts := (n.env.M.EnergyJ() - n.baseEnergy) / elapsed
-		res.PerfH += perfH
-		res.PerfL += perfL
-		res.Watts += watts
-		if n.env.BEID != 0 {
-			cur, _ := n.env.M.Stats(n.env.BEID)
-			res.PerfN += cur.Sub(n.baseBE).Work / elapsed
-		}
-		res.GoodTokensPS += d(st.GuaranteedTokens, n.baseStats.GuaranteedTokens)
-		prefills += float64(st.PrefillRequests - n.baseStats.PrefillRequests)
-		ttftMet += float64(st.TTFTMetScaled - n.baseStats.TTFTMetScaled)
-		tokAll += st.DecodeTokens - n.baseStats.DecodeTokens
-		tokMet += st.TPOTMet - n.baseStats.TPOTMet
+		r := n.Measure(elapsed)
+		res.PerfH += r.PerfH
+		res.PerfL += r.PerfL
+		res.Watts += r.Watts
+		res.PerfN += r.PerfN
+		res.GoodTokensPS += r.GoodTokensPS
+		st, base := n.Engine.Stats(), &n.Base.Stats
+		prefills += float64(st.PrefillRequests - base.PrefillRequests)
+		ttftMet += float64(st.TTFTMetScaled - base.TTFTMetScaled)
+		tokAll += st.DecodeTokens - base.DecodeTokens
+		tokMet += st.TPOTMet - base.TPOTMet
 		activeB += n.activeB
 		upB += n.upB
 		downB += n.downB
-		if n.spec.Role != RoleDecode && !n.spec.Standby {
+		if n.role != RoleDecode && !n.standby {
 			counts = append(counts, n.requests)
 		}
 		res.PerNode = append(res.PerNode, NodeResult{
-			Name: n.name, Role: n.spec.Role.String(), State: n.state.String(),
+			Name: n.Name, Role: n.role.String(), State: n.state.String(),
 			Requests: n.requests, HandoffsIn: n.handRecv,
-			PerfH: perfH, PerfL: perfL, Watts: watts, ActiveS: secs(n.activeB),
+			PerfH: r.PerfH, PerfL: r.PerfL, Watts: r.Watts, ActiveS: secs(n.activeB),
 			DowntimeS: secs(n.downB), Crashes: n.crashes,
 		})
 	}
@@ -499,7 +469,7 @@ func (s *session) finishAt(endS float64) (Result, error) {
 	res.Availability = availability(upB, downB)
 	var ttfts []float64
 	for _, n := range nodes {
-		ttfts = append(ttfts, n.env.Engine.Stats().RecentTTFTs()...)
+		ttfts = append(ttfts, n.Engine.Stats().RecentTTFTs()...)
 	}
 	res.TTFTp99 = perfmon.Percentile(ttfts, 99)
 	if s.fe != nil {

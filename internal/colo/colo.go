@@ -322,59 +322,13 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	m := machine.New(cfg.Plat)
-	m.SetTelemetry(cfg.Telemetry)
 	if cfg.TraceSink != nil {
 		cfg.TraceSink.SetProcessName(telemetry.PIDServe, "serving engine")
 		cfg.TraceSink.SetProcessName(telemetry.PIDMachine, "machine")
 	}
-
-	rt := cfg.ReqTrace
-	if rt == nil && reqtrace.Forced() {
-		rt = reqtrace.New(reqtrace.Config{})
+	if cfg.ReqTrace == nil && reqtrace.Forced() {
+		cfg.ReqTrace = reqtrace.New(reqtrace.Config{})
 	}
-	eng := serve.NewEngine(serve.Config{Model: cfg.Model, SLO: cfg.Scen.SLO, Admission: cfg.Admission,
-		Telemetry: cfg.Telemetry, Trace: cfg.TraceSink, ReqTrace: rt})
-	src := trace.NewGenerator(cfg.Scen, cfg.Seed)
-	if cfg.RatePerS > 0 {
-		src.SetRate(cfg.RatePerS)
-	}
-
-	env := &Env{
-		Plat:   cfg.Plat,
-		M:      m,
-		RDT:    rdt.New(m),
-		Engine: eng,
-		Scen:   cfg.Scen,
-	}
-	env.RDT.SetTelemetry(cfg.Telemetry)
-	gamma := 0.0
-	if cfg.BE != nil {
-		env.BEApp = workload.New(*cfg.BE, cfg.Seed+7)
-		gamma = cfg.BE.RevenuePrice
-	}
-	if err := cfg.Manager.Setup(env); err != nil {
-		return Result{}, fmt.Errorf("colo: %s setup: %w", cfg.Manager.Name(), err)
-	}
-	if env.PrefillID == 0 || env.DecodeID == 0 {
-		return Result{}, fmt.Errorf("colo: %s setup did not place the LLM workers", cfg.Manager.Name())
-	}
-
-	var inj *chaos.Injector
-	if cfg.Chaos != nil {
-		var err error
-		inj, err = chaos.NewInjector(*cfg.Chaos, chaos.Target{M: m, BE: env.BEApp})
-		if err != nil {
-			return Result{}, err
-		}
-		inj.SetTelemetry(cfg.Telemetry)
-	}
-	warm := machine.TickOf(cfg.WarmupS)
-	sloMon := newViolationMonitor(cfg.Scen.SLO, warm)
-
-	interval := machine.TickOf(cfg.Manager.Interval())
-	nextTick := interval
-	var alloc []AllocSample
 
 	// Per-tick serving gauges, refreshed just before the manager's Tick
 	// so status renderers and /metrics scrapes see the same inputs the
@@ -383,31 +337,60 @@ func Run(cfg Config) (Result, error) {
 	gQueueLen := cfg.Telemetry.Gauge("aum_serve_queue_len")
 	gDecodeBatch := cfg.Telemetry.Gauge("aum_serve_decode_batch")
 	gHeadWait := cfg.Telemetry.Gauge("aum_serve_head_wait_seconds")
-
-	var basePrefill, baseDecode, baseBE machine.TaskStats
-	var baseStats serve.Stats
-	baseEnergy, baseTime := 0.0, 0.0
-	measured := false
-
-	snapshot := func() {
-		basePrefill, _ = m.Stats(env.PrefillID)
-		baseDecode, _ = m.Stats(env.DecodeID)
-		if env.BEID != 0 {
-			baseBE, _ = m.Stats(env.BEID)
-		}
-		baseEnergy = m.EnergyJ()
-		baseTime = m.Now()
-		baseStats = eng.Stats().Clone()
-		measured = true
+	var alloc []AllocSample
+	cfg.Manager = sampled{Manager: cfg.Manager,
+		before: func(e *Env, now float64) {
+			eng, m := e.Engine, e.M
+			gQueueLen.Set(float64(eng.QueueLen()))
+			gDecodeBatch.Set(float64(eng.DecodeBatch()))
+			gHeadWait.Set(eng.HeadWait(now))
+			if cfg.TraceSink != nil {
+				cfg.TraceSink.CounterSample("serving", telemetry.PIDMachine, now, map[string]float64{
+					"queue":        float64(eng.QueueLen()),
+					"decode_batch": float64(eng.DecodeBatch()),
+				})
+				cfg.TraceSink.CounterSample("machine", telemetry.PIDMachine, now, map[string]float64{
+					"watts":     m.LastWatts(),
+					"link_util": m.LastLinkUtil(),
+				})
+			}
+		},
+		after: func(e *Env, now float64) {
+			if cfg.TrackAlloc && e.BEID != 0 {
+				p, _ := e.M.Placement(e.BEID)
+				ways, _ := e.RDT.Ways(p.COS)
+				mba, _ := e.RDT.MBA(p.COS)
+				alloc = append(alloc, AllocSample{
+					Now: now, BEWays: ways.Count(), BEMBA: mba, BECores: p.Cores(),
+				})
+			}
+		},
 	}
+	n, err := NewNode(cfg, cfg.Seed+7, 0, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	m, eng := n.M, n.Engine
+	src := trace.NewGenerator(cfg.Scen, cfg.Seed)
+	if cfg.RatePerS > 0 {
+		src.SetRate(cfg.RatePerS)
+	}
+	var inj *chaos.Injector
+	if cfg.Chaos != nil {
+		inj, err = chaos.NewInjector(*cfg.Chaos, chaos.Target{M: m, BE: n.BEApp})
+		if err != nil {
+			return Result{}, err
+		}
+		inj.SetTelemetry(cfg.Telemetry)
+	}
+	sloMon := newViolationMonitor(cfg.Scen.SLO, n.warm)
 
-	// due fires the loop-level events at tick t — arrivals, chaos
-	// faults, the SLO sample, the manager tick, the warmup snapshot —
-	// and returns the next tick at which one of them can fire.
-	due := func(t int64) (int64, error) {
+	// The run's own events at tick t — generator arrivals, chaos
+	// faults, the SLO sample — and the next tick at which one can fire.
+	err = n.StepTo(machine.TickOf(cfg.HorizonS), func(t int64) (int64, error) {
 		now := machine.Time(t)
 		for _, r := range src.Emit(now, machine.DT) {
-			if rt != nil {
+			if cfg.ReqTrace != nil {
 				r.TraceID = reqtrace.MakeTraceID(0, r.ID)
 			}
 			if err := eng.Submit(r); err != nil {
@@ -423,37 +406,7 @@ func Run(cfg Config) (Result, error) {
 			sloMon.observe(now, eng.HeadWait(now), eng.Stats())
 			// Fold finished request traces at the monitor cadence; the
 			// loop is single-threaded, so the fold is deterministic.
-			rt.Publish()
-		}
-		if interval > 0 && t >= nextTick {
-			gQueueLen.Set(float64(eng.QueueLen()))
-			gDecodeBatch.Set(float64(eng.DecodeBatch()))
-			gHeadWait.Set(eng.HeadWait(now))
-			if cfg.TraceSink != nil {
-				cfg.TraceSink.CounterSample("serving", telemetry.PIDMachine, now, map[string]float64{
-					"queue":        float64(eng.QueueLen()),
-					"decode_batch": float64(eng.DecodeBatch()),
-				})
-				cfg.TraceSink.CounterSample("machine", telemetry.PIDMachine, now, map[string]float64{
-					"watts":     m.LastWatts(),
-					"link_util": m.LastLinkUtil(),
-				})
-			}
-			if err := cfg.Manager.Tick(env, now); err != nil {
-				return 0, fmt.Errorf("colo: %s tick: %w", cfg.Manager.Name(), err)
-			}
-			nextTick += interval
-			if cfg.TrackAlloc && env.BEID != 0 {
-				p, _ := m.Placement(env.BEID)
-				ways, _ := env.RDT.Ways(p.COS)
-				mba, _ := env.RDT.MBA(p.COS)
-				alloc = append(alloc, AllocSample{
-					Now: now, BEWays: ways.Count(), BEMBA: mba, BECores: p.Cores(),
-				})
-			}
-		}
-		if !measured && t >= warm {
-			snapshot()
+			cfg.ReqTrace.Publish()
 		}
 		// Emit's guard fires once an arrival is due by the tick's end,
 		// so the arrival's own tick is one too late.
@@ -461,87 +414,28 @@ func Run(cfg Config) (Result, error) {
 		if inj != nil {
 			next = min(next, machine.TickOf(inj.NextEventAt()))
 		}
-		if interval > 0 {
-			next = min(next, nextTick)
-		}
-		if !measured {
-			next = min(next, warm)
-		}
 		return next, nil
-	}
-	if err := m.StepTo(machine.TickOf(cfg.HorizonS), due); err != nil {
+	})
+	if err != nil {
 		return Result{}, err
 	}
-	if !measured {
-		snapshot()
-	}
-	rt.Publish()
+	cfg.ReqTrace.Publish()
 
-	elapsed := m.Now() - baseTime
+	// The window opens at the warmup tick: StepTo stops there.
+	elapsed := m.Now() - machine.Time(n.warm)
 	if elapsed <= 0 {
 		elapsed = machine.DT
 	}
-	curPrefill, _ := m.Stats(env.PrefillID)
-	curDecode, _ := m.Stats(env.DecodeID)
-	dPrefill := curPrefill.Sub(basePrefill)
-	dDecode := curDecode.Sub(baseDecode)
-	var dBE machine.TaskStats
-	if env.BEID != 0 {
-		cur, _ := m.Stats(env.BEID)
-		dBE = cur.Sub(baseBE)
-	}
-	st := eng.Stats()
-
-	prices := metrics.DefaultPrices(gamma)
-	rawH := (st.PrefillTokens - baseStats.PrefillTokens) / elapsed
-	rawL := (st.DecodeTokens - baseStats.DecodeTokens) / elapsed
-	perfH := (st.GuaranteedPrefillTokens - baseStats.GuaranteedPrefillTokens) / elapsed
-	perfL := (st.TPOTMet - baseStats.TPOTMet) / elapsed
-	reqPS := float64(st.PrefillRequests-baseStats.PrefillRequests) / elapsed
-	perfN := dBE.Work / elapsed
-	watts := (m.EnergyJ() - baseEnergy) / elapsed
-
-	coRunner := "none"
+	res := n.Measure(elapsed)
+	coRunner, gamma := "none", 0.0
 	if cfg.BE != nil {
-		coRunner = cfg.BE.Name
+		coRunner, gamma = cfg.BE.Name, cfg.BE.RevenuePrice
 	}
-	res := Result{
-		Scheme:   cfg.Manager.Name(),
-		Scenario: cfg.Scen.Name,
-		CoRunner: coRunner,
-		Platform: cfg.Plat.Name,
-
-		PerfH: perfH, PerfL: perfL,
-		RawPerfH: rawH, RawPerfL: rawL,
-		RequestsPS: reqPS,
-		PerfN:      perfN,
-		Watts:      watts,
-		Eff:        metrics.Efficiency(prices, perfH, perfL, perfN, watts),
-
-		TTFTGuarantee:       guaranteeDelta(float64(st.TTFTMet-baseStats.TTFTMet), float64(st.PrefillRequests-baseStats.PrefillRequests)),
-		TTFTGuaranteeScaled: guaranteeDelta(float64(st.TTFTMetScaled-baseStats.TTFTMetScaled), float64(st.PrefillRequests-baseStats.PrefillRequests)),
-		TPOTGuarantee:       guaranteeDelta(st.TPOTMet-baseStats.TPOTMet, st.DecodeTokens-baseStats.DecodeTokens),
-		MeanTTFT:            meanDelta(st.TTFTSum-baseStats.TTFTSum, float64(st.PrefillRequests-baseStats.PrefillRequests)),
-		MeanTPOT:            meanDelta(st.TPOTSum-baseStats.TPOTSum, st.DecodeTokens-baseStats.DecodeTokens),
-		TailTPOT:            st.TailTPOT(90),
-		TailTTFT:            st.TailTTFT(90),
-		GoodTokensPS:        (st.GuaranteedTokens - baseStats.GuaranteedTokens) / elapsed,
-
-		MeanGHzPrefill: dPrefill.MeanGHz(),
-		MeanGHzDecode:  dDecode.MeanGHz(),
-		MeanGHzBE:      dBE.MeanGHz(),
-
-		PrefillStats: dPrefill,
-		DecodeStats:  dDecode,
-		BEStats:      dBE,
-
-		Alloc:  alloc,
-		Prices: prices,
-
-		Rejected:       st.Rejected - baseStats.Rejected,
-		BacklogDropped: st.BacklogDropped - baseStats.BacklogDropped,
-		RecoveryS:      -1,
-	}
+	res.Scheme, res.Scenario, res.CoRunner, res.Platform = cfg.Manager.Name(), cfg.Scen.Name, coRunner, cfg.Plat.Name
+	res.Prices = metrics.DefaultPrices(gamma)
+	res.Eff = metrics.Efficiency(res.Prices, res.PerfH, res.PerfL, res.PerfN, res.Watts)
+	res.TailTPOT, res.TailTTFT = eng.Stats().TailTPOT(90), eng.Stats().TailTTFT(90)
+	res.Alloc, res.RecoveryS = alloc, -1
 	windows, stillOpen := sloMon.finish(m.Now())
 	res.Violations = windows
 	if inj != nil {
@@ -567,6 +461,23 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// sampled runs Run's per-decision samples around the manager's Tick:
+// the serving gauges and Chrome counters the decision sees before it,
+// the co-runner allocation (Figure 18) it leaves after it.
+type sampled struct {
+	Manager
+	before, after func(e *Env, now float64)
+}
+
+func (s sampled) Tick(e *Env, now float64) error {
+	s.before(e, now)
+	if err := s.Manager.Tick(e, now); err != nil {
+		return err
+	}
+	s.after(e, now)
+	return nil
 }
 
 func guaranteeDelta(met, total float64) float64 {

@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"aum/internal/llm"
+	"aum/internal/platform"
+	"aum/internal/trace"
+	"aum/internal/workload"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -185,6 +191,32 @@ func TestSimulatedExperimentQuick(t *testing.T) {
 		if r.Values[0] <= 0 || r.Values[0] > 1.6 {
 			t.Fatalf("%s prefill-rel = %v implausible", r.Label, r.Values[0])
 		}
+	}
+}
+
+// TestLabKeysSeed checks that a Lab reused across seeds serves each
+// seed its own run and AUV model: an AUM run at seed 7 after one at
+// seed 42 must equal the same run on a fresh Lab.
+func TestLabKeysSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment skipped in -short")
+	}
+	jbb := workload.SPECjbb()
+	spec := RunSpec{Plat: platform.GenA(), Model: llm.Llama2_7B(), Scheme: "AUM", Scen: trace.Chatbot(), BE: &jbb}
+	reused := NewLab()
+	if _, err := reused.Run(spec, Options{Quick: true, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := reused.Run(spec, Options{Quick: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewLab().Run(spec, Options{Quick: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("seed 7 after seed 42 on one Lab: Eff %v, fresh Lab: Eff %v", got.Eff, want.Eff)
 	}
 }
 

@@ -113,7 +113,7 @@ func (l *Lab) Prewarm(specs []RunSpec, o Options) error {
 func (l *Lab) Model(plat platform.Platform, model llm.Model, scen trace.Scenario, be workload.Profile, o Options) (*core.Model, error) {
 	o = o.withDefaults()
 	_, reps, ph := o.horizons()
-	key := fmt.Sprintf("%s/%s/%s/%s/q%v", plat.Name, model.Name, scen.Name, be.Name, o.Quick)
+	key := fmt.Sprintf("%s/%s/%s/%s/q%v/s%d", plat.Name, model.Name, scen.Name, be.Name, o.Quick, o.Seed)
 	l.mu.Lock()
 	e, ok := l.models[key]
 	if !ok {
@@ -179,8 +179,8 @@ func (l *Lab) Run(spec RunSpec, o Options) (colo.Result, error) {
 	if spec.BE != nil {
 		beName = spec.BE.Name
 	}
-	key := fmt.Sprintf("%s/%s/%s/%s/%s/%v/%.2f/q%v",
-		spec.Plat.Name, spec.Model.Name, spec.Scheme, spec.Scen.Name, beName, spec.TrackAlloc, spec.RatePerS, o.Quick)
+	key := fmt.Sprintf("%s/%s/%s/%s/%s/%v/%.2f/q%v/s%d",
+		spec.Plat.Name, spec.Model.Name, spec.Scheme, spec.Scen.Name, beName, spec.TrackAlloc, spec.RatePerS, o.Quick, o.Seed)
 	l.mu.Lock()
 	e, ok := l.runs[key]
 	if !ok {

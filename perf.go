@@ -13,7 +13,6 @@ import (
 	"aum/internal/llm"
 	"aum/internal/machine"
 	"aum/internal/platform"
-	"aum/internal/rdt"
 	"aum/internal/reqtrace"
 	"aum/internal/serve"
 	"aum/internal/telemetry"
@@ -83,25 +82,19 @@ func replayMachine() *machine.Machine {
 }
 
 // coloStepLoop returns a closure that takes one full 1 ms step of the
-// machine the paper tables step: GenA serving llama2-7b with its
-// prefill and decode workers placed as NewExclusive places them, a
-// bursty SPECjbb co-runner on every core's SMT sibling (NewSMTSharing's
-// layout), and both workers mid-iteration on queued requests. The
-// loop calls Step, never StepN, so every step is a full one, as at a
-// burst-quantum boundary of the co-runner or a worker's job pull. The
-// decode batch is full with requests that never finish, and the
-// prefill queue holds about 20 simulated minutes of prompts (one takes
-// ~0.3 s).
+// machine the paper tables step: GenA serving llama2-7b (servingNode)
+// with its prefill and decode workers placed as NewExclusive places
+// them, a bursty SPECjbb co-runner on every core's SMT sibling
+// (NewSMTSharing's layout), and both workers mid-iteration on queued
+// requests. The loop calls Step, never StepN, so every step is a full
+// one, as at a burst-quantum boundary of the co-runner or a worker's
+// job pull. The decode batch is full with requests that never finish,
+// and the prefill queue holds about 20 simulated minutes of prompts
+// (one takes ~0.3 s).
 func coloStepLoop() func() {
-	plat := platform.GenA()
-	m := machine.New(plat)
-	scen := trace.Chatbot()
-	eng := serve.NewEngine(serve.Config{Model: llm.Llama2_7B(), SLO: scen.SLO})
-	env := &colo.Env{Plat: plat, M: m, RDT: rdt.New(m), Engine: eng, Scen: scen,
-		BEApp: workload.New(workload.SPECjbb(), 7)}
-	if err := NewSMTSharing().Setup(env); err != nil {
-		panic(err)
-	}
+	jbb := workload.SPECjbb()
+	n := servingNode(NewSMTSharing(), &jbb)
+	m, eng := n.M, n.Engine
 	const queued = 4096
 	for i := 0; i < queued; i++ {
 		if err := eng.Submit(&serve.Request{ID: i + 1, PromptLen: 512, OutputLen: 1 << 30}); err != nil {
@@ -112,6 +105,26 @@ func coloStepLoop() func() {
 		m.Step()
 	}
 	return m.Step
+}
+
+// nodeReplayLoop returns a closure that advances an idle serving node,
+// built as a fleet builds one, k machine steps through StepN: the
+// per-node work a sparse fleet repeats at every barrier.
+func nodeReplayLoop(mgr colo.Manager, k int) func() {
+	m := servingNode(mgr, nil).M
+	return func() { m.StepN(k) }
+}
+
+// servingNode builds GenA serving llama2-7b on the chatbot scenario,
+// with no telemetry, through colo.NewNode as colo.Run and every fleet
+// machine are built; be, when set, co-runs under seed 7.
+func servingNode(mgr colo.Manager, be *workload.Profile) *colo.Node {
+	n, err := colo.NewNode(colo.Config{Plat: platform.GenA(), Model: llm.Llama2_7B(), Scen: trace.Chatbot(),
+		BE: be, Manager: mgr}, 7, 0, nil)
+	if err != nil {
+		panic(err)
+	}
+	return n
 }
 
 // MeasureHotPaths benchmarks the simulator hot paths in-process —
@@ -144,9 +157,9 @@ func MeasureHotPaths() []HotPathBench {
 	replayObs.AllocsPerOp /= 10
 
 	// One replayed tick of the machine a fleet actually steps: an idle
-	// serving node built as the cluster builds one, replaying its
-	// starved workers' step (StepN(10) divided by 10).
-	node := measureLoop("fleet_node_replay", 200, 5_000, cluster.NodeReplayBenchLoop(NewExclusive(), 10))
+	// serving node built as a fleet builds one, replaying its starved
+	// workers' step (StepN(10) divided by 10).
+	node := measureLoop("fleet_node_replay", 200, 5_000, nodeReplayLoop(NewExclusive(), 10))
 	node.NsPerOp /= 10
 	node.AllocsPerOp /= 10
 
